@@ -181,16 +181,19 @@ class Tensor:
         out = Tensor(self.data @ other.data, parents=(self, other))
 
         def bw(g):
+            # promote 1-D operands the way matmul does, then undo broadcasting
+            a = self.data[None, :] if self.data.ndim == 1 else self.data
+            b = other.data[:, None] if other.data.ndim == 1 else other.data
+            if other.data.ndim == 1:
+                g = np.expand_dims(g, -1)
+            if self.data.ndim == 1:
+                g = np.expand_dims(g, -2)
             if self.requires_grad:
-                if other.data.ndim == 1:
-                    self._accum(np.outer(g, other.data) if self.data.ndim == 2 else g * other.data)
-                else:
-                    self._accum(np.atleast_2d(g) @ other.data.T if self.data.ndim == 2 else g @ other.data.T)
+                grad = g @ np.swapaxes(b, -1, -2)
+                self._accum(_unbroadcast(grad, a.shape).reshape(self.data.shape))
             if other.requires_grad:
-                if self.data.ndim == 1:
-                    other._accum(np.outer(self.data, g) if other.data.ndim == 2 else g * self.data)
-                else:
-                    other._accum(self.data.T @ np.atleast_2d(g) if other.data.ndim == 2 else self.data.T @ g)
+                grad = np.swapaxes(a, -1, -2) @ g
+                other._accum(_unbroadcast(grad, b.shape).reshape(other.data.shape))
 
         out._bw = bw
         return out
@@ -215,8 +218,9 @@ class Tensor:
 
     @property
     def T(self):
-        out = Tensor(self.data.T, parents=(self,))
-        out._bw = lambda g: self._accum(g.T)
+        """Swap the last two axes."""
+        out = Tensor(np.swapaxes(self.data, -1, -2), parents=(self,))
+        out._bw = lambda g: self._accum(np.swapaxes(g, -1, -2))
         return out
 
     @staticmethod
@@ -234,24 +238,6 @@ class Tensor:
                     sl = [slice(None)] * g.ndim
                     sl[axis] = slice(lo, hi)
                     t._accum(g[tuple(sl)])
-
-        out._bw = bw
-        return out
-
-    @staticmethod
-    def stack_rows(tensors: list["Tensor"]) -> "Tensor":
-        """Stack 1-D tensors into a matrix, one per row."""
-        tensors = [Tensor._lift(t) for t in tensors]
-        rows = [t.data for t in tensors]
-        stacked = np.empty((len(rows),) + rows[0].shape)
-        for i, row in enumerate(rows):
-            stacked[i] = row
-        out = Tensor(stacked, parents=tuple(tensors))
-
-        def bw(g):
-            for i, t in enumerate(tensors):
-                if t.requires_grad:
-                    t._accum(g[i])
 
         out._bw = bw
         return out
@@ -325,14 +311,17 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors, clamped to [-1, 1]."""
+def cosine_sim(a, b):
+    """Cosine similarity along the last axis, clamped to [-1, 1].
+
+    Two vectors give a scalar; stacked vectors give one value per row.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    na, nb = np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1)
+    if not (np.all(na) and np.all(nb)):
         raise ValueError("cosine_sim: zero-norm input (degenerate embedding)")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+    return np.clip((a * b).sum(axis=-1) / (na * nb), -1.0, 1.0)
 
 
 def log_sum_exp(xs) -> float:

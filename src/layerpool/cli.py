@@ -225,8 +225,9 @@ def dispatch(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be >= 1")
+    # numpy is not loaded yet (the package imports lazily), so BLAS reads these
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(args.threads))
+        os.environ[var] = str(args.threads)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as exc:

@@ -39,16 +39,6 @@ def load_jsonl(path) -> list[dict]:
     return records
 
 
-def corpus_kind(records: list[dict]) -> str:
-    if not records:
-        raise ValueError("empty corpus")
-    keys = set(records[0])
-    for kind, required in _CORPUS_KEYS.items():
-        if keys.issuperset(required):
-            return kind
-    raise ValueError(f"unrecognized corpus record keys {sorted(keys)}")
-
-
 def write_jsonl(records: list[dict], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:

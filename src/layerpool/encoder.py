@@ -4,6 +4,9 @@ The encoder exists to exercise the pooler and objectives at desk scale: a
 pre-norm residual transformer with learned positional embeddings. It can be
 bypassed entirely by precomputed frozen features (see `FrozenFeatures`),
 in which case only pooler parameters are trainable.
+
+A layer stack is one Tensor of shape (..., N, 2, d): [..., i, 0] is layer
+i's CLS vector h^c and [..., i, 1] its mean-token vector h^a.
 """
 
 from __future__ import annotations
@@ -49,22 +52,6 @@ class EncoderConfig:
             raise ValueError("num_layers must be >= 1")
         if self.max_seq_len < 2:
             raise ValueError("max_seq_len must be >= 2 (CLS + one token)")
-
-
-@dataclass
-class LayerStack:
-    """Per-layer (CLS vector, mean-token vector) pairs for one sentence."""
-
-    h_c: list  # N tensors of shape (d,)
-    h_a: list  # N tensors of shape (d,)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.h_c)
-
-    @property
-    def h_c_last(self):
-        return self.h_c[-1]
 
 
 class Tokenizer:
@@ -148,13 +135,13 @@ def _layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-6) -> Tensor:
 
 
 class Encoder:
-    """Forward pass from token ids to a LayerStack."""
+    """Forward pass from token ids to an (N, 2, d) layer stack."""
 
     def __init__(self, config: EncoderConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
 
-    def encode(self, tokens, rng: Rng | None = None, train_mode: bool = False) -> LayerStack:
+    def encode(self, tokens, rng: Rng | None = None, train_mode: bool = False) -> Tensor:
         cfg = self.config
         tokens = list(tokens)
         if any(t >= cfg.vocab_size or t < 0 for t in tokens):
@@ -178,7 +165,7 @@ class Encoder:
         # additive mask keeping attention off padding keys
         key_mask = np.where(pad, -1e9, 0.0)[None, :]
 
-        h_c, h_a = [], []
+        layers = []
         for i in range(cfg.num_layers):
             pre = f"layer{i}."
             a_in = _layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
@@ -188,9 +175,24 @@ class Encoder:
             hidden = (f_in @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"]).tanh()
             ffn = hidden @ p[pre + "ffn_w2"] + p[pre + "ffn_b2"]
             x = x + self._dropout(ffn, rng, train_mode, f"ffn{i}")
-            h_c.append(x[0])
-            h_a.append(x[content].mean(axis=0))
-        return LayerStack(h_c=h_c, h_a=h_a)
+            layers += [x[0], x[content].mean(axis=0)]
+        return Tensor.concat(layers).reshape(cfg.num_layers, 2, cfg.hidden_dim)
+
+    def encode_texts(self, tokenizer: Tokenizer, texts, rng: Rng | None = None,
+                     train_mode: bool = False) -> Tensor:
+        """(B, N, 2, d) layer stacks of B texts, encoded one sentence at a time.
+
+        Text b draws its dropout masks from ``rng.child(b)``. Outside
+        train_mode the stacks are constants, so each sentence's tape is freed
+        as soon as it is encoded instead of living as long as the batch.
+        """
+        stacks = []
+        for pos, text in enumerate(texts):
+            stack = self.encode(tokenizer.encode(text, self.config.max_seq_len),
+                                rng=None if rng is None else rng.child(pos),
+                                train_mode=train_mode)
+            stacks.append(stack if train_mode else Tensor(stack.data))
+        return Tensor.concat(stacks).reshape(len(stacks), *stacks[0].shape)
 
     def _attention(self, x: Tensor, prefix: str, key_mask: np.ndarray) -> Tensor:
         cfg = self.config
@@ -216,10 +218,10 @@ class Encoder:
 
 @dataclass
 class FrozenFeatures:
-    """Precomputed LayerStacks for a fixed sentence collection.
+    """Precomputed layer stacks for a fixed sentence collection.
 
-    Layout: features[sentence, layer, 0] is h^c, features[sentence, layer, 1]
-    is h^a. Stacks built from this are constants: no gradients flow to them.
+    Layout: features[sentence] is that sentence's (N, 2, d) layer stack.
+    Stacks read from this are constants: no gradients flow to them.
     """
 
     num_layers: int
@@ -230,23 +232,15 @@ class FrozenFeatures:
     def num_sentences(self) -> int:
         return self.features.shape[0]
 
-    def stack(self, index: int) -> LayerStack:
-        rows = self.features[index].astype(np.float64)
-        return LayerStack(
-            h_c=[Tensor(rows[i, 0]) for i in range(self.num_layers)],
-            h_a=[Tensor(rows[i, 1]) for i in range(self.num_layers)],
-        )
+    def stack(self, rows) -> Tensor:
+        """Stacks of the given rows: (N, 2, d) for an int, (B, N, 2, d) for B rows."""
+        return Tensor(self.features[rows].astype(np.float64))
 
     @classmethod
-    def from_stacks(cls, stacks: list[LayerStack]) -> "FrozenFeatures":
-        n = stacks[0].num_layers
-        d = stacks[0].h_c[0].data.shape[0]
-        arr = np.zeros((len(stacks), n, 2, d), dtype=np.float32)
-        for s, st in enumerate(stacks):
-            for i in range(n):
-                arr[s, i, 0] = st.h_c[i].data
-                arr[s, i, 1] = st.h_a[i].data
-        return cls(num_layers=n, hidden_dim=d, features=arr)
+    def from_stacks(cls, stacks: Tensor) -> "FrozenFeatures":
+        """Store an (m, N, 2, d) batch of layer stacks in float32."""
+        _, n, _, d = stacks.shape
+        return cls(num_layers=n, hidden_dim=d, features=stacks.data.astype(np.float32))
 
 
 def save_frozen(features: FrozenFeatures, path) -> None:

@@ -5,18 +5,21 @@ multiplicative attention, normalizes each row, mixes the value stream with
 the resulting weights, and averages over query layers. The headline strategy
 concatenates the last layer's CLS vector and projects through a tanh MLP
 back to the model dimension.
+
+Every function takes layer stacks of shape (..., N, 2, d) (see
+`layerpool.encoder`) and keeps their leading shape: one stack and a batch
+of stacks go through the same code.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .autodiff import Rng, Tensor
-from .encoder import LayerStack
 
 RATIO_EPS = 1e-9
 
@@ -33,12 +36,14 @@ class PoolStrategy(str, Enum):
     ATTN_CLS_AVG_CONCAT = "attn_cls_avg_concat"  # + CLS_Last concat, headline
 
 
-ATTENTION_STRATEGIES = {
-    PoolStrategy.ATTN_CLS,
-    PoolStrategy.ATTN_AVG,
-    PoolStrategy.ATTN_CLS_AVG,
-    PoolStrategy.ATTN_CLS_AVG_CONCAT,
+# (query, key, value) stream of each attention strategy: 0 = CLS, 1 = AVG
+_QKV_STREAMS = {
+    PoolStrategy.ATTN_CLS: (0, 0, 0),
+    PoolStrategy.ATTN_AVG: (1, 1, 1),
+    PoolStrategy.ATTN_CLS_AVG: (0, 1, 1),
+    PoolStrategy.ATTN_CLS_AVG_CONCAT: (0, 1, 1),
 }
+ATTENTION_STRATEGIES = frozenset(_QKV_STREAMS)
 
 
 @dataclass
@@ -69,27 +74,27 @@ class PoolerParams:
         )
 
     def named(self) -> dict[str, Tensor]:
-        return {
-            "pooler.w_q": self.w_q,
-            "pooler.w_k": self.w_k,
-            "pooler.w_v": self.w_v,
-            "pooler.mlp_weight": self.mlp_weight,
-            "pooler.mlp_bias": self.mlp_bias,
-        }
+        return {f"pooler.{f.name}": getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_named(cls, named: dict[str, Tensor]) -> "PoolerParams":
+        """The pooler tensors of a named parameter set, shared, not copied."""
+        return cls(**{f.name: named[f"pooler.{f.name}"] for f in fields(cls)})
 
 
 @dataclass
 class AttentionReport:
     """Row-stochastic layer-attention matrix plus per-layer aggregate weight."""
 
-    weights: np.ndarray  # (N, N), row i = attention of query layer i
-    fallback_rows: list[int]  # rows where ratio mode fell back to uniform
+    weights: np.ndarray  # (..., N, N), [..., i, :] = attention of query layer i
+    fallback: np.ndarray  # (..., N) bool, rows where ratio mode fell back to uniform
 
     @property
     def per_layer_weight(self) -> np.ndarray:
-        return self.weights.mean(axis=0)
+        return self.weights.mean(axis=-2)
 
     def write_csv(self, path) -> None:
+        """Write one stack's (N, N) report."""
         n = self.weights.shape[0]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -99,96 +104,88 @@ class AttentionReport:
             w.writerow(["aggregate"] + [repr(x) for x in self.per_layer_weight])
 
 
-def _qkv_streams(stack: LayerStack, strategy: PoolStrategy):
-    if strategy in (PoolStrategy.ATTN_CLS_AVG, PoolStrategy.ATTN_CLS_AVG_CONCAT):
-        return stack.h_c, stack.h_a, stack.h_a
-    if strategy == PoolStrategy.ATTN_CLS:
-        return stack.h_c, stack.h_c, stack.h_c
-    if strategy == PoolStrategy.ATTN_AVG:
-        return stack.h_a, stack.h_a, stack.h_a
-    raise ValueError(f"{strategy.value} is not an attention strategy")
+def _qkv_streams(stacks: Tensor, strategy: PoolStrategy) -> list[Tensor]:
+    if strategy not in _QKV_STREAMS:
+        raise ValueError(f"{strategy.value} is not an attention strategy")
+    return [stacks[..., s, :] for s in _QKV_STREAMS[strategy]]
 
 
-def attention_matrix(stack: LayerStack, params: PoolerParams,
+def attention_matrix(stacks: Tensor, params: PoolerParams,
                      strategy: PoolStrategy, norm_mode: str = "softmax"):
-    """Differentiable (N, N) row-normalized layer-attention matrix.
+    """Differentiable (..., N, N) row-normalized layer-attention matrices.
 
-    Returns (matrix Tensor, fallback row indices). Fallbacks only occur in
-    ratio mode when a row of raw scores sums to (almost) zero.
+    Returns (matrix Tensor, (..., N) bool fallback mask). Fallbacks only
+    occur in ratio mode, when a row of raw scores sums to (almost) zero;
+    such a row is uniform.
     """
     if norm_mode not in ("softmax", "ratio"):
         raise ValueError(f"unknown norm_mode {norm_mode!r}")
-    queries, keys, _ = _qkv_streams(stack, strategy)
-    q = Tensor.stack_rows(queries) @ params.w_q.T  # (N, d)
-    k = Tensor.stack_rows(keys) @ params.w_k.T
-    scores = q @ k.T  # (N, N)
-    n = len(queries)
+    queries, keys, _ = _qkv_streams(stacks, strategy)
+    q = queries @ params.w_q.T  # (..., N, d)
+    k = keys @ params.w_k.T
+    scores = q @ k.T  # (..., N, N)
     if norm_mode == "softmax":
-        return scores.softmax(axis=-1), []
+        return scores.softmax(axis=-1), np.zeros(scores.shape[:-1], dtype=bool)
 
-    row_sums = scores.data.sum(axis=-1)
-    fallback = [i for i in range(n) if abs(row_sums[i]) < RATIO_EPS]
-    if not fallback:
-        return scores / scores.sum(axis=-1, keepdims=True), []
-    # normalize the healthy rows, overwrite degenerate ones with uniform
-    rows = []
-    for i in range(n):
-        if i in fallback:
-            rows.append(Tensor(np.full(n, 1.0 / n)))
-        else:
-            rows.append(scores[i] / scores[i].sum())
-    return Tensor.stack_rows(rows), fallback
+    sums = scores.sum(axis=-1, keepdims=True)
+    fallback = np.abs(sums.data) < RATIO_EPS  # (..., N, 1)
+    # a degenerate row is divided by 1, zeroed, then set uniform; healthy
+    # rows see + 0 and * 1, which are exact
+    fb = fallback.astype(np.float64)
+    matrix = scores / (sums + fb) * (1.0 - fb) + fb / scores.shape[-1]
+    return matrix, fallback[..., 0]
 
 
-def attention_scores(stack: LayerStack, params: PoolerParams,
+def attention_scores(stacks: Tensor, params: PoolerParams,
                      strategy: PoolStrategy = PoolStrategy.ATTN_CLS_AVG_CONCAT,
                      norm_mode: str = "softmax") -> AttentionReport:
-    matrix, fallback = attention_matrix(stack, params, strategy, norm_mode)
-    return AttentionReport(weights=matrix.data.copy(), fallback_rows=fallback)
+    matrix, fallback = attention_matrix(stacks, params, strategy, norm_mode)
+    return AttentionReport(weights=matrix.data.copy(), fallback=fallback)
 
 
-def pool_layerwise(stack: LayerStack, params: PoolerParams,
+def pool_layerwise(stacks: Tensor, params: PoolerParams,
                    strategy: PoolStrategy = PoolStrategy.ATTN_CLS_AVG_CONCAT,
                    norm_mode: str = "softmax") -> Tensor:
     """Attention-weighted mix of the value stream, averaged over query layers."""
-    matrix, _ = attention_matrix(stack, params, strategy, norm_mode)
-    _, _, values = _qkv_streams(stack, strategy)
-    v = Tensor.stack_rows(values) @ params.w_v.T  # (N, d)
+    matrix, _ = attention_matrix(stacks, params, strategy, norm_mode)
+    _, _, values = _qkv_streams(stacks, strategy)
+    v = values @ params.w_v.T  # (..., N, d)
     mixed = matrix @ v  # row i = sum_j A[i, j] * (W_v v_j)
-    return mixed.mean(axis=0)
+    return mixed.mean(axis=-2)
 
 
-def project(stack: LayerStack, h_layers: Tensor, params: PoolerParams) -> Tensor:
-    """Concatenate last-layer CLS with the pooled vector and apply tanh MLP."""
-    d = params.mlp_bias.data.shape[0]
-    if h_layers.data.shape != (d,):
+def project(stacks: Tensor, h_layers: Tensor, params: PoolerParams) -> Tensor:
+    """Concatenate last-layer CLS with the pooled vectors and apply tanh MLP."""
+    expected = stacks.shape[:-3] + params.mlp_bias.shape
+    if h_layers.shape != expected:
         raise ValueError(
-            f"pooled vector has shape {h_layers.data.shape}, expected ({d},)"
+            f"pooled vector has shape {h_layers.shape}, expected {expected}"
         )
-    h_cl = Tensor.concat([stack.h_c_last, h_layers], axis=0)  # (2d,)
-    return (params.mlp_weight @ h_cl + params.mlp_bias).tanh()
+    h_cl = Tensor.concat([stacks[..., -1, 0, :], h_layers], axis=-1)  # (..., 2d)
+    return (h_cl @ params.mlp_weight.T + params.mlp_bias).tanh()
 
 
-def pool(stack: LayerStack, params: PoolerParams,
+def pool(stacks: Tensor, params: PoolerParams,
          strategy: PoolStrategy = PoolStrategy.ATTN_CLS_AVG_CONCAT,
          norm_mode: str = "softmax") -> Tensor:
-    """One sentence embedding per the selected strategy.
+    """Sentence embeddings per the selected strategy, one per layer stack.
 
-    Fixed strategies are parameter-free; concat baselines return 2d vectors.
+    (..., N, 2, d) stacks give (..., d) embeddings. Fixed strategies are
+    parameter-free; concat baselines return 2d vectors.
     """
     strategy = PoolStrategy(strategy)
     if strategy == PoolStrategy.CLS_LAST:
-        return stack.h_c[-1]
+        return stacks[..., -1, 0, :]
     if strategy == PoolStrategy.AVG_LAST:
-        return stack.h_a[-1]
+        return stacks[..., -1, 1, :]
     if strategy == PoolStrategy.AVG_FL:
-        return (stack.h_a[0] + stack.h_a[-1]) * 0.5
+        return (stacks[..., 0, 1, :] + stacks[..., -1, 1, :]) * 0.5
     if strategy == PoolStrategy.CONCAT_AVG:
-        avg_fl = (stack.h_a[0] + stack.h_a[-1]) * 0.5
-        return Tensor.concat([stack.h_a[-1], avg_fl], axis=0)
+        avg_fl = (stacks[..., 0, 1, :] + stacks[..., -1, 1, :]) * 0.5
+        return Tensor.concat([stacks[..., -1, 1, :], avg_fl], axis=-1)
     if strategy == PoolStrategy.CONCAT_CLS_AVG:
-        return Tensor.concat([stack.h_c[-1], stack.h_a[-1]], axis=0)
-    h_layers = pool_layerwise(stack, params, strategy, norm_mode)
+        return Tensor.concat([stacks[..., -1, 0, :], stacks[..., -1, 1, :]], axis=-1)
+    h_layers = pool_layerwise(stacks, params, strategy, norm_mode)
     if strategy == PoolStrategy.ATTN_CLS_AVG_CONCAT:
-        return project(stack, h_layers, params)
+        return project(stacks, h_layers, params)
     return h_layers

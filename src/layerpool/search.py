@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Rng, Tensor
+from .autodiff import Rng
 from .pooler import PoolStrategy, pool
 from .trainer import Checkpoint
 
@@ -58,22 +58,18 @@ def embed_corpus(checkpoint: Checkpoint, texts: list[str],
     encoder = checkpoint.encoder()
     if encoder is None:
         raise ValueError("cannot embed text with a frozen-features checkpoint")
-    tokenizer = checkpoint.tokenizer()
-    max_len = checkpoint.config.encoder.max_seq_len
-    rows = []
-    for i, text in enumerate(texts):
-        stack = encoder.encode(tokenizer.encode(text, max_len), train_mode=False)
-        if inference_pooling == "detached":
-            vec = stack.h_c[-1].data
-        else:
-            vec = pool(stack, checkpoint.pooler_params(),
-                       PoolStrategy(checkpoint.config.strategy),
-                       checkpoint.config.norm_mode).data
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise ValueError(f"zero-norm embedding for text row {i}")
-        rows.append((vec / norm).astype(np.float32))
-    return EmbeddingMatrix(vectors=np.stack(rows))
+    stacks = encoder.encode_texts(checkpoint.tokenizer(), texts)
+    if inference_pooling == "detached":
+        vecs = stacks.data[:, -1, 0]
+    else:
+        vecs = pool(stacks, checkpoint.pooler_params(),
+                    PoolStrategy(checkpoint.config.strategy),
+                    checkpoint.config.norm_mode).data
+    norms = np.linalg.norm(vecs, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"zero-norm embedding for text row {int(zero[0])}")
+    return EmbeddingMatrix(vectors=(vecs / norms[:, None]).astype(np.float32))
 
 
 def kmeans_fit(x: np.ndarray, k: int, rng: Rng, max_iters: int = 25) -> np.ndarray:

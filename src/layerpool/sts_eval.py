@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import cosine_sim
-from .encoder import LayerStack
+from .autodiff import Tensor, cosine_sim
 from .pooler import (
     ATTENTION_STRATEGIES,
     AttentionReport,
@@ -81,25 +80,28 @@ def spearman(xs, ys) -> float:
     return float(np.clip(rx @ ry / denom, -1.0, 1.0))
 
 
-def _stack_for(checkpoint: Checkpoint, text: str) -> LayerStack:
+def _stacks_for(checkpoint: Checkpoint, texts: list[str]) -> Tensor:
+    """(len(texts), N, 2, d) layer stacks with dropout off."""
     encoder = checkpoint.encoder()
     if encoder is None:
         raise ValueError("checkpoint has no encoder (frozen-features training); "
                          "evaluate via stack pairs instead")
-    ids = checkpoint.tokenizer().encode(text, checkpoint.config.encoder.max_seq_len)
-    return encoder.encode(ids, train_mode=False)
+    return encoder.encode_texts(checkpoint.tokenizer(), texts)
 
 
-def evaluate_stacks(stack_pairs, golds, pooler, strategy, norm_mode="softmax") -> float:
-    """Spearman of per-pair cosine similarities against gold scores."""
-    sims = [
-        cosine_sim(
-            pool(a, pooler, strategy, norm_mode).data,
-            pool(b, pooler, strategy, norm_mode).data,
-        )
-        for a, b in stack_pairs
-    ]
-    return spearman(sims, golds)
+def _pairs_for(checkpoint: Checkpoint, records: list[StsRecord]) -> Tensor:
+    """(P, 2, N, 2, d) layer stacks of each record's two sentences."""
+    stacks = _stacks_for(checkpoint, [s for r in records for s in (r.sent1, r.sent2)])
+    return stacks.reshape(len(records), 2, *stacks.shape[1:])
+
+
+def evaluate_stacks(pairs: Tensor, golds, pooler, strategy, norm_mode="softmax") -> float:
+    """Spearman of per-pair cosine similarities against gold scores.
+
+    `pairs` is a (P, 2, N, 2, d) batch holding the two stacks of each pair.
+    """
+    embeddings = pool(pairs, pooler, strategy, norm_mode).data  # (P, 2, D)
+    return spearman(cosine_sim(embeddings[:, 0], embeddings[:, 1]), golds)
 
 
 def evaluate(checkpoint: Checkpoint, strategy, records: list[StsRecord],
@@ -109,11 +111,7 @@ def evaluate(checkpoint: Checkpoint, strategy, records: list[StsRecord],
         raise ValueError("no STS records")
     strategy = PoolStrategy(strategy)
     norm_mode = norm_mode or checkpoint.config.norm_mode
-    pairs = [
-        (_stack_for(checkpoint, r.sent1), _stack_for(checkpoint, r.sent2))
-        for r in records
-    ]
-    return evaluate_stacks(pairs, [r.gold for r in records],
+    return evaluate_stacks(_pairs_for(checkpoint, records), [r.gold for r in records],
                            checkpoint.pooler_params(), strategy, norm_mode)
 
 
@@ -131,17 +129,14 @@ class SweepResult:
                 w.writerow([name, repr(score)])
 
 
-def layer_sweep_stacks(stack_pairs, golds) -> SweepResult:
-    n = stack_pairs[0][0].num_layers
-    rows = []
-    for i in range(n):
-        for kind in ("cls", "avg"):
-            sims = []
-            for a, b in stack_pairs:
-                va = (a.h_c if kind == "cls" else a.h_a)[i].data
-                vb = (b.h_c if kind == "cls" else b.h_a)[i].data
-                sims.append(cosine_sim(va, vb))
-            rows.append((f"layer{i + 1}_{kind}", spearman(sims, golds)))
+def layer_sweep_stacks(pairs: Tensor, golds) -> SweepResult:
+    """Spearman of each layer's CLS and AVG cosines over a (P, 2, N, 2, d) batch."""
+    sims = cosine_sim(pairs.data[:, 0], pairs.data[:, 1])  # (P, N, 2)
+    rows = [
+        (f"layer{i + 1}_{kind}", spearman(sims[:, i, k], golds))
+        for i in range(sims.shape[1])
+        for k, kind in enumerate(("cls", "avg"))
+    ]
     return SweepResult(rows=rows)
 
 
@@ -149,11 +144,7 @@ def layer_sweep(checkpoint: Checkpoint, records: list[StsRecord]) -> SweepResult
     """Spearman of each single layer's CLS and AVG vector taken alone."""
     if not records:
         raise ValueError("no STS records")
-    pairs = [
-        (_stack_for(checkpoint, r.sent1), _stack_for(checkpoint, r.sent2))
-        for r in records
-    ]
-    return layer_sweep_stacks(pairs, [r.gold for r in records])
+    return layer_sweep_stacks(_pairs_for(checkpoint, records), [r.gold for r in records])
 
 
 def attention_report(checkpoint: Checkpoint, texts: list[str]) -> list[AttentionReport]:
@@ -163,11 +154,6 @@ def attention_report(checkpoint: Checkpoint, texts: list[str]) -> list[Attention
         raise ValueError(
             f"strategy {strategy.value!r} is fixed pooling; no attention to report"
         )
-    reports = []
-    for text in texts:
-        stack = _stack_for(checkpoint, text)
-        reports.append(
-            attention_scores(stack, checkpoint.pooler_params(), strategy,
-                             checkpoint.config.norm_mode)
-        )
-    return reports
+    report = attention_scores(_stacks_for(checkpoint, texts), checkpoint.pooler_params(),
+                              strategy, checkpoint.config.norm_mode)
+    return [AttentionReport(w, f) for w, f in zip(report.weights, report.fallback)]

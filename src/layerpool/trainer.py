@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .autodiff import Rng, Tensor
+from .corpus import _CORPUS_KEYS
 from .encoder import (
     Encoder,
     EncoderConfig,
@@ -31,15 +32,15 @@ from .objectives import (
     loss_sup_hard,
     loss_unsup,
 )
-from .pooler import ATTENTION_STRATEGIES, PoolerParams, PoolStrategy, pool
+from .pooler import PoolerParams, PoolStrategy, pool
 
 CHECKPOINT_VERSION = 1
 
 # corpus record keys required by each objective
 _REQUIRED_KEYS = {
-    "sup_basic": ("sent1", "sent2"),
-    "unsup": ("text",),
-    "sup_hard": ("anchor", "positive", "negative"),
+    objective: _CORPUS_KEYS[kind]
+    for objective, kind in (("sup_basic", "pairs"), ("unsup", "bare"),
+                            ("sup_hard", "triplets"))
 }
 
 
@@ -94,13 +95,7 @@ class Checkpoint:
     tokenizer_mode: str = "whitespace"
 
     def pooler_params(self) -> PoolerParams:
-        return PoolerParams(
-            w_q=self.params["pooler.w_q"],
-            w_k=self.params["pooler.w_k"],
-            w_v=self.params["pooler.w_v"],
-            mlp_weight=self.params["pooler.mlp_weight"],
-            mlp_bias=self.params["pooler.mlp_bias"],
-        )
+        return PoolerParams.from_named(self.params)
 
     def tokenizer(self) -> Tokenizer:
         return Tokenizer(self.tokenizer_mode, self.vocab)
@@ -111,16 +106,12 @@ class Checkpoint:
         return Encoder(self.config.encoder, self.params)
 
 
-def init_params(config: TrainConfig, rng: Rng, vocab_size: int | None = None) -> dict[str, Tensor]:
+def init_params(config: TrainConfig, rng: Rng) -> dict[str, Tensor]:
     """Seeded parameter set for (encoder unless frozen) + pooler."""
     params: dict[str, Tensor] = {}
-    enc_cfg = config.encoder
     if config.frozen_features is None:
-        if vocab_size is not None:
-            enc_cfg = EncoderConfig(**{**asdict(enc_cfg), "vocab_size": vocab_size})
-            config.encoder = enc_cfg
-        params.update(init_encoder_params(enc_cfg, rng))
-    params.update(PoolerParams.init(enc_cfg.hidden_dim, rng).named())
+        params.update(init_encoder_params(config.encoder, rng))
+    params.update(PoolerParams.init(config.encoder.hidden_dim, rng).named())
     return params
 
 
@@ -147,48 +138,27 @@ def _trainable(config: TrainConfig, params: dict[str, Tensor]) -> list[str]:
     return names
 
 
-# frozen-features row layout: record i of a pair corpus occupies rows
-# (2i, 2i+1), a triplet corpus rows (3i, 3i+1, 3i+2), a bare corpus row i
-_FROZEN_GROUP = {"sup_basic": 2, "unsup": 1, "sup_hard": 3}
-_FROZEN_OFFSET = {"a": 0, "z": 0, "z2": 0, "p": 1, "n": 2}
-
-
-def _encode_texts(encoder, tokenizer, frozen, texts, indices, cfg, rng_step, tag):
-    """LayerStacks for one side of a batch, with per-sentence dropout streams."""
-    stacks = []
-    for pos, (text, idx) in enumerate(zip(texts, indices)):
-        if frozen is not None:
-            row = int(idx) * _FROZEN_GROUP[cfg.objective] + _FROZEN_OFFSET[tag]
-            stacks.append(frozen.stack(row))
-        else:
-            ids = tokenizer.encode(text, cfg.encoder.max_seq_len)
-            stacks.append(
-                encoder.encode(ids, rng=rng_step.child(tag, pos), train_mode=True)
-            )
-    return stacks
-
-
 def _batch_loss(config, encoder, tokenizer, frozen, batch, indices, pooler, rng_step):
     strategy = PoolStrategy(config.strategy)
+    keys = _REQUIRED_KEYS[config.objective]
 
-    def embed(stacks):
-        return Tensor.stack_rows(
-            [pool(s, pooler, strategy, config.norm_mode) for s in stacks]
-        )
+    def embed(key, tag):
+        """Pooled embeddings of one side of the batch; `tag` names its dropout stream."""
+        if frozen is not None:
+            # record i of the corpus occupies frozen rows k*i .. k*i + k - 1,
+            # one per required key, in key order
+            stacks = frozen.stack(indices * len(keys) + keys.index(key))
+        else:
+            stacks = encoder.encode_texts(tokenizer, [r[key] for r in batch],
+                                          rng_step.child(tag), train_mode=True)
+        return pool(stacks, pooler, strategy, config.norm_mode)
 
     if config.objective == "sup_basic":
-        a = _encode_texts(encoder, tokenizer, frozen, [r["sent1"] for r in batch], indices, config, rng_step, "a")
-        p = _encode_texts(encoder, tokenizer, frozen, [r["sent2"] for r in batch], indices, config, rng_step, "p")
-        return loss_sup_basic(embed(a), embed(p), config.tau)
+        return loss_sup_basic(embed("sent1", "a"), embed("sent2", "p"), config.tau)
     if config.objective == "unsup":
-        texts = [r["text"] for r in batch]
-        v1 = _encode_texts(encoder, tokenizer, frozen, texts, indices, config, rng_step, "z")
-        v2 = _encode_texts(encoder, tokenizer, frozen, texts, indices, config, rng_step, "z2")
-        return loss_unsup(embed(v1), embed(v2), config.tau)
-    a = _encode_texts(encoder, tokenizer, frozen, [r["anchor"] for r in batch], indices, config, rng_step, "a")
-    p = _encode_texts(encoder, tokenizer, frozen, [r["positive"] for r in batch], indices, config, rng_step, "p")
-    n = _encode_texts(encoder, tokenizer, frozen, [r["negative"] for r in batch], indices, config, rng_step, "n")
-    return loss_sup_hard(embed(a), embed(p), embed(n), config.tau)
+        return loss_unsup(embed("text", "z"), embed("text", "z2"), config.tau)
+    return loss_sup_hard(embed("anchor", "a"), embed("positive", "p"),
+                         embed("negative", "n"), config.tau)
 
 
 def _corpus_texts(objective: str, corpus: list[dict]):
@@ -222,42 +192,41 @@ def train(config: TrainConfig, corpus: list[dict],
     frozen: FrozenFeatures | None = None
     if config.frozen_features is not None:
         frozen = load_frozen(config.frozen_features)
-        needed = len(corpus) * _FROZEN_GROUP[config.objective]
+        needed = len(corpus) * len(_REQUIRED_KEYS[config.objective])
         if frozen.num_sentences < needed:
             raise ValueError(
                 f"frozen features hold {frozen.num_sentences} sentences, "
                 f"corpus needs {needed}"
             )
-        config.encoder = EncoderConfig(
-            **{**asdict(config.encoder),
-               "num_layers": frozen.num_layers, "hidden_dim": frozen.hidden_dim}
-        )
+        config = replace(config, encoder=replace(
+            config.encoder, num_layers=frozen.num_layers, hidden_dim=frozen.hidden_dim))
 
     if resume_from is not None:
         ckpt = resume_from
         tokenizer = ckpt.tokenizer()
         params, adam_m, adam_v = ckpt.params, ckpt.adam_m, ckpt.adam_v
         start_step = ckpt.step
-    elif init_from is not None:
-        # vocab_size is excluded: it is resized to the fitted vocabulary,
-        # which the warm start copies along with the embedding table
-        theirs = {**asdict(init_from.config.encoder), "vocab_size": 0}
-        ours = {**asdict(config.encoder), "vocab_size": 0}
-        if theirs != ours:
-            raise ValueError(
-                "init_from encoder architecture differs from the new config"
-            )
-        tokenizer = init_from.tokenizer()
-        params = init_params(config, rng, vocab_size=tokenizer.vocab_size)
-        for name, tensor in init_from.params.items():
-            if not name.startswith("pooler."):
-                params[name] = Tensor(tensor.data.copy(), requires_grad=True)
-        adam_m = {}
-        adam_v = {}
-        start_step = 0
     else:
-        tokenizer = Tokenizer.from_texts(_corpus_texts(config.objective, corpus))
-        params = init_params(config, rng, vocab_size=tokenizer.vocab_size)
+        if init_from is not None:
+            # vocab_size is excluded: it is resized to the fitted vocabulary,
+            # which the warm start copies along with the embedding table
+            theirs = {**asdict(init_from.config.encoder), "vocab_size": 0}
+            ours = {**asdict(config.encoder), "vocab_size": 0}
+            if theirs != ours:
+                raise ValueError(
+                    "init_from encoder architecture differs from the new config"
+                )
+            tokenizer = init_from.tokenizer()
+        else:
+            tokenizer = Tokenizer.from_texts(_corpus_texts(config.objective, corpus))
+        if frozen is None:
+            config = replace(config, encoder=replace(
+                config.encoder, vocab_size=tokenizer.vocab_size))
+        params = init_params(config, rng)
+        if init_from is not None:
+            for name, tensor in init_from.params.items():
+                if not name.startswith("pooler."):
+                    params[name] = Tensor(tensor.data.copy(), requires_grad=True)
         adam_m = {}
         adam_v = {}
         start_step = 0
@@ -287,7 +256,7 @@ def train(config: TrainConfig, corpus: list[dict],
         for name in params:
             params[name].grad = None
         loss = _batch_loss(config, encoder, tokenizer, frozen, batch, indices,
-                           _as_pooler(params), rng.child("step", step))
+                           PoolerParams.from_named(params), rng.child("step", step))
         loss.backward()
 
         t = step + 1
@@ -313,16 +282,6 @@ def train(config: TrainConfig, corpus: list[dict],
             tokenizer_mode=tokenizer.mode,
         ),
         trace,
-    )
-
-
-def _as_pooler(params: dict[str, Tensor]) -> PoolerParams:
-    return PoolerParams(
-        w_q=params["pooler.w_q"],
-        w_k=params["pooler.w_k"],
-        w_v=params["pooler.w_v"],
-        mlp_weight=params["pooler.mlp_weight"],
-        mlp_bias=params["pooler.mlp_bias"],
     )
 
 
@@ -353,7 +312,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "config": asdict(ckpt.config),
         "vocab": ckpt.vocab,
         "tokenizer_mode": ckpt.tokenizer_mode,
-        "rng": {"seed": ckpt.config.seed},
         "tensors": [
             {"name": k, "shape": list(v.shape), "file": f"t{i:04d}.bin"}
             for i, (k, v) in enumerate(tensors.items())

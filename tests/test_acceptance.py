@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
+from layer_stacks import layer_stack, pair_batch
 from layerpool.autodiff import Rng, Tensor, grad_check
 from layerpool.corpus import make_synthetic_sts, make_synthetic_triplets
-from layerpool.encoder import EncoderConfig, LayerStack
+from layerpool.encoder import EncoderConfig
 from layerpool.objectives import loss_sup_basic, loss_sup_hard, loss_unsup
 from layerpool.pooler import PoolerParams, PoolStrategy, attention_matrix, pool
 from layerpool.search import (
@@ -58,11 +59,10 @@ def _report(criterion: int, label: str, ok: bool, detail: str = "") -> None:
         print(line)
 
 
-def _random_stack(gen, n, d) -> LayerStack:
-    return LayerStack(
-        h_c=[Tensor(gen.normal(size=d)) for _ in range(n)],
-        h_a=[Tensor(gen.normal(size=d)) for _ in range(n)],
-    )
+def _random_stacks(gen, lead, n, d) -> Tensor:
+    """Stacks of leading shape `lead`; each draws N CLS, then N AVG vectors."""
+    x = gen.normal(size=(*lead, 2, n, d))
+    return layer_stack(x[..., 0, :, :], x[..., 1, :, :])
 
 
 def _pooler_from(tensors) -> PoolerParams:
@@ -83,13 +83,12 @@ def test_criterion_1_gradient_suite():
     strategy = PoolStrategy.ATTN_CLS_AVG_CONCAT
 
     def embed(stacks, params):
-        return Tensor.stack_rows([pool(s, _pooler_from(params), strategy)
-                                  for s in stacks])
+        return pool(stacks, _pooler_from(params), strategy)
 
-    anchors = [_random_stack(gen, n_layers, d) for _ in range(m)]
-    positives = [_random_stack(gen, n_layers, d) for _ in range(m)]
-    negatives = [_random_stack(gen, n_layers, d) for _ in range(m)]
-    views2 = [_random_stack(gen, n_layers, d) for _ in range(m)]
+    anchors = _random_stacks(gen, (m,), n_layers, d)
+    positives = _random_stacks(gen, (m,), n_layers, d)
+    negatives = _random_stacks(gen, (m,), n_layers, d)
+    views2 = _random_stacks(gen, (m,), n_layers, d)
 
     errors = {
         "sup_basic": grad_check(
@@ -210,25 +209,25 @@ def test_criterion_3_attention_normalization():
         d = int(gen.integers(2, 9))
         if d not in params_by_d:
             params_by_d[d] = PoolerParams.init(d, Rng(d))
-        stack = _random_stack(gen, n, d)
+        stack = _random_stacks(gen, (), n, d)
         strategy = [PoolStrategy.ATTN_CLS, PoolStrategy.ATTN_AVG,
                     PoolStrategy.ATTN_CLS_AVG][i % 3]
 
         soft, fb = attention_matrix(stack, params_by_d[d], strategy, "softmax")
-        assert fb == []
+        assert not fb.any()
         worst = max(worst, float(np.abs(soft.data.sum(axis=1) - 1.0).max()))
 
         ratio, fb = attention_matrix(stack, params_by_d[d], strategy, "ratio")
-        fallbacks += len(fb)
+        fallbacks += int(fb.sum())
         for row in range(n):
-            if row in fb:
+            if fb[row]:
                 assert np.allclose(ratio.data[row], 1.0 / n)
             else:
                 worst = max(worst, abs(float(ratio.data[row].sum()) - 1.0))
 
         if n == 1:
             assert soft.data[0, 0] == 1.0
-            if not fb:
+            if not fb.any():
                 assert ratio.data[0, 0] == 1.0
 
     ok = worst < 1e-9
@@ -296,18 +295,13 @@ def test_criterion_5_directional_experiment(tmp_path):
 
     encoder = pretrained.encoder()
     tokenizer = pretrained.tokenizer()
-    max_len = pretrained.config.encoder.max_seq_len
 
-    def stack_of(text):
-        return encoder.encode(tokenizer.encode(text, max_len), train_mode=False)
-
-    stacks = []
-    for rec in corpus:
-        stacks += [stack_of(rec["anchor"]), stack_of(rec["positive"]),
-                   stack_of(rec["negative"])]
+    stacks = encoder.encode_texts(tokenizer, [
+        rec[key] for rec in corpus for key in ("anchor", "positive", "negative")])
     frozen_path = str(tmp_path / "frozen.bin")
     save_frozen(FrozenFeatures.from_stacks(stacks), frozen_path)
-    eval_pairs = [(stack_of(r.sent1), stack_of(r.sent2)) for r in records]
+    eval_stacks = encoder.encode_texts(tokenizer, [s for r in records for s in (r.sent1, r.sent2)])
+    eval_pairs = eval_stacks.reshape(len(records), 2, *eval_stacks.shape[1:])
     golds = [r.gold for r in records]
 
     def run(strategy, seed):
@@ -472,15 +466,15 @@ def test_criterion_9_layer_sweep_plumbing():
         b_planted[0], b_planted[1] = math.cos(theta), math.sin(theta)
 
         def stack(planted):
-            return LayerStack(
-                h_c=[Tensor(gen.normal(size=d)) for _ in range(n_layers)],
-                h_a=[Tensor(planted if k == gold_layer else gen.normal(size=d))
-                     for k in range(n_layers)],
+            return layer_stack(
+                gen.normal(size=(n_layers, d)),
+                [planted if k == gold_layer else gen.normal(size=d)
+                 for k in range(n_layers)],
             )
 
         pairs.append((stack(a_planted), stack(b_planted)))
 
-    result = layer_sweep_stacks(pairs, golds)
+    result = layer_sweep_stacks(pair_batch(pairs), golds)
     scores = dict(result.rows)
     gold_name = f"layer{gold_layer + 1}_avg"
     gold_score = scores.pop(gold_name)

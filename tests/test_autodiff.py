@@ -163,6 +163,21 @@ class TestTape:
 
         assert grad_check(f, [a, b]) < 1e-6
 
+    @pytest.mark.parametrize("lhs, rhs", [((2, 3, 4), (4, 5)), ((2, 3, 4), (2, 4, 5))])
+    def test_stacked_matmul_grad(self, lhs, rhs):
+        gen = np.random.default_rng(3)
+        err = grad_check(lambda ts: ((ts[0] @ ts[1]) ** 2).sum(),
+                         [gen.normal(size=lhs), gen.normal(size=rhs)])
+        assert err < 1e-6
+
+    def test_transpose_swaps_last_two_axes(self):
+        gen = np.random.default_rng(4)
+        x = gen.normal(size=(2, 3, 4))
+        assert Tensor(x).T.shape == (2, 4, 3)
+        err = grad_check(lambda ts: ((ts[0].T @ ts[1]) ** 2).sum(),
+                         [x, gen.normal(size=(2, 3, 5))])
+        assert err < 1e-6
+
     def test_logsumexp_matches_scalar_version(self):
         xs = np.array([1.0, -2.0, 0.5, 900.0])
         t = Tensor(xs).logsumexp(axis=0)

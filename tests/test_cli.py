@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import layerpool
 from layerpool.cli import dispatch
 from layerpool.config import ConfigError, load_config, validate_config
 from layerpool.corpus import make_synthetic_sts, make_synthetic_triplets, write_jsonl
@@ -94,6 +97,28 @@ class TestDispatch:
         with pytest.raises(SystemExit) as excinfo:
             dispatch(["--threads", "0", "train", "--config", "c.json"])
         assert excinfo.value.code == 2
+
+    def test_threads_flag_overrides_inherited_env(self, tmp_path):
+        # a fresh interpreter: numpy must still be unloaded when dispatch
+        # sets the BLAS variables, or the flag cannot take effect
+        thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        script = "\n".join([
+            "import json, os, sys",
+            "from layerpool.cli import dispatch",
+            "loaded = 'numpy' in sys.modules",
+            "code = dispatch(['--threads', '2', 'eval-sts', '--checkpoint', 'missing',",
+            "                 '--data', 'missing'])",
+            f"print(json.dumps([loaded, code, [os.environ[v] for v in {thread_vars!r}]]))",
+        ])
+        src = os.path.dirname(os.path.dirname(layerpool.__file__))
+        env = {**os.environ, **dict.fromkeys(thread_vars, "1"),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        loaded, code, values = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert not loaded
+        assert code == 1  # the missing checkpoint, after the flag was applied
+        assert values == ["2", "2", "2"]
 
     def test_train_happy_path(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, epochs=1)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from layer_stacks import layer_stack
 from layerpool.autodiff import Rng, Tensor, grad_check
-from layerpool.encoder import LayerStack
+from layerpool.objectives import loss_sup_hard
 from layerpool.pooler import (
     ATTENTION_STRATEGIES,
     PoolerParams,
@@ -24,21 +25,16 @@ def identity_params(d: int) -> PoolerParams:
     )
 
 
-def random_stack(n: int, d: int, seed: int = 0) -> LayerStack:
-    gen = Rng(seed).generator()
-    return LayerStack(
-        h_c=[Tensor(gen.normal(size=d)) for _ in range(n)],
-        h_a=[Tensor(gen.normal(size=d)) for _ in range(n)],
-    )
+def random_stack(n: int, d: int, seed: int = 0) -> Tensor:
+    # N CLS vectors are drawn first, then N AVG vectors
+    x = Rng(seed).generator().normal(size=(2, n, d))
+    return layer_stack(x[0], x[1])
 
 
 @pytest.fixture
 def derived_stack():
     # hand-evaluated example: ratio-mode scores [1, 3] -> weights [0.25, 0.75]
-    return LayerStack(
-        h_c=[Tensor([1.0, 0.0]), Tensor([1.0, 0.0])],
-        h_a=[Tensor([1.0, 0.0]), Tensor([3.0, 0.0])],
-    )
+    return layer_stack([[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [3.0, 0.0]])
 
 
 class TestAttentionScores:
@@ -53,7 +49,7 @@ class TestAttentionScores:
     def test_identical_layers_uniform(self):
         gen = Rng(9).generator()
         c, a = gen.normal(size=4), gen.normal(size=4)
-        stack = LayerStack(h_c=[Tensor(c)] * 3, h_a=[Tensor(a)] * 3)
+        stack = layer_stack([c] * 3, [a] * 3)
         rep = attention_scores(stack, PoolerParams.init(4, Rng(2)),
                                PoolStrategy.ATTN_CLS_AVG, "softmax")
         assert np.allclose(rep.weights, 1.0 / 3.0, atol=1e-12)
@@ -62,7 +58,7 @@ class TestAttentionScores:
         rep = attention_scores(derived_stack, identity_params(2),
                                PoolStrategy.ATTN_CLS_AVG, "ratio")
         assert np.allclose(rep.weights, [[0.25, 0.75], [0.25, 0.75]], atol=1e-12)
-        assert rep.fallback_rows == []
+        assert not rep.fallback.any()
 
     def test_rows_sum_to_one_softmax(self):
         params = PoolerParams.init(5, Rng(0))
@@ -73,13 +69,10 @@ class TestAttentionScores:
 
     def test_ratio_fallback_flags_degenerate_row(self):
         # zero h^c makes every raw score zero -> uniform fallback, flagged
-        stack = LayerStack(
-            h_c=[Tensor(np.zeros(2)), Tensor(np.zeros(2))],
-            h_a=[Tensor([1.0, 0.0]), Tensor([3.0, 0.0])],
-        )
+        stack = layer_stack(np.zeros((2, 2)), [[1.0, 0.0], [3.0, 0.0]])
         rep = attention_scores(stack, identity_params(2),
                                PoolStrategy.ATTN_CLS_AVG, "ratio")
-        assert rep.fallback_rows == [0, 1]
+        assert rep.fallback.tolist() == [True, True]
         assert np.allclose(rep.weights, 0.5, atol=1e-12)
 
     def test_softmax_shift_invariance(self):
@@ -88,8 +81,8 @@ class TestAttentionScores:
         stack = random_stack(3, 4, seed=5)
         params = PoolerParams.init(4, Rng(7))
         rep = attention_scores(stack, params, PoolStrategy.ATTN_CLS_AVG, "softmax")
-        q = np.stack([t.data for t in stack.h_c]) @ params.w_q.data.T
-        k = np.stack([t.data for t in stack.h_a]) @ params.w_k.data.T
+        q = stack.data[:, 0] @ params.w_q.data.T
+        k = stack.data[:, 1] @ params.w_k.data.T
         raw = q @ k.T + 11.0  # shift every row
         shifted = np.exp(raw - raw.max(axis=1, keepdims=True))
         shifted /= shifted.sum(axis=1, keepdims=True)
@@ -114,12 +107,12 @@ class TestPoolLayerwise:
     def test_single_layer_passthrough(self):
         stack = random_stack(1, 3, seed=2)
         out = pool_layerwise(stack, identity_params(3), PoolStrategy.ATTN_CLS_AVG)
-        assert np.allclose(out.data, stack.h_a[0].data, atol=1e-12)
+        assert np.allclose(out.data, stack.data[0, 1], atol=1e-12)
 
     def test_identical_layers_fixed_point(self):
         gen = Rng(4).generator()
         c, a = gen.normal(size=3), gen.normal(size=3)
-        stack = LayerStack(h_c=[Tensor(c)] * 4, h_a=[Tensor(a)] * 4)
+        stack = layer_stack([c] * 4, [a] * 4)
         out = pool_layerwise(stack, identity_params(3), PoolStrategy.ATTN_CLS_AVG)
         assert np.allclose(out.data, a, atol=1e-12)
 
@@ -133,8 +126,7 @@ class TestPoolLayerwise:
         params = PoolerParams.init(5, Rng(3))
         out = pool_layerwise(stack, params, PoolStrategy.ATTN_CLS_AVG)
         perm = [2, 0, 3, 1]
-        permuted = LayerStack(h_c=[stack.h_c[i] for i in perm],
-                              h_a=[stack.h_a[i] for i in perm])
+        permuted = Tensor(stack.data[perm])
         out_p = pool_layerwise(permuted, params, PoolStrategy.ATTN_CLS_AVG)
         assert np.allclose(out.data, out_p.data, atol=1e-12)
 
@@ -155,7 +147,7 @@ class TestProject:
             assert np.all(np.abs(h.data) < 1.0)
 
     def test_hand_derived_tanh(self):
-        stack = LayerStack(h_c=[Tensor([1.0])], h_a=[Tensor([0.0])])
+        stack = layer_stack([[1.0]], [[0.0]])
         params = PoolerParams(
             w_q=Tensor(np.eye(1)), w_k=Tensor(np.eye(1)), w_v=Tensor(np.eye(1)),
             mlp_weight=Tensor([[1.0, 1.0]]), mlp_bias=Tensor([0.0]),
@@ -173,7 +165,7 @@ class TestPool:
     def test_cls_last_is_projection(self):
         stack = random_stack(3, 4, seed=6)
         out = pool(stack, PoolerParams.init(4, Rng(0)), PoolStrategy.CLS_LAST)
-        assert np.array_equal(out.data, stack.h_c[-1].data)
+        assert np.array_equal(out.data, stack.data[-1, 0])
 
     def test_cls_last_parameter_free(self):
         stack = random_stack(3, 4, seed=6)
@@ -183,9 +175,9 @@ class TestPool:
 
     def test_avg_fl_degenerate_equality(self):
         gen = Rng(2).generator()
-        shared = Tensor(gen.normal(size=4))
-        stack = LayerStack(h_c=[Tensor(gen.normal(size=4)) for _ in range(3)],
-                           h_a=[shared, Tensor(gen.normal(size=4)), shared])
+        shared = gen.normal(size=4)
+        stack = layer_stack([gen.normal(size=4) for _ in range(3)],
+                            [shared, gen.normal(size=4), shared])
         fl = pool(stack, identity_params(4), PoolStrategy.AVG_FL)
         last = pool(stack, identity_params(4), PoolStrategy.AVG_LAST)
         assert np.allclose(fl.data, last.data, atol=1e-12)
@@ -221,3 +213,78 @@ class TestPool:
             return (out * out).sum()
 
         assert grad_check(f, arrays) < 1e-4
+
+
+def _pool_with_grads(stacks: np.ndarray, base: PoolerParams, strategy, norm_mode):
+    """pool() output, then gradients of sum(out**2) w.r.t. params and stacks."""
+    params = PoolerParams(*[Tensor(t.data.copy(), requires_grad=True)
+                            for t in base.named().values()])
+    x = Tensor(stacks, requires_grad=True)
+    out = pool(x, params, strategy, norm_mode)
+    (out * out).sum().backward()
+    grads = [np.zeros_like(t.data) if t.grad is None else t.grad
+             for t in [*params.named().values(), x]]
+    return out.data, grads
+
+
+def _within_1e12(a, b) -> bool:
+    # relative to max(1, |b|), as grad_check measures: ratio rows whose raw
+    # scores nearly cancel give gradients of order 1e5
+    return bool(np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))))
+
+
+@pytest.mark.parametrize("norm_mode", ["softmax", "ratio"])
+@pytest.mark.parametrize("strategy", [s.value for s in PoolStrategy])
+def test_batch_rows_match_single_stacks(strategy, norm_mode):
+    gen = Rng(21).generator()
+    stacks = gen.normal(size=(2, 3, 4, 2, 5))  # leading shape (2, 3)
+    stacks[1, 2, :, 0] = 0.0  # zero CLS vectors: every ratio row falls back
+    base = PoolerParams.init(5, Rng(2))
+    out, grads = _pool_with_grads(stacks, base, strategy, norm_mode)
+    param_sums = [np.zeros_like(g) for g in grads[:-1]]
+    for i, j in np.ndindex(2, 3):
+        row, row_grads = _pool_with_grads(stacks[i, j], base, strategy, norm_mode)
+        assert _within_1e12(out[i, j], row)
+        assert _within_1e12(grads[-1][i, j], row_grads[-1])
+        for total, g in zip(param_sums, row_grads[:-1]):
+            total += g
+    for batch_grad, total in zip(grads[:-1], param_sums):
+        assert _within_1e12(batch_grad, total)
+
+
+# loss and gradients of one ratio-mode batch, as computed by the
+# per-sentence implementation that preceded batched pooling
+RATIO_LOSS = 12.274600458725839
+RATIO_GRADS = {
+    "pooler.w_q": [[1.754563640179369, 10.002713049674039, 0.9367924325092916],
+                   [2.384193604173235, 14.101367966009121, 0.7607102489875189],
+                   [0.6483722798976842, 3.671864540931843, -0.4160364859330932]],
+    "pooler.w_k": [[2.1323111185496444, -16.63468666958081, 2.928210576432599],
+                   [-0.8265218551881921, 15.398478844511903, 0.29007831316743493],
+                   [1.421148759982318, -19.19120585510172, 0.3274265506660947]],
+    "pooler.w_v": [[1.0221613726191396, -4.2194271872807185, -1.3940904402496705],
+                   [0.5836579625861127, 0.19788701301773476, -0.3416792202014234],
+                   [1.3834176658571804, 1.1646062907024035, -1.3504410664200912]],
+    "pooler.mlp_weight": [
+        [2.1539161973605987, -11.897687593247332, -3.486256397336719,
+         -9.192957358414878, -10.143871872047976, 8.579377467423813],
+        [-1.4209086989389936, -0.48163144737033825, 2.089890212055029,
+         2.615057885033343, 2.738812438479063, -2.3855898199123047],
+        [0.11836057782610346, -2.933676669520101, 0.3408995137561641,
+         0.101672014491204, 0.20141021657239147, -0.1485369926934529]],
+    "pooler.mlp_bias": [-2.7540647659928403, 10.897219861616815, -1.5209155976965751],
+}
+
+
+def test_ratio_mode_batch_pinned():
+    gen = np.random.default_rng(7)
+    sides = gen.normal(size=(3, 3, 3, 2, 3))  # (anchor/pos/neg, M, N, 2, d)
+    sides[0, 1, :, 0, :] = 0.0  # anchor 1 has zero CLS vectors: all rows fall back
+    params = PoolerParams.init(3, Rng(5))
+    a, p, n = (pool(Tensor(x), params, PoolStrategy.ATTN_CLS_AVG_CONCAT, "ratio")
+               for x in sides)
+    loss = loss_sup_hard(a, p, n)
+    loss.backward()
+    assert abs(loss.item() - RATIO_LOSS) <= 1e-12
+    for name, tensor in params.named().items():
+        assert np.abs(tensor.grad - np.array(RATIO_GRADS[name])).max() <= 1e-12, name

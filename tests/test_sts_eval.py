@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerpool.autodiff import Rng, Tensor
-from layerpool.encoder import EncoderConfig, LayerStack
+from layer_stacks import layer_stack, pair_batch
+from layerpool.autodiff import Rng
+from layerpool.encoder import EncoderConfig
 from layerpool.pooler import PoolerParams, PoolStrategy
 from layerpool.sts_eval import (
     StsRecord,
@@ -104,7 +105,7 @@ class TestSpearman:
 
 def const_stack(vec, n=2):
     vec = np.asarray(vec, dtype=np.float64)
-    return LayerStack(h_c=[Tensor(vec)] * n, h_a=[Tensor(vec)] * n)
+    return layer_stack([vec] * n, [vec] * n)
 
 
 class TestEvaluateStacks:
@@ -117,7 +118,7 @@ class TestEvaluateStacks:
             cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
             pairs.append((const_stack(a), const_stack(b)))
             golds.append(2.5 + 2.5 * cos)  # monotone map into [0, 5]
-        score = evaluate_stacks(pairs, golds, PoolerParams.init(4, Rng(0)),
+        score = evaluate_stacks(pair_batch(pairs), golds, PoolerParams.init(4, Rng(0)),
                                 PoolStrategy.AVG_LAST)
         assert score == pytest.approx(1.0, abs=1e-12)
 
@@ -127,8 +128,8 @@ class TestEvaluateStacks:
                  for _ in range(6)]
         golds = list(gen.uniform(0, 5, size=6))
         params = PoolerParams.init(3, Rng(0))
-        a = evaluate_stacks(pairs, golds, params, PoolStrategy.AVG_LAST)
-        b = evaluate_stacks(pairs * 2, golds * 2, params, PoolStrategy.AVG_LAST)
+        a = evaluate_stacks(pair_batch(pairs), golds, params, PoolStrategy.AVG_LAST)
+        b = evaluate_stacks(pair_batch(pairs * 2), golds * 2, params, PoolStrategy.AVG_LAST)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_record_permutation_invariance(self):
@@ -137,9 +138,9 @@ class TestEvaluateStacks:
                  for _ in range(8)]
         golds = list(gen.uniform(0, 5, size=8))
         params = PoolerParams.init(3, Rng(0))
-        a = evaluate_stacks(pairs, golds, params, PoolStrategy.AVG_LAST)
+        a = evaluate_stacks(pair_batch(pairs), golds, params, PoolStrategy.AVG_LAST)
         perm = list(gen.permutation(8))
-        b = evaluate_stacks([pairs[i] for i in perm], [golds[i] for i in perm],
+        b = evaluate_stacks(pair_batch([pairs[i] for i in perm]), [golds[i] for i in perm],
                             params, PoolStrategy.AVG_LAST)
         assert a == pytest.approx(b, abs=1e-12)
 
@@ -148,7 +149,7 @@ class TestEvaluateStacks:
         pairs = [(const_stack(gen.normal(size=3)), const_stack(gen.normal(size=3)))
                  for _ in range(4)]
         with pytest.raises(ValueError, match="variance"):
-            evaluate_stacks(pairs, [3.0] * 4, PoolerParams.init(3, Rng(0)),
+            evaluate_stacks(pair_batch(pairs), [3.0] * 4, PoolerParams.init(3, Rng(0)),
                             PoolStrategy.AVG_LAST)
 
 
@@ -164,13 +165,13 @@ class TestLayerSweepStacks:
             golds.append(2.5 + 2.5 * cos)
 
             def mk(vec):
-                h_c = [Tensor(gen.normal(size=d)) for _ in range(n)]
-                h_a = [Tensor(gen.normal(size=d)) for _ in range(n)]
-                h_a[gold_layer] = Tensor(vec)
-                return LayerStack(h_c=h_c, h_a=h_a)
+                h_c = gen.normal(size=(n, d))
+                h_a = gen.normal(size=(n, d))
+                h_a[gold_layer] = vec
+                return layer_stack(h_c, h_a)
 
             pairs.append((mk(a), mk(b)))
-        return pairs, golds
+        return pair_batch(pairs), golds
 
     def test_row_count(self):
         pairs, golds = self._planted_pairs(gold_layer=0, n=1)
@@ -259,7 +260,7 @@ class TestAttentionReport:
         from layerpool.pooler import attention_scores
 
         vec_c, vec_a = np.ones(4), np.full(4, 2.0)
-        stack = LayerStack(h_c=[Tensor(vec_c)] * 3, h_a=[Tensor(vec_a)] * 3)
+        stack = layer_stack([vec_c] * 3, [vec_a] * 3)
         rep = attention_scores(stack, PoolerParams.init(4, Rng(0)),
                                PoolStrategy.ATTN_CLS_AVG, "softmax")
         assert np.allclose(rep.weights, 1.0 / 3.0, atol=1e-12)

@@ -1,9 +1,11 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
 from layerpool.autodiff import Rng
+from layerpool.corpus import make_synthetic_triplets
 from layerpool.encoder import EncoderConfig, FrozenFeatures, save_frozen
 from layerpool.trainer import (
     Checkpoint,
@@ -140,6 +142,29 @@ class TestFrozenFeatures:
             train(cfg, bare_corpus(16))
 
 
+class TestConfigUntouched:
+    def test_encoder_path(self, tmp_path):
+        cfg = tiny_config()
+        before = copy.deepcopy(cfg)
+        ckpt, _ = train(cfg, pair_corpus(), max_steps=0)
+        assert cfg == before
+        save_checkpoint(ckpt, tmp_path / "ck")
+        fitted = load_checkpoint(tmp_path / "ck")
+        assert fitted.config.encoder.vocab_size == ckpt.tokenizer().vocab_size != 64
+
+    def test_frozen_path(self, tmp_path):
+        arr = Rng(0).generator().normal(size=(16, 3, 2, 6)).astype(np.float32)
+        save_frozen(FrozenFeatures(num_layers=3, hidden_dim=6, features=arr),
+                    tmp_path / "f.lapf")
+        cfg = tiny_config(objective="unsup", frozen_features=str(tmp_path / "f.lapf"))
+        before = copy.deepcopy(cfg)
+        ckpt, _ = train(cfg, bare_corpus(16), max_steps=1)
+        assert cfg == before
+        save_checkpoint(ckpt, tmp_path / "ck")
+        enc = load_checkpoint(tmp_path / "ck").config.encoder
+        assert (enc.num_layers, enc.hidden_dim) == (3, 6)
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         ckpt, _ = train(tiny_config(), pair_corpus())
@@ -234,3 +259,45 @@ def test_loss_trace_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,loss"
     assert len(lines) == len(trace) + 1
+
+
+# Loss traces recorded from the per-sentence pooling implementation that
+# preceded batched layer stacks; every step must match within 1e-12.
+GOLDEN_FROZEN_TRACE = [
+    21.769892788286498, 18.073389763085263, 15.774318221717495, 16.130249440182016,
+    10.025672708813904, 15.891447113068757, 17.41067678057224, 21.261953336328716,
+    17.2729081865561, 13.921585995576212, 12.81308476726949, 14.910840034002172,
+    15.015630510396516, 15.244172373474868, 9.445880639492712, 15.092461659035342,
+    15.144147751722995, 5.362557274237238, 13.057341967924703, 14.108617186697819,
+]
+GOLDEN_ENCODER_TRACE = [
+    8.361594691989541, 6.572393291619093, 8.52922164370943, 5.228896201357934,
+    6.794498933228683, 7.214101200355348,
+]
+
+
+def _assert_trace(trace, golden):
+    assert [step for step, _ in trace] == list(range(len(golden)))
+    for (step, loss), gold in zip(trace, golden):
+        assert abs(loss - gold) <= 1e-12, step
+
+
+def test_golden_trace_frozen_headline(tmp_path):
+    gen = np.random.default_rng(2024)
+    feats = gen.normal(size=(3 * 32, 3, 2, 8)).astype(np.float32)
+    save_frozen(FrozenFeatures(num_layers=3, hidden_dim=8, features=feats),
+                tmp_path / "f.lapf")
+    cfg = TrainConfig(objective="sup_hard", strategy="attn_cls_avg_concat",
+                      norm_mode="softmax", batch_size=8, epochs=5,
+                      learning_rate=5e-3, seed=4,
+                      frozen_features=str(tmp_path / "f.lapf"))
+    _, trace = train(cfg, make_synthetic_triplets(num_pairs=32))
+    _assert_trace(trace, GOLDEN_FROZEN_TRACE)
+
+
+def test_golden_trace_encoder():
+    cfg = TrainConfig(objective="sup_hard", strategy="attn_cls_avg_concat",
+                      batch_size=8, epochs=2, learning_rate=1e-3, seed=5,
+                      encoder=EncoderConfig(**TINY_ENCODER))
+    _, trace = train(cfg, make_synthetic_triplets(num_pairs=24))
+    _assert_trace(trace, GOLDEN_ENCODER_TRACE)
