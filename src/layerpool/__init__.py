@@ -11,7 +11,7 @@ package, or `layerpool.cli`, does not load numpy before `--threads` is read.
 import importlib
 
 _EXPORTS = {
-    "autodiff": "Rng Tensor cosine_sim dropout_mask grad_check log_sum_exp softmax_rows",
+    "autodiff": "Rng Tensor cosine_sim dropout_mask grad_check",
     "encoder": "Encoder EncoderConfig FrozenFeatures Tokenizer load_frozen save_frozen",
     "objectives": "loss_sup_basic loss_sup_hard loss_unsup similarity_matrix",
     "pooler": "AttentionReport PoolerParams PoolStrategy attention_scores pool "

@@ -53,10 +53,12 @@ _F64 = np.dtype(np.float64)
 class Tensor:
     """A float64 array node on the tape.
 
-    Operations record a backward closure referencing their parents; calling
-    ``backward()`` on a scalar result accumulates gradients into every
-    reachable node with ``requires_grad``. Parameters that do not participate
-    in a computation keep ``grad is None`` (exactly zero).
+    An operation records its parents and backward closure only when some
+    parent requires grad, so arithmetic on constants builds no tape and
+    keeps no intermediate alive. Calling ``backward()`` on a scalar result
+    accumulates gradients into every reachable node with ``requires_grad``.
+    Parameters that do not participate in a computation keep ``grad is None``
+    (exactly zero).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw")
@@ -114,7 +116,6 @@ class Tensor:
 
     def __add__(self, other):
         other = self._lift(other)
-        out = Tensor(self.data + other.data, parents=(self, other))
 
         def bw(g):
             if self.requires_grad:
@@ -122,15 +123,12 @@ class Tensor:
             if other.requires_grad:
                 other._accum(_unbroadcast(g, other.data.shape))
 
-        out._bw = bw
-        return out
+        return Tensor(self.data + other.data, parents=(self, other), bw=bw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, parents=(self,))
-        out._bw = lambda g: self._accum(-g)
-        return out
+        return Tensor(-self.data, parents=(self,), bw=lambda g: self._accum(-g))
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -140,7 +138,6 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._lift(other)
-        out = Tensor(self.data * other.data, parents=(self, other))
 
         def bw(g):
             if self.requires_grad:
@@ -148,14 +145,12 @@ class Tensor:
             if other.requires_grad:
                 other._accum(_unbroadcast(g * self.data, other.data.shape))
 
-        out._bw = bw
-        return out
+        return Tensor(self.data * other.data, parents=(self, other), bw=bw)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._lift(other)
-        out = Tensor(self.data / other.data, parents=(self, other))
 
         def bw(g):
             if self.requires_grad:
@@ -165,20 +160,17 @@ class Tensor:
                     _unbroadcast(-g * self.data / other.data**2, other.data.shape)
                 )
 
-        out._bw = bw
-        return out
+        return Tensor(self.data / other.data, parents=(self, other), bw=bw)
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
     def __pow__(self, exponent: float):
-        out = Tensor(self.data**exponent, parents=(self,))
-        out._bw = lambda g: self._accum(g * exponent * self.data ** (exponent - 1))
-        return out
+        return Tensor(self.data**exponent, parents=(self,),
+                      bw=lambda g: self._accum(g * exponent * self.data ** (exponent - 1)))
 
     def __matmul__(self, other):
         other = self._lift(other)
-        out = Tensor(self.data @ other.data, parents=(self, other))
 
         def bw(g):
             # promote 1-D operands the way matmul does, then undo broadcasting
@@ -192,42 +184,45 @@ class Tensor:
                 grad = g @ np.swapaxes(b, -1, -2)
                 self._accum(_unbroadcast(grad, a.shape).reshape(self.data.shape))
             if other.requires_grad:
-                grad = np.swapaxes(a, -1, -2) @ g
-                other._accum(_unbroadcast(grad, b.shape).reshape(other.data.shape))
+                if b.ndim == 2 and a.ndim > 2:
+                    # a stacked (..., T, k) @ (k, n): one GEMM over all rows
+                    grad = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                else:
+                    grad = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+                other._accum(grad.reshape(other.data.shape))
 
-        out._bw = bw
-        return out
+        return Tensor(self.data @ other.data, parents=(self, other), bw=bw)
 
     # ---- shape ------------------------------------------------------------
 
     def __getitem__(self, idx):
-        out = Tensor(self.data[idx], parents=(self,))
+        basic = all(i is None or i is Ellipsis or isinstance(i, (int, slice))
+                    for i in (idx if type(idx) is tuple else (idx,)))
 
         def bw(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
+            if basic:
+                full[idx] += g
+            else:
+                # integer-array indices may repeat a position
+                np.add.at(full, idx, g)
             self._accum(full)
 
-        out._bw = bw
-        return out
+        return Tensor(self.data[idx], parents=(self,), bw=bw)
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), parents=(self,))
-        out._bw = lambda g: self._accum(g.reshape(self.data.shape))
-        return out
+        return Tensor(self.data.reshape(*shape), parents=(self,),
+                      bw=lambda g: self._accum(g.reshape(self.data.shape)))
 
     @property
     def T(self):
         """Swap the last two axes."""
-        out = Tensor(np.swapaxes(self.data, -1, -2), parents=(self,))
-        out._bw = lambda g: self._accum(np.swapaxes(g, -1, -2))
-        return out
+        return Tensor(np.swapaxes(self.data, -1, -2), parents=(self,),
+                      bw=lambda g: self._accum(np.swapaxes(g, -1, -2)))
 
     @staticmethod
     def concat(tensors: list["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor._lift(t) for t in tensors]
-        out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                     parents=tuple(tensors))
         offsets = [0]
         for t in tensors:
             offsets.append(offsets[-1] + t.data.shape[axis])
@@ -239,21 +234,18 @@ class Tensor:
                     sl[axis] = slice(lo, hi)
                     t._accum(g[tuple(sl)])
 
-        out._bw = bw
-        return out
+        return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                      parents=tuple(tensors), bw=bw)
 
     # ---- reductions and elementwise ---------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,))
-
         def bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accum(np.broadcast_to(g, self.data.shape).copy())
 
-        out._bw = bw
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,), bw=bw)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -261,21 +253,11 @@ class Tensor:
 
     def tanh(self):
         y = np.tanh(self.data)
-        out = Tensor(y, parents=(self,))
-        out._bw = lambda g: self._accum(g * (1.0 - y * y))
-        return out
+        return Tensor(y, parents=(self,), bw=lambda g: self._accum(g * (1.0 - y * y)))
 
     def exp(self):
         y = np.exp(self.data)
-        out = Tensor(y, parents=(self,))
-        out._bw = lambda g: self._accum(g * y)
-        return out
-
-    def log(self):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = Tensor(np.log(self.data), parents=(self,))
-        out._bw = lambda g: self._accum(g / self.data)
-        return out
+        return Tensor(y, parents=(self,), bw=lambda g: self._accum(g * y))
 
     def logsumexp(self, axis: int = -1, keepdims: bool = False):
         """Stable log-sum-exp along an axis, with a softmax backward."""
@@ -283,15 +265,14 @@ class Tensor:
         s = np.exp(self.data - m).sum(axis=axis, keepdims=True)
         val = m + np.log(s)
         soft = np.exp(self.data - val)
-        out = Tensor(val if keepdims else np.squeeze(val, axis=axis), parents=(self,))
 
         def bw(g):
             if not keepdims:
                 g = np.expand_dims(g, axis)
             self._accum(g * soft)
 
-        out._bw = bw
-        return out
+        return Tensor(val if keepdims else np.squeeze(val, axis=axis), parents=(self,),
+                      bw=bw)
 
     def softmax(self, axis: int = -1):
         return (self - self.logsumexp(axis=axis, keepdims=True)).exp()
@@ -301,14 +282,6 @@ class Tensor:
 
 
 # ---- scalar/array utilities (non-tape public operations) -------------------
-
-
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-shift stabilization."""
-    m = np.asarray(m, dtype=np.float64)
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cosine_sim(a, b):
@@ -322,15 +295,6 @@ def cosine_sim(a, b):
     if not (np.all(na) and np.all(nb)):
         raise ValueError("cosine_sim: zero-norm input (degenerate embedding)")
     return np.clip((a * b).sum(axis=-1) / (na * nb), -1.0, 1.0)
-
-
-def log_sum_exp(xs) -> float:
-    """max(xs) + ln sum exp(x - max); overflow-safe."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.size == 0:
-        raise ValueError("log_sum_exp: empty input")
-    m = float(xs.max())
-    return m + float(np.log(np.exp(xs - m).sum()))
 
 
 def dropout_mask(shape, p: float, rng: Rng) -> np.ndarray:

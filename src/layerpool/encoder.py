@@ -23,6 +23,9 @@ PAD_ID = 1
 UNK_ID = 2
 _NUM_RESERVED = 3
 
+# texts per forward pass outside train_mode
+INFERENCE_CHUNK = 64
+
 FROZEN_MAGIC = b"LAPF"
 FROZEN_VERSION = 1
 
@@ -135,68 +138,91 @@ def _layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-6) -> Tensor:
 
 
 class Encoder:
-    """Forward pass from token ids to an (N, 2, d) layer stack."""
+    """Forward pass from batches of token ids to (B, N, 2, d) layer stacks."""
 
     def __init__(self, config: EncoderConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
 
-    def encode(self, tokens, rng: Rng | None = None, train_mode: bool = False) -> Tensor:
+    def encode(self, token_lists, rngs: list[Rng] | None = None,
+               train_mode: bool = False) -> Tensor:
+        """(B, N, 2, d) layer stacks of B token lists in one padded forward pass.
+
+        The lists are padded with PAD_ID to the longest one; attention never
+        reads a PAD key and the AVG stream averages only non-PAD positions
+        after CLS. In train_mode list b draws its dropout masks from
+        ``rngs[b]``. Outside train_mode the parameters are read as constants,
+        so the pass records no tape and the result requires no grad.
+        """
         cfg = self.config
-        tokens = list(tokens)
-        if any(t >= cfg.vocab_size or t < 0 for t in tokens):
+        token_lists = list(token_lists)
+        if not token_lists:
+            raise ValueError("no token sequences to encode")
+        if train_mode and (rngs is None or len(rngs) != len(token_lists)):
+            raise ValueError("train_mode requires one rng per token sequence for dropout")
+        lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+        B, T = len(token_lists), int(lengths.max())
+        if T > cfg.max_seq_len:
+            raise ValueError(f"token sequence longer than max_seq_len={cfg.max_seq_len}")
+        flat = np.concatenate(token_lists).astype(np.int64)
+        if flat.size and (flat.min() < 0 or flat.max() >= cfg.vocab_size):
             raise ValueError("token id out of vocabulary range")
-        if not tokens or tokens[0] != CLS_ID:
+        ids = np.full((B, T), PAD_ID)
+        ids[np.arange(T) < lengths[:, None]] = flat
+        if lengths.min() == 0 or np.any(ids[:, 0] != CLS_ID):
             raise ValueError("token sequence must start with CLS")
-        if train_mode and rng is None:
-            raise ValueError("train_mode requires an rng for dropout")
-        T = len(tokens)
-        ids = np.asarray(tokens)
         pad = ids == PAD_ID
-        # content positions for the AVG stream: non-pad, excluding CLS
-        content = np.nonzero(~pad[1:])[0] + 1
-        if content.size == 0:
-            content = np.array([0])
+        # content positions for the AVG stream: non-pad, excluding CLS; a
+        # sequence without any averages its CLS position
+        content = ~pad
+        content[:, 0] = False
+        content[~content.any(axis=1), 0] = True
+        # a masked sum times 1/count adds the content rows in the same order
+        # as a per-sequence mean, so each row's AVG does not depend on padding
+        content_mask = content[:, :, None].astype(np.float64)
+        inv_count = 1.0 / content.sum(axis=1, keepdims=True)
 
-        p = self.params
+        p = self.params if train_mode else {k: Tensor(v.data) for k, v in self.params.items()}
         x = p["token_emb"][ids] + p["pos_emb"][:T]
-        x = self._dropout(x, rng, train_mode, "emb")
+        x = self._dropout(x, rngs, lengths, train_mode, "emb")
 
-        # additive mask keeping attention off padding keys
-        key_mask = np.where(pad, -1e9, 0.0)[None, :]
+        # additive mask keeping attention off padding keys, per row
+        key_mask = np.where(pad, -1e9, 0.0)[:, None, :]
 
         layers = []
         for i in range(cfg.num_layers):
             pre = f"layer{i}."
             a_in = _layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
-            attn = self._attention(a_in, pre, key_mask)
-            x = x + self._dropout(attn, rng, train_mode, f"attn{i}")
+            attn = self._attention(a_in, p, pre, key_mask)
+            x = x + self._dropout(attn, rngs, lengths, train_mode, f"attn{i}")
             f_in = _layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
             hidden = (f_in @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"]).tanh()
             ffn = hidden @ p[pre + "ffn_w2"] + p[pre + "ffn_b2"]
-            x = x + self._dropout(ffn, rng, train_mode, f"ffn{i}")
-            layers += [x[0], x[content].mean(axis=0)]
-        return Tensor.concat(layers).reshape(cfg.num_layers, 2, cfg.hidden_dim)
+            x = x + self._dropout(ffn, rngs, lengths, train_mode, f"ffn{i}")
+            layers += [x[:, 0], (x * content_mask).sum(axis=1) * inv_count]
+        return Tensor.concat(layers, axis=1).reshape(B, cfg.num_layers, 2, cfg.hidden_dim)
 
     def encode_texts(self, tokenizer: Tokenizer, texts, rng: Rng | None = None,
                      train_mode: bool = False) -> Tensor:
-        """(B, N, 2, d) layer stacks of B texts, encoded one sentence at a time.
+        """(B, N, 2, d) layer stacks of B texts.
 
-        Text b draws its dropout masks from ``rng.child(b)``. Outside
-        train_mode the stacks are constants, so each sentence's tape is freed
-        as soon as it is encoded instead of living as long as the batch.
+        In train_mode the batch is one forward pass and text b draws its
+        dropout masks from ``rng.child(b)``. Outside train_mode the texts are
+        encoded in fixed chunks of ``INFERENCE_CHUNK``, so memory stays
+        bounded however many texts there are.
         """
-        stacks = []
-        for pos, text in enumerate(texts):
-            stack = self.encode(tokenizer.encode(text, self.config.max_seq_len),
-                                rng=None if rng is None else rng.child(pos),
-                                train_mode=train_mode)
-            stacks.append(stack if train_mode else Tensor(stack.data))
-        return Tensor.concat(stacks).reshape(len(stacks), *stacks[0].shape)
+        token_lists = [tokenizer.encode(text, self.config.max_seq_len) for text in texts]
+        if train_mode:
+            rngs = None if rng is None else [rng.child(b) for b in range(len(token_lists))]
+            return self.encode(token_lists, rngs, train_mode=True)
+        # an empty text list still makes one call, which rejects it
+        starts = range(0, max(len(token_lists), 1), INFERENCE_CHUNK)
+        return Tensor(np.concatenate(
+            [self.encode(token_lists[lo:lo + INFERENCE_CHUNK]).data for lo in starts]))
 
-    def _attention(self, x: Tensor, prefix: str, key_mask: np.ndarray) -> Tensor:
+    def _attention(self, x: Tensor, p: dict[str, Tensor], prefix: str,
+                   key_mask: np.ndarray) -> Tensor:
         cfg = self.config
-        p = self.params
         q = x @ p[prefix + "attn_q"]
         k = x @ p[prefix + "attn_k"]
         v = x @ p[prefix + "attn_v"]
@@ -204,15 +230,20 @@ class Encoder:
         heads = []
         for h in range(cfg.num_heads):
             sl = slice(h * dh, (h + 1) * dh)
-            scores = q[:, sl] @ k[:, sl].T * (1.0 / np.sqrt(dh)) + key_mask
+            scores = q[..., sl] @ k[..., sl].T * (1.0 / np.sqrt(dh)) + key_mask
             weights = scores.softmax(axis=-1)
-            heads.append(weights @ v[:, sl])
-        return Tensor.concat(heads, axis=1) @ p[prefix + "attn_o"]
+            heads.append(weights @ v[..., sl])
+        return Tensor.concat(heads, axis=-1) @ p[prefix + "attn_o"]
 
-    def _dropout(self, x: Tensor, rng: Rng | None, train_mode: bool, tag: str) -> Tensor:
+    def _dropout(self, x: Tensor, rngs, lengths: np.ndarray, train_mode: bool,
+                 tag: str) -> Tensor:
+        """Sequence b's (T_b, d) mask from ``rngs[b]``, written into a padded array."""
         if not train_mode or self.config.dropout_p == 0.0:
             return x
-        mask = dropout_mask(x.shape, self.config.dropout_p, rng.child("dropout", tag))
+        mask = np.zeros(x.shape)
+        for b, (rng, n) in enumerate(zip(rngs, lengths)):
+            mask[b, :n] = dropout_mask((int(n), x.shape[-1]), self.config.dropout_p,
+                                       rng.child("dropout", tag))
         return x * Tensor(mask)
 
 

@@ -257,10 +257,21 @@ def evaluate_search(index: IvfIndex, queries: np.ndarray, gold_ids,
 # ---- persistence -----------------------------------------------------------
 
 
+INDEX_FORMAT = "layerpool-ivf-flat"
+INDEX_VERSION = 1
+
+
+class IndexFormatError(ValueError):
+    """Index header unreadable, from another format or version, or
+    inconsistent with the lengths of the files it describes."""
+
+
 def save_index(index: IvfIndex, path) -> None:
     """Directory: JSON header + f32 centroids + per-list u32 ids and f32 vectors."""
     os.makedirs(path, exist_ok=True)
     header = {
+        "format": INDEX_FORMAT,
+        "version": INDEX_VERSION,
         "m": index.num_rows,
         "d": index.dim,
         "nlist": index.nlist,
@@ -280,20 +291,44 @@ def save_index(index: IvfIndex, path) -> None:
     os.replace(tmp, os.path.join(path, "header.json"))
 
 
+def _read_exact(path, name: str, dtype: str, count: int) -> np.ndarray:
+    """`count` values of `dtype` from a file that must hold exactly that many."""
+    file_path = os.path.join(path, name)
+    expected = count * np.dtype(dtype).itemsize
+    try:
+        size = os.path.getsize(file_path)
+    except OSError as exc:
+        raise IndexFormatError(f"missing index file {name}") from exc
+    if size != expected:
+        raise IndexFormatError(f"{name} is {size} bytes, header implies {expected}")
+    return np.fromfile(file_path, dtype=dtype)
+
+
 def load_index(path) -> IvfIndex:
-    with open(os.path.join(path, "header.json")) as fh:
-        header = json.load(fh)
-    d, nlist = header["d"], header["nlist"]
-    centroids = np.fromfile(os.path.join(path, "centroids.f32"), dtype="<f4")
-    centroids = centroids.reshape(nlist, d)
-    ids = np.fromfile(os.path.join(path, "posting_ids.u32"), dtype="<u4")
-    vectors = np.fromfile(os.path.join(path, "posting_vectors.f32"), dtype="<f4")
-    vectors = vectors.reshape(-1, d)
-    posting_ids, posting_vectors = [], []
-    offset = 0
-    for size in header["posting_sizes"]:
-        posting_ids.append(ids[offset : offset + size].copy())
-        posting_vectors.append(vectors[offset : offset + size].copy())
-        offset += size
-    return IvfIndex(centroids=centroids, posting_ids=posting_ids,
-                    posting_vectors=posting_vectors)
+    try:
+        with open(os.path.join(path, "header.json")) as fh:
+            header = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise IndexFormatError(f"unreadable index header: {exc}") from exc
+    if not isinstance(header, dict) or (header.get("format"), header.get("version")) != (
+            INDEX_FORMAT, INDEX_VERSION):
+        raise IndexFormatError(
+            f"not a {INDEX_FORMAT!r} version {INDEX_VERSION} index header")
+    m, d, nlist, sizes = (header.get(k) for k in ("m", "d", "nlist", "posting_sizes"))
+
+    def is_count(v):
+        return type(v) is int and v >= 0
+
+    if not (is_count(m) and is_count(d) and d > 0 and is_count(nlist) and nlist > 0
+            and isinstance(sizes, list) and len(sizes) == nlist
+            and all(map(is_count, sizes))):
+        raise IndexFormatError("index header needs counts m, d > 0, nlist > 0 "
+                               "and nlist posting_sizes")
+    if sum(sizes) != m:
+        raise IndexFormatError(f"posting_sizes sum to {sum(sizes)}, header says m={m}")
+    centroids = _read_exact(path, "centroids.f32", "<f4", nlist * d).reshape(nlist, d)
+    ids = _read_exact(path, "posting_ids.u32", "<u4", m)
+    vectors = _read_exact(path, "posting_vectors.f32", "<f4", m * d).reshape(m, d)
+    offsets = np.cumsum(sizes)[:-1]
+    return IvfIndex(centroids=centroids, posting_ids=np.split(ids, offsets),
+                    posting_vectors=np.split(vectors, offsets))

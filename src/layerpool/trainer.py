@@ -9,6 +9,7 @@ uninterrupted trajectory.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -34,7 +35,7 @@ from .objectives import (
 )
 from .pooler import PoolerParams, PoolStrategy, pool
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # corpus record keys required by each objective
 _REQUIRED_KEYS = {
@@ -257,6 +258,9 @@ def train(config: TrainConfig, corpus: list[dict],
             params[name].grad = None
         loss = _batch_loss(config, encoder, tokenizer, frozen, batch, indices,
                            PoolerParams.from_named(params), rng.child("step", step))
+        if not np.isfinite(loss.data):
+            # stop before backward and the update, so parameters stay finite
+            raise ValueError(f"non-finite loss {loss.item()} at step {step}")
         loss.backward()
 
         t = step + 1
@@ -301,11 +305,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
     Tensors are stored in float64 (not the f32 used for embedding files) so
     resume-from-checkpoint reproduces the uninterrupted trajectory exactly.
+    The manifest records each tensor file's sha256, so a tensor file whose
+    bytes are not the ones the manifest was written with does not load.
     """
     os.makedirs(path, exist_ok=True)
     tensors = {f"param.{k}": v.data for k, v in ckpt.params.items()}
     tensors.update({f"adam_m.{k}": v for k, v in ckpt.adam_m.items()})
     tensors.update({f"adam_v.{k}": v for k, v in ckpt.adam_v.items()})
+    blobs = {k: np.ascontiguousarray(v, dtype="<f8").tobytes() for k, v in tensors.items()}
     manifest = {
         "version": CHECKPOINT_VERSION,
         "step": ckpt.step,
@@ -313,12 +320,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "vocab": ckpt.vocab,
         "tokenizer_mode": ckpt.tokenizer_mode,
         "tensors": [
-            {"name": k, "shape": list(v.shape), "file": f"t{i:04d}.bin"}
+            {"name": k, "shape": list(v.shape), "file": f"t{i:04d}.bin",
+             "sha256": hashlib.sha256(blobs[k]).hexdigest()}
             for i, (k, v) in enumerate(tensors.items())
         ],
     }
-    for entry, (_, v) in zip(manifest["tensors"], tensors.items()):
-        np.ascontiguousarray(v, dtype="<f8").tofile(os.path.join(path, entry["file"]))
+    for entry in manifest["tensors"]:
+        with open(os.path.join(path, entry["file"]), "wb") as fh:
+            fh.write(blobs[entry["name"]])
     tmp = os.path.join(path, "manifest.json.tmp")
     with open(tmp, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -342,14 +351,19 @@ def load_checkpoint(path) -> Checkpoint:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         try:
-            raw = np.fromfile(file_path, dtype="<f8")
+            with open(file_path, "rb") as fh:
+                blob = fh.read()
         except OSError as exc:
             raise CheckpointCorruptError(f"missing tensor file {entry['file']}") from exc
-        if raw.size != count:
+        if len(blob) != 8 * count:
             raise CheckpointCorruptError(
-                f"tensor {entry['name']}: {raw.size} values on disk, expected {count}"
+                f"tensor {entry['name']}: {len(blob)} bytes on disk, expected {8 * count}"
             )
-        tensors[entry["name"]] = raw.reshape(shape)
+        if hashlib.sha256(blob).hexdigest() != entry.get("sha256"):
+            raise CheckpointCorruptError(
+                f"tensor {entry['name']}: sha256 of {entry['file']} does not match the manifest"
+            )
+        tensors[entry["name"]] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
     config = TrainConfig(**manifest["config"])
     params = {
         k[len("param."):]: Tensor(v, requires_grad=True)

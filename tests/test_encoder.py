@@ -4,6 +4,7 @@ import pytest
 from layerpool.autodiff import Rng
 from layerpool.encoder import (
     CLS_ID,
+    INFERENCE_CHUNK,
     PAD_ID,
     UNK_ID,
     Encoder,
@@ -70,37 +71,37 @@ class TestTokenizer:
 
 class TestEncode:
     def test_shape_contract(self, encoder, small_config):
-        stack = encoder.encode([CLS_ID, 3, 4])
-        assert stack.shape == (small_config.num_layers, 2, small_config.hidden_dim)
+        stack = encoder.encode([[CLS_ID, 3, 4]])
+        assert stack.shape == (1, small_config.num_layers, 2, small_config.hidden_dim)
 
     def test_eval_mode_deterministic(self, encoder):
-        a = encoder.encode([CLS_ID, 3, 4, 5], train_mode=False)
-        b = encoder.encode([CLS_ID, 3, 4, 5], train_mode=False)
+        a = encoder.encode([[CLS_ID, 3, 4, 5]], train_mode=False)
+        b = encoder.encode([[CLS_ID, 3, 4, 5]], train_mode=False)
         assert np.array_equal(a.data, b.data)
 
     def test_independent_dropout_streams_differ(self, encoder):
         diffs = 0
         for trial in range(10):
-            a = encoder.encode([CLS_ID, 3, 4], rng=Rng(trial).child("z"), train_mode=True)
-            b = encoder.encode([CLS_ID, 3, 4], rng=Rng(trial).child("z2"), train_mode=True)
-            if not np.array_equal(a.data[:, 0], b.data[:, 0]):
+            a = encoder.encode([[CLS_ID, 3, 4]], rngs=[Rng(trial).child("z")], train_mode=True)
+            b = encoder.encode([[CLS_ID, 3, 4]], rngs=[Rng(trial).child("z2")], train_mode=True)
+            if not np.array_equal(a.data[0, :, 0], b.data[0, :, 0]):
                 diffs += 1
         assert diffs >= 9
 
     def test_out_of_vocab_rejected(self, encoder):
         with pytest.raises(ValueError, match="vocabulary"):
-            encoder.encode([CLS_ID, 99])
+            encoder.encode([[CLS_ID, 99]])
 
     def test_must_start_with_cls(self, encoder):
         with pytest.raises(ValueError, match="CLS"):
-            encoder.encode([3, 4])
+            encoder.encode([[3, 4]])
 
     def test_avg_excludes_padding(self, encoder):
         # pads appended after content must not change h^a or h^c
-        plain = encoder.encode([CLS_ID, 3, 4])
-        padded = encoder.encode([CLS_ID, 3, 4, PAD_ID, PAD_ID])
-        assert np.allclose(plain.data[:, 1], padded.data[:, 1], atol=1e-12)
-        assert np.allclose(plain.data[:, 0], padded.data[:, 0], atol=1e-12)
+        plain = encoder.encode([[CLS_ID, 3, 4]])
+        padded = encoder.encode([[CLS_ID, 3, 4, PAD_ID, PAD_ID]])
+        assert np.allclose(plain.data[0, :, 1], padded.data[0, :, 1], atol=1e-12)
+        assert np.allclose(plain.data[0, :, 0], padded.data[0, :, 0], atol=1e-12)
 
     def test_avg_matches_independent_mean(self, small_config):
         # recompute h^a by re-running and averaging token rows by hand:
@@ -108,15 +109,15 @@ class TestEncode:
         # sentence of one token must have h_a equal to that token's row.
         params = init_encoder_params(small_config, Rng(1))
         enc = Encoder(small_config, params)
-        stack = enc.encode([CLS_ID, 7])
-        stack2 = enc.encode([CLS_ID, 7, PAD_ID])
-        assert np.allclose(stack.data[:, 1], stack2.data[:, 1], atol=1e-12)
+        stack = enc.encode([[CLS_ID, 7]])
+        stack2 = enc.encode([[CLS_ID, 7, PAD_ID]])
+        assert np.allclose(stack.data[0, :, 1], stack2.data[0, :, 1], atol=1e-12)
 
     def test_sentences_independent_of_batch_order(self, encoder):
         # encoding is per-sentence, so any interleaving gives identical stacks
-        s1 = encoder.encode([CLS_ID, 3, 4], train_mode=False)
-        _ = encoder.encode([CLS_ID, 5], train_mode=False)
-        s1_again = encoder.encode([CLS_ID, 3, 4], train_mode=False)
+        s1 = encoder.encode([[CLS_ID, 3, 4]], train_mode=False)
+        _ = encoder.encode([[CLS_ID, 5]], train_mode=False)
+        s1_again = encoder.encode([[CLS_ID, 3, 4]], train_mode=False)
         assert np.array_equal(s1.data, s1_again.data)
 
     def test_encode_texts_keeps_per_sentence_streams(self, encoder):
@@ -126,8 +127,69 @@ class TestEncode:
         batch = encoder.encode_texts(tok, texts, rng, train_mode=True)
         assert batch.shape == (3, 2, 2, 8)
         for pos, text in enumerate(texts):
-            single = encoder.encode(tok.encode(text, 6), rng=rng.child(pos), train_mode=True)
-            assert np.array_equal(batch.data[pos], single.data)
+            single = encoder.encode([tok.encode(text, 6)], rngs=[rng.child(pos)], train_mode=True)
+            assert np.array_equal(batch.data[pos], single.data[0])
+
+
+class TestBatchedEncode:
+    @pytest.fixture
+    def long_encoder(self):
+        config = EncoderConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
+                               max_seq_len=41, vocab_size=30, dropout_p=0.1)
+        return Encoder(config, init_encoder_params(config, Rng(6)))
+
+    def test_rows_match_singleton_encodes(self, long_encoder):
+        # 1-40 words, so rows are padded across numpy's 8-accumulator summation
+        # boundary; values and parameter gradients must still match each row
+        # encoded alone, gradients relative to max(1, |g|)
+        gen = np.random.default_rng(7)
+        token_lists = [[CLS_ID] + list(gen.integers(3, 30, size=n))
+                       for n in (1, 3, 7, 8, 9, 16, 23, 40)]
+        rngs = [Rng(8).child("a", b) for b in range(len(token_lists))]
+        weights = gen.normal(size=(len(token_lists), 2, 2, 8))
+        params = long_encoder.params
+
+        def grads(loss):
+            for t in params.values():
+                t.grad = None
+            loss.backward()
+            return {k: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                    for k, t in params.items()}
+
+        batch = long_encoder.encode(token_lists, rngs, train_mode=True)
+        batch_grads = grads((batch * weights).sum())
+        singles = [long_encoder.encode([tokens], [rng], train_mode=True)
+                   for tokens, rng in zip(token_lists, rngs)]
+        single_grads = grads(sum((s[0] * w).sum() for s, w in zip(singles, weights)))
+        for b, single in enumerate(singles):
+            assert np.max(np.abs(batch.data[b] - single.data[0])) < 1e-12
+        for k in params:
+            rel = np.abs(batch_grads[k] - single_grads[k]) / np.maximum(
+                1.0, np.abs(batch_grads[k]))
+            assert rel.max() < 1e-12, k
+
+    def test_inference_runs_fixed_chunks(self, long_encoder):
+        # lengths differ between chunks, so any other chunking would pad the
+        # rows differently and change their low bits
+        tok = Tokenizer("whitespace", {f"w{i}": 3 + i for i in range(27)})
+        texts = [" ".join(f"w{(i + j) % 27}" for j in range(1 + (i * 7) % 40))
+                 for i in range(130)]
+        whole = long_encoder.encode_texts(tok, texts)
+        token_lists = [tok.encode(t, 41) for t in texts]
+        parts = [long_encoder.encode(token_lists[lo:lo + INFERENCE_CHUNK]).data
+                 for lo in range(0, len(texts), INFERENCE_CHUNK)]
+        assert np.array_equal(whole.data, np.concatenate(parts))
+
+    def test_inference_records_no_tape(self, encoder):
+        out = encoder.encode([[CLS_ID, 3, 4], [CLS_ID, 5]])
+        assert out.shape == (2, 2, 2, 8)
+        assert not out.requires_grad and out._parents == () and out._bw is None
+        out.sum().backward()
+        assert all(t.grad is None for t in encoder.params.values())
+
+    def test_train_mode_needs_one_rng_per_sequence(self, encoder):
+        with pytest.raises(ValueError, match="rng"):
+            encoder.encode([[CLS_ID, 3], [CLS_ID, 4]], [Rng(0)], train_mode=True)
 
 
 class TestInitParams:

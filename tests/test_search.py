@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from layerpool.autodiff import Rng
-from layerpool.encoder import EncoderConfig
+from layerpool.encoder import INFERENCE_CHUNK, EncoderConfig
 from layerpool.search import (
     EmbeddingMatrix,
+    IndexFormatError,
     brute_force_query,
     build_index,
     embed_corpus,
@@ -207,6 +210,56 @@ class TestPersistence:
             q = gen.normal(size=5)
             assert query(loaded, q, 10, 4) == query(index, q, 10, 4)
 
+    @pytest.fixture
+    def saved(self, tmp_path):
+        save_index(build_index(random_matrix(40, 5, seed=14), 4, Rng(2)), tmp_path / "idx")
+        return tmp_path / "idx"
+
+    @staticmethod
+    def edit_header(saved, edit):
+        header = json.loads((saved / "header.json").read_text())
+        edit(header)
+        (saved / "header.json").write_text(json.dumps(header))
+
+    @pytest.mark.parametrize("name, cut", [("centroids.f32", 1), ("posting_ids.u32", 4),
+                                           ("posting_vectors.f32", 1),
+                                           ("posting_vectors.f32", 5 * 4)])
+    def test_truncated_file_rejected(self, saved, name, cut):
+        victim = saved / name
+        victim.write_bytes(victim.read_bytes()[:-cut])
+        with pytest.raises(IndexFormatError, match=name):
+            load_index(saved)
+
+    @pytest.mark.parametrize("key, value", [("version", 2), ("version", None),
+                                            ("format", "other")])
+    def test_other_format_or_version_rejected(self, saved, key, value):
+        self.edit_header(saved, lambda h: h.update({key: value}))
+        with pytest.raises(IndexFormatError, match="version"):
+            load_index(saved)
+
+    def test_posting_sizes_must_sum_to_m(self, saved):
+        def grow_first_list(h):
+            h["posting_sizes"][0] += 1
+
+        self.edit_header(saved, grow_first_list)
+        with pytest.raises(IndexFormatError, match="posting_sizes"):
+            load_index(saved)
+
+    def test_posting_sizes_must_match_files(self, saved):
+        # m and posting_sizes agree with each other but not with the files
+        def grow_first_list(h):
+            h["posting_sizes"][0] += 1
+            h["m"] += 1
+
+        self.edit_header(saved, grow_first_list)
+        with pytest.raises(IndexFormatError, match="bytes"):
+            load_index(saved)
+
+    def test_unreadable_header_rejected(self, saved):
+        (saved / "header.json").write_text("{nope")
+        with pytest.raises(IndexFormatError):
+            load_index(saved)
+
 
 @pytest.fixture(scope="module")
 def checkpoint():
@@ -247,6 +300,18 @@ class TestEmbedCorpus:
         a = embed_corpus(checkpoint, texts, "detached").vectors
         b = embed_corpus(checkpoint, texts, "trained-pooler").vectors
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize("mode", ["detached", "trained-pooler"])
+    def test_chunked_like_separate_calls(self, checkpoint, mode):
+        # outside training the encoder runs fixed chunks, so 130 texts give
+        # exactly the rows of three separate calls on the same chunk bounds
+        texts = [" ".join(f"word{(i * 3 + j) % 7}" for j in range(1 + i % 5))
+                 for i in range(130)]
+        whole = embed_corpus(checkpoint, texts, mode).vectors
+        parts = [embed_corpus(checkpoint, texts[lo:lo + INFERENCE_CHUNK], mode).vectors
+                 for lo in range(0, len(texts), INFERENCE_CHUNK)]
+        assert len(parts) == 3
+        assert np.array_equal(whole, np.concatenate(parts))
 
     def test_unknown_mode(self, checkpoint):
         with pytest.raises(ValueError, match="inference_pooling"):

@@ -6,7 +6,7 @@ import pytest
 
 from layerpool.autodiff import Rng
 from layerpool.corpus import make_synthetic_triplets
-from layerpool.encoder import EncoderConfig, FrozenFeatures, save_frozen
+from layerpool.encoder import EncoderConfig, FrozenFeatures, load_frozen, save_frozen
 from layerpool.trainer import (
     Checkpoint,
     CheckpointCorruptError,
@@ -135,6 +135,16 @@ class TestFrozenFeatures:
         assert len(trace) == 4
         assert all(name.startswith("pooler.") for name in ckpt.params)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_stops_the_run(self, tmp_path):
+        path = self._frozen_file(tmp_path, m=16)
+        feats = load_frozen(path)
+        feats.features[5, 0, 1, 2] = np.inf
+        save_frozen(feats, path)
+        cfg = tiny_config(objective="unsup", frozen_features=path, batch_size=16)
+        with pytest.raises(ValueError, match="non-finite loss .* at step 0"):
+            train(cfg, bare_corpus(16))
+
     def test_too_few_features(self, tmp_path):
         path = self._frozen_file(tmp_path, m=4)
         cfg = tiny_config(objective="unsup", frozen_features=path)
@@ -192,6 +202,27 @@ class TestCheckpoint:
         victim = tmp_path / "ck" / "t0000.bin"
         victim.write_bytes(victim.read_bytes()[:-8])
         with pytest.raises(CheckpointCorruptError):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_version_1_rejected(self, tmp_path):
+        ckpt, _ = train(tiny_config(), pair_corpus(), max_steps=0)
+        save_checkpoint(ckpt, tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        manifest["version"] = 1
+        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointVersionError):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_rewritten_tensor_rejected(self, tmp_path):
+        # same length, other bytes: what a crash between rewriting the
+        # tensors and swapping the manifest leaves behind
+        ckpt, _ = train(tiny_config(), pair_corpus())
+        save_checkpoint(ckpt, tmp_path / "ck")
+        victim = tmp_path / "ck" / "t0003.bin"
+        blob = victim.read_bytes()
+        victim.write_bytes(bytes(reversed(blob)))
+        assert len(victim.read_bytes()) == len(blob) and victim.read_bytes() != blob
+        with pytest.raises(CheckpointCorruptError, match="sha256"):
             load_checkpoint(tmp_path / "ck")
 
     def test_corrupt_manifest(self, tmp_path):
