@@ -3,8 +3,8 @@
 Subcommands: train, eval-sts, layer-sweep, inspect-attention, embed,
 index build, index search, index eval. Exit codes: 0 success, 1 failure
 (one-line `error: ...` on stderr), 2 usage. Outputs are written atomically
-(temp file + rename). --threads caps BLAS parallelism; default 1 keeps runs
-reproducible.
+(temp file or directory + rename, see `artifact`). --threads caps BLAS
+parallelism; default 1 keeps runs reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -24,10 +23,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train encoder+pooler with a contrastive objective")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--epochs", type=int, help="override config epochs")
+    p.add_argument("--seed", type=int, help="override config seed (not with --resume)")
+    p.add_argument("--epochs", type=int, help="override config epochs (not with --resume)")
     p.add_argument("--output-dir", help="override config output_dir")
-    p.add_argument("--resume", help="checkpoint directory to resume from")
+    p.add_argument("--resume",
+                   help="checkpoint directory to resume from; its training config is used")
     p.add_argument("--init-from",
                    help="checkpoint to warm-start the encoder from (fresh pooler)")
 
@@ -77,46 +77,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _atomic_write_bytes(path: str, blob: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _read_lines(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh if line.strip()]
 
 
 def _cmd_train(args) -> int:
-    import numpy as np
+    from dataclasses import replace
 
+    from .artifact import write_file
     from .config import effective_config_doc, load_config
     from .corpus import load_jsonl
     from .trainer import load_checkpoint, save_checkpoint, train, write_loss_trace
 
     config = load_config(args.config)
-    if args.seed is not None:
-        config.train.seed = args.seed
-    if args.epochs is not None:
-        config.train.epochs = args.epochs
-    if args.output_dir is not None:
-        config.output_dir = args.output_dir
-    os.makedirs(config.output_dir, exist_ok=True)
-    _atomic_write_bytes(
-        os.path.join(config.output_dir, "effective_config.json"),
-        (json.dumps(effective_config_doc(config), indent=1, sort_keys=True) + "\n").encode(),
-    )
-    corpus = load_jsonl(config.corpus)
     resume = load_checkpoint(args.resume) if args.resume else None
     init = load_checkpoint(args.init_from) if args.init_from else None
+    overrides = {k: v for k in ("seed", "epochs") if (v := getattr(args, k)) is not None}
+    config = replace(
+        config, train=resume.config if resume else replace(config.train, **overrides),
+        output_dir=config.output_dir if args.output_dir is None else args.output_dir)
+    corpus = load_jsonl(config.corpus)
+    os.makedirs(config.output_dir, exist_ok=True)
+    doc = json.dumps(effective_config_doc(config), indent=1, sort_keys=True) + "\n"
+    write_file(os.path.join(config.output_dir, "effective_config.json"), [doc.encode()])
     ckpt, trace = train(config.train, corpus, resume_from=resume, init_from=init)
     ckpt_dir = os.path.join(config.output_dir, config.checkpoint_dir)
     save_checkpoint(ckpt, ckpt_dir)
@@ -162,6 +146,7 @@ def _cmd_embed(args) -> int:
 
     import numpy as np
 
+    from .artifact import write_file
     from .search import embed_corpus
     from .trainer import load_checkpoint
 
@@ -169,7 +154,7 @@ def _cmd_embed(args) -> int:
     matrix = embed_corpus(ckpt, _read_lines(args.texts), inference_pooling=args.pooling)
     buf = io.BytesIO()
     np.save(buf, matrix.vectors)
-    _atomic_write_bytes(args.out, buf.getvalue())
+    write_file(args.out, [buf.getbuffer()])
     return 0
 
 
@@ -182,6 +167,8 @@ def _load_embeddings(path):
 
 
 def _cmd_index(args) -> int:
+    from dataclasses import asdict
+
     from .autodiff import Rng
     from .search import build_index, evaluate_search, load_index, query, save_index
 
@@ -201,12 +188,7 @@ def _cmd_index(args) -> int:
     gold = [int(x) for x in _read_lines(args.gold)]
     metrics = evaluate_search(index, matrix.vectors, gold, nprobe=args.nprobe,
                               timing_repeats=args.timing_repeats)
-    print(json.dumps({
-        "mrr_at_10": metrics.mrr_at_10,
-        "avg_retrieval_time_ms": metrics.avg_retrieval_time_ms,
-        "memory_usage_bytes": metrics.memory_usage_bytes,
-        "missing_gold_ids": metrics.missing_gold_ids,
-    }, sort_keys=True))
+    print(json.dumps(asdict(metrics), sort_keys=True))
     return 0
 
 
@@ -225,6 +207,9 @@ def dispatch(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be >= 1")
+    if args.command == "train" and args.resume and (
+            args.seed is not None or args.epochs is not None):
+        parser.error("--seed and --epochs cannot be combined with --resume")
     # numpy is not loaded yet (the package imports lazily), so BLAS reads these
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(args.threads)

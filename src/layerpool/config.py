@@ -1,30 +1,59 @@
-"""Run configuration: strict JSON validation with defaults and echo."""
+"""Run configuration: the config dataclasses and their strict JSON form.
+
+The JSON keys, their types and their defaults are the fields of `RunConfig`,
+`TrainConfig` and `EncoderConfig`; `TrainConfig`'s fields sit at the top
+level next to `RunConfig`'s, and `tau` is spelled `temperature`. Values keep
+their JSON type: an integer may stand for a float, nothing else converts.
+"""
 
 from __future__ import annotations
 
 import difflib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import get_type_hints
 
 from .encoder import EncoderConfig
 from .objectives import DEFAULT_TEMPERATURE, OBJECTIVES
 from .pooler import PoolStrategy
-from .trainer import TrainConfig
 
-_TOP_KEYS = {
-    "objective", "corpus", "strategy", "norm_mode", "temperature",
-    "batch_size", "learning_rate", "epochs", "seed", "frozen_features",
-    "freeze_mlp", "checkpoint_dir", "output_dir", "encoder",
-}
-_ENCODER_KEYS = {
-    "num_layers", "hidden_dim", "num_heads", "ffn_dim", "max_seq_len",
-    "vocab_size", "dropout_p",
-}
+_KEY_OF = {"tau": "temperature"}  # field name -> JSON key
 
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass
+class TrainConfig:
+    objective: str
+    strategy: str = "attn_cls_avg_concat"
+    norm_mode: str = "softmax"
+    tau: float = DEFAULT_TEMPERATURE
+    batch_size: int = 16
+    learning_rate: float = 1e-3
+    epochs: int = 1
+    seed: int = 0
+    frozen_features: str | None = None
+    freeze_mlp: bool = False
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
+
+    def __post_init__(self):
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
+        if self.strategy not in {s.value for s in PoolStrategy}:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.norm_mode not in ("softmax", "ratio"):
+            raise ValueError(f"unknown norm_mode {self.norm_mode!r}")
+        if self.tau <= 0:
+            raise ValueError(f"temperature must be positive, got {self.tau}")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 @dataclass
@@ -35,7 +64,14 @@ class RunConfig:
     output_dir: str = "."
 
 
-def _reject_unknown(doc: dict, known: set[str], context: str) -> None:
+_RUN_KEYS = {f.name for f in fields(RunConfig)} - {"train"}
+
+
+def _keys(cls) -> dict:
+    return {_KEY_OF.get(f.name, f.name): f for f in fields(cls)}
+
+
+def _reject_unknown(doc: dict, known, context: str) -> None:
     for key in doc:
         if key not in known:
             hint = difflib.get_close_matches(key, known, n=1)
@@ -43,51 +79,53 @@ def _reject_unknown(doc: dict, known: set[str], context: str) -> None:
             raise ConfigError(f"unknown {context} key {key!r}{suggestion}")
 
 
+def _from_doc(cls, doc, context: str, defaults: bool):
+    """A `cls` from the JSON object `doc`; absent keys take the field default
+    when `defaults` is true and are an error otherwise."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    keys = _keys(cls)
+    _reject_unknown(doc, keys, context)
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, f in keys.items():
+        if key not in doc:
+            if defaults and (f.default is not MISSING or f.default_factory is not MISSING):
+                continue
+            raise ConfigError(f"missing required key {key!r}")
+        value, kind = doc[key], hints[f.name]
+        if is_dataclass(kind):
+            value = _from_doc(kind, value, key, defaults)
+        elif kind is float and type(value) is int:
+            value = float(value)
+        elif not isinstance(value, kind) or type(value) is bool and kind is not bool:
+            name = getattr(kind, "__name__", kind)
+            raise ConfigError(f"{key} must be {name}, got {value!r}")
+        kwargs[f.name] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def validate_config(doc: dict) -> RunConfig:
     """Type-check and default a parsed config document."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    for key in ("objective", "corpus"):
-        if key not in doc:
-            raise ConfigError(f"missing required key {key!r}")
-    if doc["objective"] not in OBJECTIVES:
-        raise ConfigError(
-            f"objective must be one of {OBJECTIVES}, got {doc['objective']!r}"
-        )
-    strategy = doc.get("strategy", "attn_cls_avg_concat")
-    try:
-        PoolStrategy(strategy)
-    except ValueError:
-        raise ConfigError(f"unknown strategy {strategy!r}") from None
-    tau = float(doc.get("temperature", DEFAULT_TEMPERATURE))
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
-    enc_doc = doc.get("encoder", {})
-    _reject_unknown(enc_doc, _ENCODER_KEYS, "encoder")
-    try:
-        encoder = EncoderConfig(**enc_doc)
-        train = TrainConfig(
-            objective=doc["objective"],
-            strategy=strategy,
-            norm_mode=doc.get("norm_mode", "softmax"),
-            tau=tau,
-            batch_size=int(doc.get("batch_size", 16)),
-            learning_rate=float(doc.get("learning_rate", 1e-3)),
-            epochs=int(doc.get("epochs", 1)),
-            seed=int(doc.get("seed", 0)),
-            frozen_features=doc.get("frozen_features"),
-            freeze_mlp=bool(doc.get("freeze_mlp", False)),
-            encoder=encoder,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        train=train,
-        corpus=str(doc["corpus"]),
-        checkpoint_dir=str(doc.get("checkpoint_dir", "checkpoint")),
-        output_dir=str(doc.get("output_dir", ".")),
-    )
+    _reject_unknown(doc, _RUN_KEYS | set(_keys(TrainConfig)), "config")
+    run_doc = {k: v for k, v in doc.items() if k in _RUN_KEYS}
+    run_doc["train"] = {k: v for k, v in doc.items() if k not in _RUN_KEYS}
+    return _from_doc(RunConfig, run_doc, "config", defaults=True)
+
+
+def train_config_doc(config: TrainConfig) -> dict:
+    """The JSON object of a TrainConfig, read back by `train_config_from_doc`."""
+    return {_KEY_OF.get(k, k): v for k, v in asdict(config).items()}
+
+
+def train_config_from_doc(doc) -> TrainConfig:
+    """The TrainConfig of a complete JSON object, as a checkpoint stores it."""
+    return _from_doc(TrainConfig, doc, "config", defaults=False)
 
 
 def load_config(path) -> RunConfig:
@@ -108,20 +146,6 @@ def load_config(path) -> RunConfig:
 
 def effective_config_doc(config: RunConfig) -> dict:
     """The fully-defaulted document echoed next to every run's outputs."""
-    t = config.train
-    return {
-        "objective": t.objective,
-        "corpus": config.corpus,
-        "strategy": t.strategy,
-        "norm_mode": t.norm_mode,
-        "temperature": t.tau,
-        "batch_size": t.batch_size,
-        "learning_rate": t.learning_rate,
-        "epochs": t.epochs,
-        "seed": t.seed,
-        "frozen_features": t.frozen_features,
-        "freeze_mlp": t.freeze_mlp,
-        "checkpoint_dir": config.checkpoint_dir,
-        "output_dir": config.output_dir,
-        "encoder": asdict(t.encoder),
-    }
+    doc = {**asdict(config), **train_config_doc(config.train)}
+    del doc["train"]
+    return doc

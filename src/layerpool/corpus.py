@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from .artifact import write_file
 from .autodiff import Rng
 
 # published seed of the synthetic paraphrase corpus
@@ -40,9 +41,7 @@ def load_jsonl(path) -> list[dict]:
 
 
 def write_jsonl(records: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_file(path, ((json.dumps(rec, sort_keys=True) + "\n").encode() for rec in records))
 
 
 def _sentence(gen: np.random.Generator, cluster_words, shared_words,

@@ -11,11 +11,13 @@ i's CLS vector h^c and [..., i, 1] its mean-token vector h^a.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifact import ArtifactCorruptError, ArtifactVersionError, write_file
 from .autodiff import Rng, Tensor, dropout_mask
 
 CLS_ID = 0
@@ -28,14 +30,7 @@ INFERENCE_CHUNK = 64
 
 FROZEN_MAGIC = b"LAPF"
 FROZEN_VERSION = 1
-
-
-class FrozenFormatError(ValueError):
-    """Bad magic or version in a frozen-features file."""
-
-
-class FrozenTruncatedError(ValueError):
-    """Frozen-features payload shorter than the header promises."""
+_FROZEN_HEADER = 20  # magic + four u32
 
 
 @dataclass
@@ -49,8 +44,8 @@ class EncoderConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
-        if self.hidden_dim % self.num_heads != 0:
-            raise ValueError("hidden_dim must be divisible by num_heads")
+        if self.num_heads < 1 or self.hidden_dim % self.num_heads != 0:
+            raise ValueError("hidden_dim must be a multiple of num_heads >= 1")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         if self.max_seq_len < 2:
@@ -275,31 +270,26 @@ class FrozenFeatures:
 
 
 def save_frozen(features: FrozenFeatures, path) -> None:
-    m = features.num_sentences
-    with open(path, "wb") as fh:
-        fh.write(FROZEN_MAGIC)
-        fh.write(struct.pack("<III", FROZEN_VERSION, m, features.num_layers))
-        fh.write(struct.pack("<I", features.hidden_dim))
-        fh.write(features.features.astype("<f4").tobytes())
+    """Magic, then version, m, N and d as little-endian u32, then (m, N, 2, d) f32."""
+    data = np.ascontiguousarray(features.features, dtype="<f4")
+    header = FROZEN_MAGIC + struct.pack("<IIII", FROZEN_VERSION, data.shape[0],
+                                        features.num_layers, features.hidden_dim)
+    write_file(path, [header, data])
 
 
 def load_frozen(path) -> FrozenFeatures:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != FROZEN_MAGIC:
-        raise FrozenFormatError(f"bad magic {blob[:4]!r}, expected {FROZEN_MAGIC!r}")
-    if len(blob) < 20:
-        raise FrozenTruncatedError("header truncated")
-    version, m, n = struct.unpack("<III", blob[4:16])
-    (d,) = struct.unpack("<I", blob[16:20])
-    if version != FROZEN_VERSION:
-        raise FrozenFormatError(f"unsupported version {version}")
-    if n == 0 or d == 0:
-        raise FrozenFormatError("zero layer count or hidden dim")
-    expected = 20 + m * n * 2 * d * 4
-    if len(blob) != expected:
-        raise FrozenTruncatedError(
-            f"payload is {len(blob)} bytes, header implies {expected}"
-        )
-    data = np.frombuffer(blob[20:], dtype="<f4").reshape(m, n, 2, d).copy()
+        head = fh.read(_FROZEN_HEADER)
+        if len(head) < _FROZEN_HEADER:
+            raise ArtifactCorruptError(f"{path}: frozen-features header truncated")
+        version, m, n, d = struct.unpack("<4xIIII", head)
+        if head[:4] != FROZEN_MAGIC or version != FROZEN_VERSION:
+            raise ArtifactVersionError(f"{path}: magic {head[:4]!r} version {version}, "
+                                       f"expected {FROZEN_MAGIC!r} version {FROZEN_VERSION}")
+        size, expected = os.fstat(fh.fileno()).st_size, _FROZEN_HEADER + m * n * 2 * d * 4
+        if n == 0 or d == 0 or size != expected:
+            raise ArtifactCorruptError(f"{path}: {size} bytes, header (N={n}, d={d} > 0) "
+                                       f"implies {expected}")
+        data = np.empty((m, n, 2, d), dtype="<f4")
+        fh.readinto(data)
     return FrozenFeatures(num_layers=n, hidden_dim=d, features=data)

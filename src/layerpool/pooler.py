@@ -13,12 +13,12 @@ of stacks go through the same code.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
+from .artifact import write_csv
 from .autodiff import Rng, Tensor
 
 RATIO_EPS = 1e-9
@@ -96,12 +96,10 @@ class AttentionReport:
     def write_csv(self, path) -> None:
         """Write one stack's (N, N) report."""
         n = self.weights.shape[0]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["row"] + [f"layer{j + 1}" for j in range(n)])
-            for i in range(n):
-                w.writerow([f"layer{i + 1}"] + [repr(x) for x in self.weights[i]])
-            w.writerow(["aggregate"] + [repr(x) for x in self.per_layer_weight])
+        write_csv(path, [["row"] + [f"layer{j + 1}" for j in range(n)],
+                         *([f"layer{i + 1}"] + [repr(x) for x in self.weights[i]]
+                           for i in range(n)),
+                         ["aggregate"] + [repr(x) for x in self.per_layer_weight]])
 
 
 def _qkv_streams(stacks: Tensor, strategy: PoolStrategy) -> list[Tensor]:

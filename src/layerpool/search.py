@@ -7,13 +7,12 @@ product induce the same ordering. The index is immutable after build.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifact import ArtifactCorruptError, read_dir, write_dir
 from .autodiff import Rng
 from .pooler import PoolStrategy, pool
 from .trainer import Checkpoint
@@ -130,10 +129,6 @@ class IvfIndex:
     def dim(self) -> int:
         return self.centroids.shape[1]
 
-    @property
-    def num_rows(self) -> int:
-        return sum(len(p) for p in self.posting_ids)
-
     def memory_bytes(self) -> int:
         """Index payload: centroids + ids + stored vectors."""
         return (
@@ -210,12 +205,11 @@ class SearchMetrics:
 
 
 def evaluate_search(index: IvfIndex, queries: np.ndarray, gold_ids,
-                    nprobe: int = 8, timing_repeats: int = 1,
-                    warmup: bool = True) -> SearchMetrics:
+                    nprobe: int = 8, timing_repeats: int = 1) -> SearchMetrics:
     """MRR@10, mean per-query wall-clock time, and index payload size.
 
     Gold ids absent from the index contribute 0 and are flagged. Timing
-    excludes a warm-up pass and averages over `timing_repeats` repetitions.
+    averages over `timing_repeats` repetitions after the scored (warm-up) pass.
     """
     queries = np.asarray(queries, dtype=np.float64)
     gold_ids = [int(g) for g in gold_ids]
@@ -236,9 +230,6 @@ def evaluate_search(index: IvfIndex, queries: np.ndarray, gold_ids,
         rank = next((r + 1 for r, (i, _) in enumerate(res) if i == gold), None)
         reciprocal.append(1.0 / rank if rank is not None else 0.0)
 
-    if warmup:
-        for q in queries:
-            query(index, q, top_k=10, nprobe=nprobe)
     start = time.perf_counter()
     for _ in range(timing_repeats):
         for q in queries:
@@ -258,77 +249,37 @@ def evaluate_search(index: IvfIndex, queries: np.ndarray, gold_ids,
 
 
 INDEX_FORMAT = "layerpool-ivf-flat"
-INDEX_VERSION = 1
-
-
-class IndexFormatError(ValueError):
-    """Index header unreadable, from another format or version, or
-    inconsistent with the lengths of the files it describes."""
+INDEX_VERSION = 2
+_INDEX_ARRAYS = {"centroids": ("<f4", 2), "posting_ids": ("<u4", 1),
+                 "posting_vectors": ("<f4", 2)}
 
 
 def save_index(index: IvfIndex, path) -> None:
-    """Directory: JSON header + f32 centroids + per-list u32 ids and f32 vectors."""
-    os.makedirs(path, exist_ok=True)
-    header = {
-        "format": INDEX_FORMAT,
-        "version": INDEX_VERSION,
-        "m": index.num_rows,
-        "d": index.dim,
-        "nlist": index.nlist,
-        "metric": "cosine",
-        "posting_sizes": [int(len(p)) for p in index.posting_ids],
-    }
-    index.centroids.astype("<f4").tofile(os.path.join(path, "centroids.f32"))
-    np.concatenate(index.posting_ids).astype("<u4").tofile(
-        os.path.join(path, "posting_ids.u32")
-    )
-    np.concatenate(index.posting_vectors).astype("<f4").tofile(
-        os.path.join(path, "posting_vectors.f32")
-    )
-    tmp = os.path.join(path, "header.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(header, fh, indent=1, sort_keys=True)
-    os.replace(tmp, os.path.join(path, "header.json"))
-
-
-def _read_exact(path, name: str, dtype: str, count: int) -> np.ndarray:
-    """`count` values of `dtype` from a file that must hold exactly that many."""
-    file_path = os.path.join(path, name)
-    expected = count * np.dtype(dtype).itemsize
-    try:
-        size = os.path.getsize(file_path)
-    except OSError as exc:
-        raise IndexFormatError(f"missing index file {name}") from exc
-    if size != expected:
-        raise IndexFormatError(f"{name} is {size} bytes, header implies {expected}")
-    return np.fromfile(file_path, dtype=dtype)
+    """An artifact directory (see `artifact`): f32 centroids, then all posting
+    lists' u32 ids and f32 vectors back to back, split by `posting_sizes`."""
+    meta = {"metric": "cosine", "posting_sizes": [len(p) for p in index.posting_ids]}
+    write_dir(path, INDEX_FORMAT, INDEX_VERSION, meta, {
+        "centroids": index.centroids.astype("<f4"),
+        "posting_ids": np.concatenate(index.posting_ids).astype("<u4"),
+        "posting_vectors": np.concatenate(index.posting_vectors).astype("<f4"),
+    })
 
 
 def load_index(path) -> IvfIndex:
-    try:
-        with open(os.path.join(path, "header.json")) as fh:
-            header = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IndexFormatError(f"unreadable index header: {exc}") from exc
-    if not isinstance(header, dict) or (header.get("format"), header.get("version")) != (
-            INDEX_FORMAT, INDEX_VERSION):
-        raise IndexFormatError(
-            f"not a {INDEX_FORMAT!r} version {INDEX_VERSION} index header")
-    m, d, nlist, sizes = (header.get(k) for k in ("m", "d", "nlist", "posting_sizes"))
-
-    def is_count(v):
-        return type(v) is int and v >= 0
-
-    if not (is_count(m) and is_count(d) and d > 0 and is_count(nlist) and nlist > 0
+    meta, arrays = read_dir(path, INDEX_FORMAT, INDEX_VERSION)
+    if {k: (a.dtype.str, a.ndim) for k, a in arrays.items()} != _INDEX_ARRAYS:
+        raise ArtifactCorruptError(f"{path}: index arrays must be {_INDEX_ARRAYS}")
+    centroids, ids, vectors = (arrays[k] for k in _INDEX_ARRAYS)
+    (nlist, d), m, sizes = centroids.shape, len(ids), meta.get("posting_sizes")
+    if not (set(meta) == {"metric", "posting_sizes"} and meta["metric"] == "cosine"
+            and nlist > 0 and d > 0 and vectors.shape == (m, d)
             and isinstance(sizes, list) and len(sizes) == nlist
-            and all(map(is_count, sizes))):
-        raise IndexFormatError("index header needs counts m, d > 0, nlist > 0 "
-                               "and nlist posting_sizes")
+            and all(type(s) is int and s >= 0 for s in sizes)):
+        raise ArtifactCorruptError(f"{path}: index needs metric 'cosine', nlist x d > 0 "
+                                   "centroids, m x d vectors and nlist posting_sizes")
     if sum(sizes) != m:
-        raise IndexFormatError(f"posting_sizes sum to {sum(sizes)}, header says m={m}")
-    centroids = _read_exact(path, "centroids.f32", "<f4", nlist * d).reshape(nlist, d)
-    ids = _read_exact(path, "posting_ids.u32", "<u4", m)
-    vectors = _read_exact(path, "posting_vectors.f32", "<f4", m * d).reshape(m, d)
+        raise ArtifactCorruptError(f"{path}: posting_sizes sum to {sum(sizes)}, "
+                                   f"the arrays hold m={m} rows")
     offsets = np.cumsum(sizes)[:-1]
     return IvfIndex(centroids=centroids, posting_ids=np.split(ids, offsets),
                     posting_vectors=np.split(vectors, offsets))

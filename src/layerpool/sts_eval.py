@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import write_csv
 from .autodiff import Tensor, cosine_sim
 from .pooler import (
     ATTENTION_STRATEGIES,
@@ -122,11 +122,8 @@ class SweepResult:
     rows: list[tuple[str, float]]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["configuration", "spearman"])
-            for name, score in self.rows:
-                w.writerow([name, repr(score)])
+        write_csv(path, [["configuration", "spearman"],
+                         *([name, repr(score)] for name, score in self.rows)])
 
 
 def layer_sweep_stacks(pairs: Tensor, golds) -> SweepResult:

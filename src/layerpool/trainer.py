@@ -8,34 +8,20 @@ uninterrupted trajectory.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
-import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .artifact import ArtifactCorruptError, read_dir, write_csv, write_dir
 from .autodiff import Rng, Tensor
+from .config import TrainConfig, train_config_doc, train_config_from_doc
 from .corpus import _CORPUS_KEYS
-from .encoder import (
-    Encoder,
-    EncoderConfig,
-    FrozenFeatures,
-    Tokenizer,
-    init_encoder_params,
-    load_frozen,
-)
-from .objectives import (
-    DEFAULT_TEMPERATURE,
-    OBJECTIVES,
-    loss_sup_basic,
-    loss_sup_hard,
-    loss_unsup,
-)
+from .encoder import Encoder, FrozenFeatures, Tokenizer, init_encoder_params, load_frozen
+from .objectives import loss_sup_basic, loss_sup_hard, loss_unsup
 from .pooler import PoolerParams, PoolStrategy, pool
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_FORMAT = "layerpool-checkpoint"
+CHECKPOINT_VERSION = 3
 
 # corpus record keys required by each objective
 _REQUIRED_KEYS = {
@@ -43,46 +29,6 @@ _REQUIRED_KEYS = {
     for objective, kind in (("sup_basic", "pairs"), ("unsup", "bare"),
                             ("sup_hard", "triplets"))
 }
-
-
-class CheckpointVersionError(ValueError):
-    """Checkpoint written by an incompatible version."""
-
-
-class CheckpointCorruptError(ValueError):
-    """Manifest unreadable or tensor payload inconsistent with it."""
-
-
-@dataclass
-class TrainConfig:
-    objective: str = "unsup"
-    strategy: str = "attn_cls_avg_concat"
-    norm_mode: str = "softmax"
-    tau: float = DEFAULT_TEMPERATURE
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    epochs: int = 1
-    seed: int = 0
-    frozen_features: str | None = None
-    freeze_mlp: bool = False
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-
-    def __post_init__(self):
-        if isinstance(self.encoder, dict):
-            self.encoder = EncoderConfig(**self.encoder)
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
-        PoolStrategy(self.strategy)
-        if self.norm_mode not in ("softmax", "ratio"):
-            raise ValueError(f"unknown norm_mode {self.norm_mode!r}")
-        if self.tau <= 0:
-            raise ValueError("temperature must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
 
 
 @dataclass
@@ -290,91 +236,40 @@ def train(config: TrainConfig, corpus: list[dict],
 
 
 def write_loss_trace(trace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "loss"])
-        for step, loss in trace:
-            w.writerow([step, repr(loss)])
+    write_csv(path, [["step", "loss"], *([step, repr(loss)] for step, loss in trace)])
 
 
 # ---- checkpoint persistence -----------------------------------------------
 
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Directory with a JSON manifest + raw little-endian float64 tensors.
-
-    Tensors are stored in float64 (not the f32 used for embedding files) so
-    resume-from-checkpoint reproduces the uninterrupted trajectory exactly.
-    The manifest records each tensor file's sha256, so a tensor file whose
-    bytes are not the ones the manifest was written with does not load.
-    """
-    os.makedirs(path, exist_ok=True)
-    tensors = {f"param.{k}": v.data for k, v in ckpt.params.items()}
-    tensors.update({f"adam_m.{k}": v for k, v in ckpt.adam_m.items()})
-    tensors.update({f"adam_v.{k}": v for k, v in ckpt.adam_v.items()})
-    blobs = {k: np.ascontiguousarray(v, dtype="<f8").tobytes() for k, v in tensors.items()}
-    manifest = {
-        "version": CHECKPOINT_VERSION,
-        "step": ckpt.step,
-        "config": asdict(ckpt.config),
-        "vocab": ckpt.vocab,
-        "tokenizer_mode": ckpt.tokenizer_mode,
-        "tensors": [
-            {"name": k, "shape": list(v.shape), "file": f"t{i:04d}.bin",
-             "sha256": hashlib.sha256(blobs[k]).hexdigest()}
-            for i, (k, v) in enumerate(tensors.items())
-        ],
-    }
-    for entry in manifest["tensors"]:
-        with open(os.path.join(path, entry["file"]), "wb") as fh:
-            fh.write(blobs[entry["name"]])
-    tmp = os.path.join(path, "manifest.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-    os.replace(tmp, os.path.join(path, "manifest.json"))
+    """Tensors are stored in float64 (not the f32 of embedding files) so a
+    resumed run reproduces the uninterrupted trajectory exactly."""
+    tensors = {"param": {k: v.data for k, v in ckpt.params.items()},
+               "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
+    meta = {"step": ckpt.step, "config": train_config_doc(ckpt.config),
+            "vocab": ckpt.vocab, "tokenizer_mode": ckpt.tokenizer_mode}
+    write_dir(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, meta, {
+        f"{group}.{k}": np.asarray(v, dtype="<f8")
+        for group, named in tensors.items() for k, v in named.items()})
 
 
 def load_checkpoint(path) -> Checkpoint:
-    manifest_path = os.path.join(path, "manifest.json")
+    meta, arrays = read_dir(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
+    tensors = {"param": {}, "adam_m": {}, "adam_v": {}}
     try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointCorruptError(f"unreadable manifest: {exc}") from exc
-    if manifest.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"checkpoint version {manifest.get('version')} != {CHECKPOINT_VERSION}"
-        )
-    tensors: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        file_path = os.path.join(path, entry["file"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        try:
-            with open(file_path, "rb") as fh:
-                blob = fh.read()
-        except OSError as exc:
-            raise CheckpointCorruptError(f"missing tensor file {entry['file']}") from exc
-        if len(blob) != 8 * count:
-            raise CheckpointCorruptError(
-                f"tensor {entry['name']}: {len(blob)} bytes on disk, expected {8 * count}"
-            )
-        if hashlib.sha256(blob).hexdigest() != entry.get("sha256"):
-            raise CheckpointCorruptError(
-                f"tensor {entry['name']}: sha256 of {entry['file']} does not match the manifest"
-            )
-        tensors[entry["name"]] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-    config = TrainConfig(**manifest["config"])
-    params = {
-        k[len("param."):]: Tensor(v, requires_grad=True)
-        for k, v in tensors.items() if k.startswith("param.")
-    }
-    return Checkpoint(
-        config=config,
-        params=params,
-        adam_m={k[len("adam_m."):]: v for k, v in tensors.items() if k.startswith("adam_m.")},
-        adam_v={k[len("adam_v."):]: v for k, v in tensors.items() if k.startswith("adam_v.")},
-        step=manifest["step"],
-        vocab=manifest["vocab"],
-        tokenizer_mode=manifest["tokenizer_mode"],
-    )
+        config = train_config_from_doc(meta.pop("config"))
+        step, vocab, mode = meta.pop("step"), meta.pop("vocab"), meta.pop("tokenizer_mode")
+        if meta or type(step) is not int or step < 0 or not isinstance(vocab, dict) or any(
+                type(i) is not int for i in vocab.values()):
+            raise ValueError("needs only config, step count, integer vocab ids, tokenizer_mode")
+        tokenizer = Tokenizer(mode, vocab)
+        for name, array in arrays.items():
+            group, _, key = name.partition(".")
+            if group not in tensors or array.dtype != "<f8":
+                raise ValueError(f"unexpected array {name!r} of dtype {array.dtype}")
+            tensors[group][key] = array
+    except (KeyError, ValueError) as exc:
+        raise ArtifactCorruptError(f"malformed checkpoint header in {path}: {exc!r}") from exc
+    params = {k: Tensor(v, requires_grad=True) for k, v in tensors["param"].items()}
+    return Checkpoint(config, params, tensors["adam_m"], tensors["adam_v"], step,
+                      tokenizer.vocab, tokenizer.mode)

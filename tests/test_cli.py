@@ -12,6 +12,7 @@ import layerpool
 from layerpool.cli import dispatch
 from layerpool.config import ConfigError, load_config, validate_config
 from layerpool.corpus import make_synthetic_sts, make_synthetic_triplets, write_jsonl
+from layerpool.trainer import load_checkpoint
 
 ENC = {"num_layers": 2, "hidden_dim": 8, "num_heads": 2, "ffn_dim": 16,
        "max_seq_len": 12, "vocab_size": 200, "dropout_p": 0.0}
@@ -75,6 +76,36 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="corpus"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("freeze_mlp", "false", "freeze_mlp"), ("batch_size", 16.7, "batch_size"),
+        ("seed", "3", "seed"), ("seed", True, "seed"),
+        ("learning_rate", "0.1", "learning_rate"), ("frozen_features", 3, "frozen_features"),
+        ("corpus", None, "corpus"), ("encoder", [], "encoder"),
+        ("encoder", {"num_layers": 2.0}, "num_layers"),
+        ("encoder", {"dropout_p": "0"}, "dropout_p"),
+    ])
+    def test_json_types_are_checked_not_coerced(self, key, value, named):
+        with pytest.raises(ConfigError, match=named):
+            validate_config({"objective": "unsup", "corpus": "c", key: value})
+
+    def test_integer_stands_for_float(self):
+        cfg = validate_config({"objective": "unsup", "corpus": "c", "temperature": 1,
+                               "learning_rate": 1, "encoder": {"dropout_p": 0}})
+        assert (cfg.train.tau, cfg.train.learning_rate) == (1.0, 1.0)
+        assert type(cfg.train.tau) is float and type(cfg.train.encoder.dropout_p) is float
+
+    def test_zero_heads_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="num_heads"):
+            validate_config({"objective": "unsup", "corpus": "c", "encoder": {"num_heads": 0}})
+
+    def test_effective_config_reads_back(self):
+        from layerpool.config import effective_config_doc
+
+        doc = {"objective": "sup_hard", "corpus": "c", "temperature": 0.1, "encoder": ENC}
+        echoed = effective_config_doc(validate_config(doc))
+        assert echoed["temperature"] == 0.1 and echoed["encoder"] == ENC
+        assert validate_config(echoed) == validate_config(doc)
+
     def test_load_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
@@ -125,7 +156,7 @@ class TestDispatch:
         assert dispatch(["train", "--config", str(cfg)]) == 0
         run = tmp_path / "run"
         assert (run / "loss.csv").exists()
-        assert (run / "checkpoint" / "manifest.json").exists()
+        assert (run / "checkpoint" / "header.json").exists()
         assert (run / "effective_config.json").exists()
         echoed = json.loads((run / "effective_config.json").read_text())
         assert echoed["temperature"] == 0.05
@@ -215,6 +246,64 @@ class TestDispatch:
                          "--texts", str(texts), "--out-dir", str(out_dir)]) == 0
         assert sorted(os.listdir(out_dir)) == ["attention_0000.csv",
                                                "attention_0001.csv"]
+
+    @pytest.mark.parametrize("flag", ["--seed", "--epochs"])
+    def test_resume_rejects_seed_and_epochs(self, tmp_path, flag):
+        cfg = _write_config(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            dispatch(["train", "--config", str(cfg), "--resume", str(tmp_path), flag, "3"])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "run").exists()
+
+    def test_resume_echoes_the_checkpoint_config(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, epochs=1, seed=0)
+        assert dispatch(["train", "--config", str(cfg), "--seed", "5",
+                         "--output-dir", str(tmp_path / "base")]) == 0
+        _write_config(tmp_path, epochs=3, seed=9)
+        assert dispatch(["train", "--config", str(cfg), "--resume",
+                         str(tmp_path / "base" / "checkpoint")]) == 0
+        echoed = json.loads((tmp_path / "run" / "effective_config.json").read_text())
+        assert (echoed["epochs"], echoed["seed"]) == (1, 5)
+        resumed = load_checkpoint(tmp_path / "run" / "checkpoint")
+        assert (resumed.config.epochs, resumed.config.seed) == (1, 5)
+
+    def test_rejected_override_writes_nothing(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        assert dispatch(["train", "--config", str(cfg), "--epochs", "0"]) == 1
+        assert "epochs" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_malformed_checkpoint_header_exits_1(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        dispatch(["train", "--config", str(cfg)])
+        header_path = tmp_path / "run" / "checkpoint" / "header.json"
+        header = json.loads(header_path.read_text())
+        header["meta"]["config"]["warmup"] = 1
+        header_path.write_text(json.dumps(header))
+        sts_path = tmp_path / "sts.jsonl"
+        write_jsonl(make_synthetic_sts(8), sts_path)
+        capsys.readouterr()
+        assert dispatch(["eval-sts", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                         "--data", str(sts_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "warmup" in err and len(err.splitlines()) == 1
+
+    def test_checkpoint_dir_dot_keeps_the_output_dir(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, checkpoint_dir=".")
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "notes.txt").write_text("keep me")
+        assert dispatch(["train", "--config", str(cfg)]) == 1
+        assert "refusing" in capsys.readouterr().err
+        assert (tmp_path / "run" / "notes.txt").read_text() == "keep me"
+
+    def test_index_build_keeps_a_directory_of_files(self, tmp_path, capsys):
+        emb = tmp_path / "emb.npy"
+        np.save(emb, np.eye(4, dtype=np.float32))
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "notes.txt").write_text("keep me")
+        assert dispatch(["index", "build", "--embeddings", str(emb), "--nlist", "2",
+                         "--out", str(tmp_path / "out")]) == 1
+        assert os.listdir(tmp_path / "out") == ["notes.txt"]
 
     def test_train_determinism_bit_for_bit(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

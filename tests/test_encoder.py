@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError
 from layerpool.autodiff import Rng
 from layerpool.encoder import (
     CLS_ID,
@@ -10,8 +11,6 @@ from layerpool.encoder import (
     Encoder,
     EncoderConfig,
     FrozenFeatures,
-    FrozenFormatError,
-    FrozenTruncatedError,
     Tokenizer,
     init_encoder_params,
     load_frozen,
@@ -228,7 +227,7 @@ class TestFrozenFeatures:
         save_frozen(self._features(), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-1])
-        with pytest.raises(FrozenTruncatedError):
+        with pytest.raises(ArtifactCorruptError):
             load_frozen(path)
 
     def test_bad_magic(self, tmp_path):
@@ -237,7 +236,7 @@ class TestFrozenFeatures:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
-        with pytest.raises(FrozenFormatError):
+        with pytest.raises(ArtifactVersionError):
             load_frozen(path)
 
     def test_stack_layout(self):

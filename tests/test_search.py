@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError
 from layerpool.autodiff import Rng
 from layerpool.encoder import INFERENCE_CHUNK, EncoderConfig
 from layerpool.search import (
     EmbeddingMatrix,
-    IndexFormatError,
     brute_force_query,
     build_index,
     embed_corpus,
@@ -227,37 +227,40 @@ class TestPersistence:
     def test_truncated_file_rejected(self, saved, name, cut):
         victim = saved / name
         victim.write_bytes(victim.read_bytes()[:-cut])
-        with pytest.raises(IndexFormatError, match=name):
+        with pytest.raises(ArtifactCorruptError, match=name):
             load_index(saved)
 
-    @pytest.mark.parametrize("key, value", [("version", 2), ("version", None),
-                                            ("format", "other")])
+    @pytest.mark.parametrize("key, value", [("version", 1), ("version", 3),
+                                            ("version", None), ("format", "other")])
     def test_other_format_or_version_rejected(self, saved, key, value):
         self.edit_header(saved, lambda h: h.update({key: value}))
-        with pytest.raises(IndexFormatError, match="version"):
+        with pytest.raises(ArtifactVersionError, match="version"):
             load_index(saved)
 
     def test_posting_sizes_must_sum_to_m(self, saved):
         def grow_first_list(h):
-            h["posting_sizes"][0] += 1
+            h["meta"]["posting_sizes"][0] += 1
 
         self.edit_header(saved, grow_first_list)
-        with pytest.raises(IndexFormatError, match="posting_sizes"):
+        with pytest.raises(ArtifactCorruptError, match="posting_sizes"):
             load_index(saved)
 
     def test_posting_sizes_must_match_files(self, saved):
-        # m and posting_sizes agree with each other but not with the files
+        # posting_sizes and the array shapes (m rows) agree with each other
+        # but not with the files
         def grow_first_list(h):
-            h["posting_sizes"][0] += 1
-            h["m"] += 1
+            h["meta"]["posting_sizes"][0] += 1
+            for entry in h["arrays"]:
+                if entry["name"] != "centroids":
+                    entry["shape"][0] += 1
 
         self.edit_header(saved, grow_first_list)
-        with pytest.raises(IndexFormatError, match="bytes"):
+        with pytest.raises(ArtifactCorruptError, match="bytes"):
             load_index(saved)
 
     def test_unreadable_header_rejected(self, saved):
         (saved / "header.json").write_text("{nope")
-        with pytest.raises(IndexFormatError):
+        with pytest.raises(ArtifactCorruptError):
             load_index(saved)
 
 

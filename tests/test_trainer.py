@@ -4,13 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError
 from layerpool.autodiff import Rng
 from layerpool.corpus import make_synthetic_triplets
 from layerpool.encoder import EncoderConfig, FrozenFeatures, load_frozen, save_frozen
 from layerpool.trainer import (
     Checkpoint,
-    CheckpointCorruptError,
-    CheckpointVersionError,
     TrainConfig,
     init_params,
     load_checkpoint,
@@ -34,6 +33,12 @@ def tiny_config(**overrides):
 def pair_corpus(n=16):
     return [{"sent1": f"w{i} w{(i + 1) % n}", "sent2": f"w{i} w{(i + 2) % n}"}
             for i in range(n)]
+
+
+def array_files(directory):
+    """The array file names a saved checkpoint's header lists, in order."""
+    header = json.loads((directory / "header.json").read_text())
+    return [entry["file"] for entry in header["arrays"]]
 
 
 def bare_corpus(n=16):
@@ -190,45 +195,46 @@ class TestCheckpoint:
     def test_version_mismatch(self, tmp_path):
         ckpt, _ = train(tiny_config(), pair_corpus())
         save_checkpoint(ckpt, tmp_path / "ck")
-        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-        manifest["version"] = 99
-        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointVersionError):
+        header = json.loads((tmp_path / "ck" / "header.json").read_text())
+        header["version"] = 99
+        (tmp_path / "ck" / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ArtifactVersionError):
             load_checkpoint(tmp_path / "ck")
 
     def test_truncated_tensor(self, tmp_path):
         ckpt, _ = train(tiny_config(), pair_corpus())
         save_checkpoint(ckpt, tmp_path / "ck")
-        victim = tmp_path / "ck" / "t0000.bin"
+        victim = tmp_path / "ck" / array_files(tmp_path / "ck")[0]
         victim.write_bytes(victim.read_bytes()[:-8])
-        with pytest.raises(CheckpointCorruptError):
+        with pytest.raises(ArtifactCorruptError):
             load_checkpoint(tmp_path / "ck")
 
     def test_version_1_rejected(self, tmp_path):
+        # older checkpoints (versions 1 and 2) had no header.json; this is
+        # the version check itself
         ckpt, _ = train(tiny_config(), pair_corpus(), max_steps=0)
         save_checkpoint(ckpt, tmp_path / "ck")
-        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-        manifest["version"] = 1
-        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointVersionError):
+        header = json.loads((tmp_path / "ck" / "header.json").read_text())
+        header["version"] = 1
+        (tmp_path / "ck" / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ArtifactVersionError):
             load_checkpoint(tmp_path / "ck")
 
     def test_rewritten_tensor_rejected(self, tmp_path):
-        # same length, other bytes: what a crash between rewriting the
-        # tensors and swapping the manifest leaves behind
+        # same length, other bytes
         ckpt, _ = train(tiny_config(), pair_corpus())
         save_checkpoint(ckpt, tmp_path / "ck")
-        victim = tmp_path / "ck" / "t0003.bin"
+        victim = tmp_path / "ck" / array_files(tmp_path / "ck")[3]
         blob = victim.read_bytes()
         victim.write_bytes(bytes(reversed(blob)))
         assert len(victim.read_bytes()) == len(blob) and victim.read_bytes() != blob
-        with pytest.raises(CheckpointCorruptError, match="sha256"):
+        with pytest.raises(ArtifactCorruptError, match="sha256"):
             load_checkpoint(tmp_path / "ck")
 
     def test_corrupt_manifest(self, tmp_path):
         (tmp_path / "ck").mkdir()
-        (tmp_path / "ck" / "manifest.json").write_text("{nope")
-        with pytest.raises(CheckpointCorruptError):
+        (tmp_path / "ck" / "header.json").write_text("{nope")
+        with pytest.raises(ArtifactCorruptError):
             load_checkpoint(tmp_path / "ck")
 
     def test_resume_matches_uninterrupted(self, tmp_path):
