@@ -2,7 +2,9 @@
 
 Files and directories are built as hidden siblings and renamed into place,
 so a process that dies mid-write leaves the previous version or, between a
-directory's two renames, none; never a mix. Power loss (fsync) is out of scope.
+directory's two renames, none (the previous one then sits in `.<name>.old-*`);
+never a mix. The next successful save of the same target deletes such hidden
+leftovers. Power loss (fsync) is out of scope.
 """
 
 from __future__ import annotations
@@ -37,6 +39,19 @@ def _sibling(path: str, tag: str) -> str:
     return os.path.join(head, f".{tail}.{tag}-{os.urandom(4).hex()}")
 
 
+def _remove_leftovers(path: str, tags: str) -> None:
+    """Delete the `tags` siblings (see `_sibling`) that killed saves of `path`
+    left behind. Each target has a single writer, so none belongs to a live save."""
+    head, tail = os.path.split(os.path.abspath(path))
+    stale = re.compile(rf"\.{re.escape(tail)}\.({tags})-[0-9a-f]{{8}}")
+    for name in filter(stale.fullmatch, os.listdir(head)):
+        victim = os.path.join(head, name)
+        if os.path.isdir(victim) and not os.path.islink(victim):
+            shutil.rmtree(victim)
+        else:
+            os.unlink(victim)
+
+
 def _write(path: str, chunks) -> None:
     with open(path, "xb") as fh:
         for chunk in chunks:
@@ -53,6 +68,7 @@ def write_file(path, chunks) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+    _remove_leftovers(path, "tmp")
 
 
 def write_csv(path, rows) -> None:
@@ -107,11 +123,9 @@ def write_dir(path, format: str, version: int, meta: dict, arrays: dict) -> None
     except BaseException:
         if old is not None and not os.path.lexists(path):
             os.rename(old, path)
-            old = None
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    if old is not None:
-        shutil.rmtree(old)
+    _remove_leftovers(path, "tmp|old")
 
 
 def _valid_entry(e) -> bool:

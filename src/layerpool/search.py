@@ -20,21 +20,26 @@ from .trainer import Checkpoint
 
 @dataclass
 class EmbeddingMatrix:
-    """Dense row-per-sentence embedding store, float32, no zero rows."""
+    """float32 unit rows, one per sentence, and uint32 ids: the one place rows are
+    checked (2-D, finite, finite nonzero norms, one id each) and normalized in float64."""
 
     vectors: np.ndarray = field(repr=False)
     ids: np.ndarray | None = None
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float32)
-        norms = np.linalg.norm(self.vectors, axis=1)
-        bad = np.nonzero(norms == 0.0)[0]
+        x = np.asarray(self.vectors, dtype=np.float64)
+        if x.ndim != 2 or not np.isfinite(x).all():
+            raise ValueError(f"embeddings must be a finite 2-D matrix, got shape {x.shape}")
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norms = np.linalg.norm(x, axis=1)
+        bad = np.flatnonzero((norms == 0.0) | np.isinf(norms))
         if bad.size:
-            raise ValueError(f"zero-norm embedding at row {int(bad[0])}")
-        if self.ids is None:
-            self.ids = np.arange(self.vectors.shape[0], dtype=np.uint32)
-        else:
-            self.ids = np.asarray(self.ids, dtype=np.uint32)
+            raise ValueError(f"embedding at row {int(bad[0])} needs a finite nonzero norm")
+        self.vectors = (x / norms[:, None]).astype(np.float32)
+        ids = np.arange(x.shape[0]) if self.ids is None else np.asarray(self.ids)
+        if ids.shape != (x.shape[0],):
+            raise ValueError(f"ids must have shape ({x.shape[0]},), got {ids.shape}")
+        self.ids = ids.astype(np.uint32)
 
     @property
     def num_rows(self) -> int:
@@ -64,11 +69,12 @@ def embed_corpus(checkpoint: Checkpoint, texts: list[str],
         vecs = pool(stacks, checkpoint.pooler_params(),
                     PoolStrategy(checkpoint.config.strategy),
                     checkpoint.config.norm_mode).data
-    norms = np.linalg.norm(vecs, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"zero-norm embedding for text row {int(zero[0])}")
-    return EmbeddingMatrix(vectors=(vecs / norms[:, None]).astype(np.float32))
+    return EmbeddingMatrix(vectors=vecs)
+
+
+def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(m, k) squared L2 distances ||x||² − 2x·cᵀ + ||c||², with no (m, k, d) array."""
+    return (x * x).sum(1)[:, None] - 2.0 * (x @ c.T) + (c * c).sum(1)
 
 
 def kmeans_fit(x: np.ndarray, k: int, rng: Rng, max_iters: int = 25) -> np.ndarray:
@@ -97,7 +103,7 @@ def kmeans_fit(x: np.ndarray, k: int, rng: Rng, max_iters: int = 25) -> np.ndarr
 
     assign = np.full(m, -1)
     for _ in range(max_iters):
-        dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        dists = _sq_dists(x, centroids)
         new_assign = dists.argmin(axis=1)
         for c in range(k):
             members = new_assign == c
@@ -138,62 +144,64 @@ class IvfIndex:
         )
 
 
+def _with_postings(centroids, ids, vectors, sizes) -> IvfIndex:
+    """Posting lists as views of one buffer: list c holds the next sizes[c] rows."""
+    offsets = np.cumsum(sizes)[:-1]
+    return IvfIndex(centroids=centroids, posting_ids=np.split(ids, offsets),
+                    posting_vectors=np.split(vectors, offsets))
+
+
 def build_index(matrix: EmbeddingMatrix, nlist: int, rng: Rng,
                 max_iters: int = 25) -> IvfIndex:
-    """Partition unit-normalized rows by nearest k-means centroid."""
-    unit = matrix.vectors / np.linalg.norm(matrix.vectors, axis=1, keepdims=True)
-    unit = unit.astype(np.float32)
-    centroids = kmeans_fit(unit, nlist, rng, max_iters).astype(np.float32)
-    d2 = ((unit[:, None, :].astype(np.float64)
-           - centroids[None, :, :].astype(np.float64)) ** 2).sum(axis=2)
-    assign = d2.argmin(axis=1)
-    posting_ids, posting_vectors = [], []
-    for c in range(nlist):
-        members = np.nonzero(assign == c)[0]
-        posting_ids.append(matrix.ids[members].copy())
-        posting_vectors.append(unit[members].copy())
-    return IvfIndex(centroids=centroids, posting_ids=posting_ids,
-                    posting_vectors=posting_vectors)
+    """Partition the unit rows by nearest k-means centroid."""
+    centroids = kmeans_fit(matrix.vectors, nlist, rng, max_iters).astype(np.float32)
+    assign = _sq_dists(matrix.vectors.astype(np.float64),
+                       centroids.astype(np.float64)).argmin(axis=1)
+    # stable: each list keeps its rows in ascending row order
+    order = np.argsort(assign, kind="stable")
+    return _with_postings(centroids, matrix.ids[order], matrix.vectors[order],
+                          np.bincount(assign, minlength=nlist))
+
+
+def _unit_query(q, dim: int, top_k: int) -> np.ndarray:
+    """The query as a float64 unit vector; the one place queries are checked."""
+    q = np.asarray(q, dtype=np.float64).reshape(-1)
+    if q.shape[0] != dim:
+        raise ValueError(f"query dim {q.shape[0]} != index dim {dim}")
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
+    norm = np.linalg.norm(q)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"query needs a finite nonzero norm, got {norm}")
+    return q / norm
+
+
+def _rank(vecs: np.ndarray, ids: np.ndarray, q: np.ndarray,
+          top_k: int) -> list[tuple[int, float]]:
+    """Top-k (id, cosine) of unit rows: descending cosine, ascending id on ties."""
+    # einsum accumulates per row independently of how rows are grouped,
+    # so full-probe results match the brute-force scan bit for bit
+    sims = np.einsum("ij,j->i", vecs.astype(np.float64), q)
+    order = np.lexsort((ids, -sims))[:top_k]
+    return [(int(ids[i]), float(sims[i])) for i in order]
 
 
 def query(index: IvfIndex, q: np.ndarray, top_k: int = 10,
           nprobe: int = 8) -> list[tuple[int, float]]:
     """Scan the nprobe nearest posting lists; rank by cosine, ties by id."""
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    if q.shape[0] != index.dim:
-        raise ValueError(f"query dim {q.shape[0]} != index dim {index.dim}")
+    q = _unit_query(q, index.dim, top_k)
     if not 1 <= nprobe <= index.nlist:
         raise ValueError(f"nprobe must be in [1, {index.nlist}]")
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    norm = np.linalg.norm(q)
-    if norm == 0.0:
-        raise ValueError("zero-norm query")
-    q = q / norm
     cd2 = ((index.centroids.astype(np.float64) - q) ** 2).sum(axis=1)
     probes = np.argsort(cd2, kind="stable")[:nprobe]
-    ids = np.concatenate([index.posting_ids[c] for c in probes])
-    if ids.size == 0:
-        return []
-    vecs = np.concatenate([index.posting_vectors[c] for c in probes])
-    # einsum accumulates per row independently of how rows are grouped,
-    # so full-probe results match the brute-force scan bit for bit
-    sims = np.einsum("ij,j->i", vecs.astype(np.float64), q)
-    # descending similarity, ascending id on ties
-    order = np.lexsort((ids, -sims))[:top_k]
-    return [(int(ids[i]), float(sims[i])) for i in order]
+    return _rank(np.concatenate([index.posting_vectors[c] for c in probes]),
+                 np.concatenate([index.posting_ids[c] for c in probes]), q, top_k)
 
 
 def brute_force_query(matrix: EmbeddingMatrix, q: np.ndarray,
                       top_k: int = 10) -> list[tuple[int, float]]:
     """Exact scan over all rows under the same metric and tie rule."""
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    q = q / np.linalg.norm(q)
-    # same storage arithmetic as build_index/query: f32 unit rows, f64 scoring
-    unit = matrix.vectors / np.linalg.norm(matrix.vectors, axis=1, keepdims=True)
-    sims = np.einsum("ij,j->i", unit.astype(np.float32).astype(np.float64), q)
-    order = np.lexsort((matrix.ids, -sims))[:top_k]
-    return [(int(matrix.ids[i]), float(sims[i])) for i in order]
+    return _rank(matrix.vectors, matrix.ids, _unit_query(q, matrix.dim, top_k), top_k)
 
 
 @dataclass
@@ -280,6 +288,4 @@ def load_index(path) -> IvfIndex:
     if sum(sizes) != m:
         raise ArtifactCorruptError(f"{path}: posting_sizes sum to {sum(sizes)}, "
                                    f"the arrays hold m={m} rows")
-    offsets = np.cumsum(sizes)[:-1]
-    return IvfIndex(centroids=centroids, posting_ids=np.split(ids, offsets),
-                    posting_vectors=np.split(vectors, offsets))
+    return _with_postings(centroids, ids, vectors, sizes)

@@ -245,6 +245,39 @@ def test_failed_rewrite_keeps_previous_and_cleans_up(kind, tmp_path, monkeypatch
         assert files_of(tmp_path) == ["target"]
 
 
+# hidden names that no save of `target` (or `out.bin`) makes
+UNRELATED = [".target", ".target.keep", ".target.tmp-notahex0", ".target.old.tmp-0123abcd",
+             ".other.tmp-0123abcd", ".out.bin.keep"]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_save_removes_leftovers_of_killed_saves(kind, tmp_path):
+    make_old, make_new, save, load, state = KINDS[kind]
+    new = make_new()
+    save(make_old(), tmp_path / "target")
+    # a save killed before its renames leaves a partial `.tmp-*` directory, one
+    # killed between them the previous artifact as `.old-*`
+    shutil.copytree(tmp_path / "target", tmp_path / ".target.old-89abcdef")
+    (tmp_path / ".target.tmp-0123abcd").mkdir()
+    (tmp_path / ".target.tmp-0123abcd" / "centroids.f32").write_bytes(b"part")
+    (tmp_path / ".target.tmp-deadbeef").write_bytes(b"partial")
+    for name in UNRELATED:
+        (tmp_path / name).write_text("keep me")
+    save(new, tmp_path / "target")
+    assert state(load(tmp_path / "target")) == state(new)
+    assert files_of(tmp_path) == sorted(["target", *UNRELATED])
+
+
+def test_write_file_removes_its_leftover_temp_files(tmp_path):
+    (tmp_path / ".out.bin.tmp-0123abcd").write_bytes(b"partial")
+    keep = [*UNRELATED, ".out.bin.old-0123abcd"]  # write_file never makes `.old-*`
+    for name in keep:
+        (tmp_path / name).write_text("keep me")
+    write_file(tmp_path / "out.bin", [b"new"])
+    assert (tmp_path / "out.bin").read_bytes() == b"new"
+    assert files_of(tmp_path) == sorted(["out.bin", *keep])
+
+
 # ---- what write_dir may replace ------------------------------------------
 
 

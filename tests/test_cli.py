@@ -305,6 +305,17 @@ class TestDispatch:
                          "--out", str(tmp_path / "out")]) == 1
         assert os.listdir(tmp_path / "out") == ["notes.txt"]
 
+    def test_index_build_rejects_a_nan_embedding(self, tmp_path, capsys):
+        emb = tmp_path / "nan.npy"
+        x = np.eye(4, dtype=np.float32)
+        x[2, 1] = np.nan
+        np.save(emb, x)
+        assert dispatch(["index", "build", "--embeddings", str(emb), "--nlist", "1",
+                         "--out", str(tmp_path / "idx")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+        assert os.listdir(tmp_path) == ["nan.npy"]
+
     def test_train_determinism_bit_for_bit(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         dispatch(["train", "--config", str(cfg)])

@@ -1,13 +1,19 @@
 import json
+import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError
 from layerpool.autodiff import Rng
 from layerpool.encoder import INFERENCE_CHUNK, EncoderConfig
+from layerpool.pooler import PoolStrategy, pool
 from layerpool.search import (
     EmbeddingMatrix,
+    _sq_dists,
     brute_force_query,
     build_index,
     embed_corpus,
@@ -20,9 +26,29 @@ from layerpool.search import (
 from layerpool.trainer import TrainConfig, train
 
 
+PROPERTY = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
 def random_matrix(m, d, seed=0):
     gen = Rng(seed).generator()
     return EmbeddingMatrix(vectors=gen.normal(size=(m, d)).astype(np.float32))
+
+
+def full_probe(matrix, q, top_k):
+    nlist = min(2, matrix.num_rows)
+    return query(build_index(matrix, nlist, Rng(0)), q, top_k, nprobe=nlist)
+
+
+def unit(row):
+    norm = math.sqrt(sum(x * x for x in row))
+    return [x / norm for x in row]
+
+
+# unit rows whose normalization and every dot product between two of them are
+# exact in binary: ±e_i and the sixteen (±1, ±1, ±1, ±1), each of norm 1 or 2
+EXACT_ROWS = ([s * np.eye(4)[i] for i in range(4) for s in (1.0, -1.0)]
+              + [np.array([(b >> j & 1) * 2.0 - 1.0 for j in range(4)]) for b in range(16)])
 
 
 class TestEmbeddingMatrix:
@@ -35,6 +61,26 @@ class TestEmbeddingMatrix:
     def test_default_ids(self):
         m = random_matrix(5, 3)
         assert np.array_equal(m.ids, np.arange(5))
+
+    def test_rows_normalized_once_in_float64(self):
+        x = Rng(3).generator().normal(size=(6, 5)) * 7.0
+        m = EmbeddingMatrix(vectors=x, ids=[5, 4, 3, 2, 1, 0])
+        expected = (x / np.linalg.norm(x, axis=1)[:, None]).astype(np.float32)
+        assert m.vectors.tobytes() == expected.tobytes()
+        assert m.ids.dtype == np.uint32 and m.ids.tolist() == [5, 4, 3, 2, 1, 0]
+
+    @pytest.mark.parametrize("vectors, ids, match", [
+        (np.ones(4), None, "2-D"),
+        (np.ones((2, 3, 4)), None, "2-D"),
+        (np.array([[1.0, np.nan], [1.0, 0.0]]), None, "finite"),
+        (np.array([[1.0, 0.0], [-np.inf, 0.0]]), None, "finite"),
+        (np.array([[1.0, 0.0], [1e200, 1e200]]), None, "row 1 needs a finite nonzero norm"),
+        (np.ones((3, 2)), np.arange(2), "ids"),
+        (np.ones((3, 2)), np.arange(6).reshape(3, 2), "ids"),
+    ], ids=["1-d", "3-d", "nan", "inf", "norm-overflow", "ids-short", "ids-2-d"])
+    def test_malformed_input_rejected(self, vectors, ids, match):
+        with pytest.raises(ValueError, match=match):
+            EmbeddingMatrix(vectors=vectors, ids=ids)
 
 
 class TestKmeans:
@@ -66,6 +112,17 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans_fit(np.ones((3, 2)), 4, Rng(0))
 
+    def test_gemm_distances_pick_the_broadcast_argmin(self):
+        for seed in range(5):
+            gen = Rng(20 + seed).generator()
+            x, c = gen.normal(size=(300, 8)), gen.normal(size=(16, 8))
+            # the (m, k, d) broadcast form is the reference
+            reference = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+            dists = _sq_dists(x, c)
+            assert dists.shape == (300, 16)
+            assert np.allclose(dists, reference, rtol=0, atol=1e-12)
+            assert np.array_equal(dists.argmin(axis=1), reference.argmin(axis=1))
+
     def test_inertia_non_increasing(self):
         gen = Rng(4).generator()
         x = gen.normal(size=(60, 5))
@@ -91,6 +148,14 @@ class TestBuildIndex:
         assert len(all_ids) == 50
         assert len(set(all_ids.tolist())) == 50
 
+    def test_posting_lists_are_views_of_one_buffer(self):
+        index = build_index(random_matrix(50, 6, seed=5), 5, Rng(0))
+        for lists in (index.posting_ids, index.posting_vectors):
+            base = lists[0].base
+            assert base is not None and all(p.base is base for p in lists)
+        assert np.array_equal(np.concatenate(index.posting_vectors),
+                              index.posting_vectors[0].base)
+
     def test_rebuild_deterministic(self):
         m = random_matrix(30, 4, seed=6)
         a = build_index(m, 4, Rng(9))
@@ -110,6 +175,47 @@ class TestQuery:
             for _ in range(5):
                 q = gen.normal(size=8)
                 assert query(index, q, 10, nprobe=nlist) == brute_force_query(m, q, 10)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_full_probe_equals_brute_force_property(self, data):
+        m = data.draw(st.integers(1, 40), label="m")
+        d = data.draw(st.integers(1, 6), label="d")
+        distinct = data.draw(hnp.arrays(np.float32, (data.draw(st.integers(1, m)), d),
+                                        elements=st.floats(-3, 3, width=32)))
+        distinct[~distinct.any(axis=1), 0] = 1.0
+        # rows drawn with repetition from `distinct`, so duplicates are common
+        rows = distinct[data.draw(st.lists(st.integers(0, len(distinct) - 1),
+                                           min_size=m, max_size=m))]
+        ids = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m,
+                                 unique=True), label="ids")
+        matrix = EmbeddingMatrix(vectors=rows, ids=ids)
+        # float32 entries: a float64 entry near 1e-200 has a norm that underflows to 0
+        q = data.draw(hnp.arrays(np.float32, d, elements=st.floats(-3, 3, width=32)),
+                      label="q").astype(np.float64)
+        q[0] += not q.any()
+        top_k = data.draw(st.integers(1, m + 2), label="top_k")
+        expected = brute_force_query(matrix, q, top_k)
+        assert len(expected) == min(top_k, m)
+        for nlist in range(1, min(16, m) + 1):
+            index = build_index(matrix, nlist, Rng(nlist))
+            assert query(index, q, top_k, nprobe=nlist) == expected
+
+    @PROPERTY
+    @given(rows=st.lists(st.sampled_from(range(len(EXACT_ROWS))), min_size=1, max_size=30),
+           q=st.sampled_from(range(len(EXACT_ROWS))), data=st.data())
+    def test_ranking_matches_a_sorted_reference(self, rows, q, data):
+        vectors = np.array([EXACT_ROWS[r] for r in rows])
+        ids = data.draw(st.lists(st.integers(0, 1000), min_size=len(rows),
+                                 max_size=len(rows), unique=True), label="ids")
+        top_k = data.draw(st.integers(1, len(rows) + 2), label="top_k")
+        matrix = EmbeddingMatrix(vectors=vectors, ids=ids)
+        q_unit = unit(EXACT_ROWS[q].tolist())
+        cosines = [sum(a * b for a, b in zip(unit(row), q_unit)) for row in vectors.tolist()]
+        ranked = sorted(zip(cosines, ids), key=lambda ci: (-ci[0], ci[1]))[:top_k]
+        expected = [(i, c) for c, i in ranked]
+        assert brute_force_query(matrix, EXACT_ROWS[q], top_k) == expected
+        assert full_probe(matrix, EXACT_ROWS[q], top_k) == expected
 
     def test_exact_hit_ranks_first(self):
         m = random_matrix(40, 6, seed=8)
@@ -135,6 +241,19 @@ class TestQuery:
         index = build_index(random_matrix(10, 4), 2, Rng(0))
         with pytest.raises(ValueError, match="dim"):
             query(index, np.ones(5), 10, 1)
+
+    @pytest.mark.parametrize("search", [full_probe, brute_force_query],
+                             ids=["query", "brute_force_query"])
+    @pytest.mark.parametrize("q, top_k, match", [
+        (np.ones(5), 10, "dim"),
+        (np.zeros(4), 10, "norm"),
+        (np.array([1.0, np.nan, 0.0, 0.0]), 10, "norm"),
+        (np.array([1.0, np.inf, 0.0, 0.0]), 10, "norm"),
+        (np.ones(4), 0, "top_k"),
+    ], ids=["dim", "zero", "nan", "inf", "top_k-0"])
+    def test_both_searches_reject_a_bad_query(self, search, q, top_k, match):
+        with pytest.raises(ValueError, match=match):
+            search(random_matrix(10, 4), q, top_k)
 
     def test_nprobe_range(self):
         index = build_index(random_matrix(10, 4), 2, Rng(0))
@@ -315,6 +434,19 @@ class TestEmbedCorpus:
                  for lo in range(0, len(texts), INFERENCE_CHUNK)]
         assert len(parts) == 3
         assert np.array_equal(whole, np.concatenate(parts))
+
+    @pytest.mark.parametrize("mode", ["detached", "trained-pooler"])
+    def test_rows_are_pooled_over_norm_in_float32(self, checkpoint, mode):
+        texts = ["word1 word2", "word3", "word4 word5 word6"]
+        stacks = checkpoint.encoder().encode_texts(checkpoint.tokenizer(), texts)
+        if mode == "detached":
+            pooled = stacks.data[:, -1, 0]
+        else:
+            pooled = pool(stacks, checkpoint.pooler_params(),
+                          PoolStrategy(checkpoint.config.strategy),
+                          checkpoint.config.norm_mode).data
+        expected = (pooled / np.linalg.norm(pooled, axis=1)[:, None]).astype(np.float32)
+        assert embed_corpus(checkpoint, texts, mode).vectors.tobytes() == expected.tobytes()
 
     def test_unknown_mode(self, checkpoint):
         with pytest.raises(ValueError, match="inference_pooling"):
