@@ -284,6 +284,21 @@ class Tensor:
 # ---- scalar/array utilities (non-tape public operations) -------------------
 
 
+NORM_FLOOR = 2.0**-511  # a smaller norm has a subnormal square: 0 or inexact
+
+
+def rescue_norms(x: np.ndarray, norms: np.ndarray):
+    """``x`` and its last-axis L2 ``norms``, each row whose norm is below
+    NORM_FLOOR or inf scaled by 2**-e (e the exponent of its max |x|, an exact
+    scaling that keeps its direction) and measured again; other rows keep their bits."""
+    bad = (norms < NORM_FLOOR) | np.isinf(norms)
+    if not bad.any():
+        return x, norms
+    _, exp = np.frexp(np.abs(x).max(axis=-1, keepdims=True))
+    x = np.where(bad[..., None], np.ldexp(x, -exp), x)
+    return x, np.where(bad, np.linalg.norm(x, axis=-1), norms)
+
+
 def cosine_sim(a, b):
     """Cosine similarity along the last axis, clamped to [-1, 1].
 
@@ -291,7 +306,11 @@ def cosine_sim(a, b):
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("cosine_sim: non-finite input")
+    with np.errstate(over="ignore"):  # an overflowing norm is rescued
+        a, na = rescue_norms(a, np.linalg.norm(a, axis=-1))
+        b, nb = rescue_norms(b, np.linalg.norm(b, axis=-1))
     if not (np.all(na) and np.all(nb)):
         raise ValueError("cosine_sim: zero-norm input (degenerate embedding)")
     return np.clip((a * b).sum(axis=-1) / (na * nb), -1.0, 1.0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,48 +54,26 @@ class EncoderConfig:
 
 
 class Tokenizer:
-    """Whitespace or byte tokenizer with reserved CLS/PAD/UNK ids."""
+    """Whitespace vocabulary with reserved CLS/PAD/UNK ids."""
 
-    def __init__(self, mode: str = "whitespace", vocab: dict[str, int] | None = None):
-        if mode not in ("whitespace", "byte"):
-            raise ValueError(f"unknown tokenizer mode {mode!r}")
-        self.mode = mode
-        self.vocab = dict(vocab) if vocab else {}
-        self._inverse = {v: k for k, v in self.vocab.items()}
+    def __init__(self, vocab: dict[str, int]):
+        self.vocab = dict(vocab)
 
     @classmethod
-    def from_texts(cls, texts, max_vocab: int | None = None) -> "Tokenizer":
-        counts: dict[str, int] = {}
-        for t in texts:
-            for w in t.split():
-                counts[w] = counts.get(w, 0) + 1
+    def from_texts(cls, texts) -> "Tokenizer":
+        counts = Counter(w for t in texts for w in t.split())
         words = sorted(counts, key=lambda w: (-counts[w], w))
-        if max_vocab is not None:
-            words = words[: max_vocab - _NUM_RESERVED]
-        vocab = {w: _NUM_RESERVED + i for i, w in enumerate(words)}
-        return cls("whitespace", vocab)
+        return cls({w: _NUM_RESERVED + i for i, w in enumerate(words)})
 
     @property
     def vocab_size(self) -> int:
-        if self.mode == "byte":
-            return _NUM_RESERVED + 256
         return _NUM_RESERVED + len(self.vocab)
 
     def encode(self, text: str, max_seq_len: int) -> list[int]:
         if not text.strip():
             raise ValueError("cannot tokenize empty text")
-        if self.mode == "byte":
-            ids = [_NUM_RESERVED + b for b in text.strip().encode("utf-8")]
-        else:
-            ids = [self.vocab.get(w, UNK_ID) for w in text.split()]
+        ids = [self.vocab.get(w, UNK_ID) for w in text.split()]
         return ([CLS_ID] + ids)[:max_seq_len]
-
-    def decode(self, ids) -> str:
-        if self.mode == "byte":
-            return bytes(i - _NUM_RESERVED for i in ids if i >= _NUM_RESERVED).decode(
-                "utf-8", errors="replace"
-            )
-        return " ".join(self._inverse.get(i, "<unk>") for i in ids if i >= _NUM_RESERVED)
 
 
 def _uniform_init(gen: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -253,6 +232,13 @@ class FrozenFeatures:
     num_layers: int
     hidden_dim: int
     features: np.ndarray = field(repr=False)  # (m, N, 2, d) float32
+
+    def __post_init__(self):
+        # the shape only, no pass over the data: train() reloads the file per call
+        n, d, shape = self.num_layers, self.hidden_dim, np.shape(self.features)
+        if min(n, d) < 1 or shape[1:] != (n, 2, d):
+            raise ValueError(f"frozen features of shape {shape} are not (m, {n}, 2, {d}) "
+                             "with N, d >= 1")
 
     @property
     def num_sentences(self) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 from .artifact import write_csv
 from .autodiff import Rng, Tensor
 
-RATIO_EPS = 1e-9
+RATIO_EPS = 1e-2  # relative fallback threshold of ratio mode
 
 
 class PoolStrategy(str, Enum):
@@ -113,8 +113,8 @@ def attention_matrix(stacks: Tensor, params: PoolerParams,
     """Differentiable (..., N, N) row-normalized layer-attention matrices.
 
     Returns (matrix Tensor, (..., N) bool fallback mask). Fallbacks only
-    occur in ratio mode, when a row of raw scores sums to (almost) zero;
-    such a row is uniform.
+    occur in ratio mode: a row of raw scores s with |Σs| <= RATIO_EPS·Σ|s| is
+    uniform, so every kept weight s_j/Σs is below 1/RATIO_EPS in magnitude.
     """
     if norm_mode not in ("softmax", "ratio"):
         raise ValueError(f"unknown norm_mode {norm_mode!r}")
@@ -126,7 +126,8 @@ def attention_matrix(stacks: Tensor, params: PoolerParams,
         return scores.softmax(axis=-1), np.zeros(scores.shape[:-1], dtype=bool)
 
     sums = scores.sum(axis=-1, keepdims=True)
-    fallback = np.abs(sums.data) < RATIO_EPS  # (..., N, 1)
+    scale = np.abs(scores.data).sum(axis=-1, keepdims=True)
+    fallback = np.abs(sums.data) <= RATIO_EPS * scale  # (..., N, 1)
     # a degenerate row is divided by 1, zeroed, then set uniform; healthy
     # rows see + 0 and * 1, which are exact
     fb = fallback.astype(np.float64)

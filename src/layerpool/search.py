@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifact import ArtifactCorruptError, read_dir, write_dir
-from .autodiff import Rng
+from .autodiff import NORM_FLOOR, Rng, rescue_norms
 from .pooler import PoolStrategy, pool
 from .trainer import Checkpoint
 
@@ -21,7 +21,7 @@ from .trainer import Checkpoint
 @dataclass
 class EmbeddingMatrix:
     """float32 unit rows, one per sentence, and uint32 ids: the one place rows are
-    checked (2-D, finite, finite nonzero norms, one id each) and normalized in float64."""
+    checked (2-D, finite, nonzero, one id each) and normalized in float64."""
 
     vectors: np.ndarray = field(repr=False)
     ids: np.ndarray | None = None
@@ -30,11 +30,10 @@ class EmbeddingMatrix:
         x = np.asarray(self.vectors, dtype=np.float64)
         if x.ndim != 2 or not np.isfinite(x).all():
             raise ValueError(f"embeddings must be a finite 2-D matrix, got shape {x.shape}")
-        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-            norms = np.linalg.norm(x, axis=1)
-        bad = np.flatnonzero((norms == 0.0) | np.isinf(norms))
-        if bad.size:
-            raise ValueError(f"embedding at row {int(bad[0])} needs a finite nonzero norm")
+        with np.errstate(over="ignore"):  # an overflowing norm is rescued
+            x, norms = rescue_norms(x, np.linalg.norm(x, axis=1))
+        if not norms.all():  # argmin: the first zero norm
+            raise ValueError(f"embedding at row {int(norms.argmin())} is all zeros")
         self.vectors = (x / norms[:, None]).astype(np.float32)
         ids = np.arange(x.shape[0]) if self.ids is None else np.asarray(self.ids)
         if ids.shape != (x.shape[0],):
@@ -59,10 +58,7 @@ def embed_corpus(checkpoint: Checkpoint, texts: list[str],
     """
     if inference_pooling not in ("detached", "trained-pooler"):
         raise ValueError(f"unknown inference_pooling {inference_pooling!r}")
-    encoder = checkpoint.encoder()
-    if encoder is None:
-        raise ValueError("cannot embed text with a frozen-features checkpoint")
-    stacks = encoder.encode_texts(checkpoint.tokenizer(), texts)
+    stacks = checkpoint.stacks(texts)
     if inference_pooling == "detached":
         vecs = stacks.data[:, -1, 0]
     else:
@@ -170,9 +166,11 @@ def _unit_query(q, dim: int, top_k: int) -> np.ndarray:
         raise ValueError(f"query dim {q.shape[0]} != index dim {dim}")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    norm = np.linalg.norm(q)
+    norm = np.sqrt(np.vdot(q, q))  # np.linalg.norm's bits; vdot does not warn on overflow
+    if not NORM_FLOOR <= norm < np.inf:  # cheaper than the helper's own test
+        q, norm = rescue_norms(q, norm)
     if not 0.0 < norm < np.inf:
-        raise ValueError(f"query needs a finite nonzero norm, got {norm}")
+        raise ValueError(f"query needs finite entries and a nonzero norm, got norm {norm}")
     return q / norm
 
 

@@ -31,19 +31,22 @@ class StsRecord:
 
 
 def load_sts_records(path) -> list[StsRecord]:
-    """Read STS records from JSONL ({"sent1","sent2","score"}) or TSV."""
+    """STS records from JSONL ({"sent1","sent2","score"}) or TSV; errors name path:line."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.lstrip().startswith("{"):
-                doc = json.loads(line)
-                records.append(StsRecord(doc["sent1"], doc["sent2"], float(doc["score"])))
-            else:
-                s1, s2, score = line.split("\t")
+            try:
+                if line.lstrip().startswith("{"):
+                    doc = json.loads(line)
+                    s1, s2, score = doc["sent1"], doc["sent2"], doc["score"]
+                else:
+                    s1, s2, score = line.split("\t")
                 records.append(StsRecord(s1, s2, float(score)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad STS record: {exc!r}") from exc
     return records
 
 
@@ -66,8 +69,8 @@ def spearman(xs, ys) -> float:
     """Pearson correlation of average-tie rank vectors."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("spearman needs two equal-length 1-D score arrays")
+    if xs.ndim != 1 or xs.shape != ys.shape or not np.isfinite([xs, ys]).all():
+        raise ValueError("spearman needs two equal-length 1-D arrays of finite scores")
     if len(xs) < 2:
         raise ValueError("spearman needs at least two scores")
     rx = rank_average_ties(xs)
@@ -80,18 +83,9 @@ def spearman(xs, ys) -> float:
     return float(np.clip(rx @ ry / denom, -1.0, 1.0))
 
 
-def _stacks_for(checkpoint: Checkpoint, texts: list[str]) -> Tensor:
-    """(len(texts), N, 2, d) layer stacks with dropout off."""
-    encoder = checkpoint.encoder()
-    if encoder is None:
-        raise ValueError("checkpoint has no encoder (frozen-features training); "
-                         "evaluate via stack pairs instead")
-    return encoder.encode_texts(checkpoint.tokenizer(), texts)
-
-
 def _pairs_for(checkpoint: Checkpoint, records: list[StsRecord]) -> Tensor:
     """(P, 2, N, 2, d) layer stacks of each record's two sentences."""
-    stacks = _stacks_for(checkpoint, [s for r in records for s in (r.sent1, r.sent2)])
+    stacks = checkpoint.stacks([s for r in records for s in (r.sent1, r.sent2)])
     return stacks.reshape(len(records), 2, *stacks.shape[1:])
 
 
@@ -151,6 +145,6 @@ def attention_report(checkpoint: Checkpoint, texts: list[str]) -> list[Attention
         raise ValueError(
             f"strategy {strategy.value!r} is fixed pooling; no attention to report"
         )
-    report = attention_scores(_stacks_for(checkpoint, texts), checkpoint.pooler_params(),
+    report = attention_scores(checkpoint.stacks(texts), checkpoint.pooler_params(),
                               strategy, checkpoint.config.norm_mode)
     return [AttentionReport(w, f) for w, f in zip(report.weights, report.fallback)]

@@ -21,7 +21,7 @@ from .objectives import loss_sup_basic, loss_sup_hard, loss_unsup
 from .pooler import PoolerParams, PoolStrategy, pool
 
 CHECKPOINT_FORMAT = "layerpool-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # corpus record keys required by each objective
 _REQUIRED_KEYS = {
@@ -39,18 +39,22 @@ class Checkpoint:
     adam_v: dict[str, np.ndarray]
     step: int
     vocab: dict[str, int]
-    tokenizer_mode: str = "whitespace"
 
     def pooler_params(self) -> PoolerParams:
         return PoolerParams.from_named(self.params)
 
     def tokenizer(self) -> Tokenizer:
-        return Tokenizer(self.tokenizer_mode, self.vocab)
+        return Tokenizer(self.vocab)
 
-    def encoder(self) -> Encoder | None:
+    def encoder(self) -> Encoder:
         if self.config.frozen_features is not None:
-            return None
+            raise ValueError("checkpoint has no encoder (trained on frozen features), "
+                             "so it cannot embed text")
         return Encoder(self.config.encoder, self.params)
+
+    def stacks(self, texts) -> Tensor:
+        """(len(texts), N, 2, d) layer stacks with dropout off."""
+        return self.encoder().encode_texts(self.tokenizer(), texts)
 
 
 def init_params(config: TrainConfig, rng: Rng) -> dict[str, Tensor]:
@@ -229,7 +233,6 @@ def train(config: TrainConfig, corpus: list[dict],
             adam_v=adam_v,
             step=total_steps,
             vocab=tokenizer.vocab,
-            tokenizer_mode=tokenizer.mode,
         ),
         trace,
     )
@@ -246,8 +249,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     resumed run reproduces the uninterrupted trajectory exactly."""
     tensors = {"param": {k: v.data for k, v in ckpt.params.items()},
                "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
-    meta = {"step": ckpt.step, "config": train_config_doc(ckpt.config),
-            "vocab": ckpt.vocab, "tokenizer_mode": ckpt.tokenizer_mode}
+    meta = {"step": ckpt.step, "config": train_config_doc(ckpt.config), "vocab": ckpt.vocab}
     write_dir(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, meta, {
         f"{group}.{k}": np.asarray(v, dtype="<f8")
         for group, named in tensors.items() for k, v in named.items()})
@@ -258,11 +260,10 @@ def load_checkpoint(path) -> Checkpoint:
     tensors = {"param": {}, "adam_m": {}, "adam_v": {}}
     try:
         config = train_config_from_doc(meta.pop("config"))
-        step, vocab, mode = meta.pop("step"), meta.pop("vocab"), meta.pop("tokenizer_mode")
+        step, vocab = meta.pop("step"), meta.pop("vocab")
         if meta or type(step) is not int or step < 0 or not isinstance(vocab, dict) or any(
                 type(i) is not int for i in vocab.values()):
-            raise ValueError("needs only config, step count, integer vocab ids, tokenizer_mode")
-        tokenizer = Tokenizer(mode, vocab)
+            raise ValueError("needs only config, step count and integer vocab ids")
         for name, array in arrays.items():
             group, _, key = name.partition(".")
             if group not in tensors or array.dtype != "<f8":
@@ -271,5 +272,4 @@ def load_checkpoint(path) -> Checkpoint:
     except (KeyError, ValueError) as exc:
         raise ArtifactCorruptError(f"malformed checkpoint header in {path}: {exc!r}") from exc
     params = {k: Tensor(v, requires_grad=True) for k, v in tensors["param"].items()}
-    return Checkpoint(config, params, tensors["adam_m"], tensors["adam_v"], step,
-                      tokenizer.vocab, tokenizer.mode)
+    return Checkpoint(config, params, tensors["adam_m"], tensors["adam_v"], step, vocab)

@@ -54,7 +54,7 @@ def checkpoint_state(ckpt):
     arrays.update({f"adam_m.{k}": v for k, v in ckpt.adam_m.items()})
     arrays.update({f"adam_v.{k}": v for k, v in ckpt.adam_v.items()})
     return ({k: (v.dtype.str, v.shape, v.tobytes()) for k, v in arrays.items()},
-            ckpt.step, ckpt.vocab, ckpt.tokenizer_mode, train_config_doc(ckpt.config))
+            ckpt.step, ckpt.vocab, train_config_doc(ckpt.config))
 
 
 def index_state(index):

@@ -79,6 +79,20 @@ class TestCosineSim:
         with pytest.raises(ValueError, match="zero-norm"):
             cosine_sim([0.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("a", [[1e200, 1e200], [1e-200, 1e-200], [5e-324, 5e-324],
+                                   [3e-160, 3e-160]])
+    def test_norms_that_underflow_or_overflow(self, a):
+        assert cosine_sim(a, [1.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
+        assert cosine_sim([[1.0, 0.0], a], [a, [1.0, 0.0]]) == pytest.approx(
+            [1 / np.sqrt(2)] * 2, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            cosine_sim([1.0, bad], [1.0, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            cosine_sim([[1.0, 1.0]], [[bad, 1.0]])
+
 
 class TestLogSumExp:
     def test_singleton(self):

@@ -12,6 +12,7 @@ import layerpool
 from layerpool.cli import dispatch
 from layerpool.config import ConfigError, load_config, validate_config
 from layerpool.corpus import make_synthetic_sts, make_synthetic_triplets, write_jsonl
+from layerpool.encoder import FrozenFeatures, save_frozen
 from layerpool.trainer import load_checkpoint
 
 ENC = {"num_layers": 2, "hidden_dim": 8, "num_heads": 2, "ffn_dim": 16,
@@ -288,6 +289,48 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "warmup" in err and len(err.splitlines()) == 1
 
+    def test_eval_sts_names_a_record_without_a_score(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        dispatch(["train", "--config", str(cfg)])
+        sts_path = tmp_path / "sts.jsonl"
+        records = make_synthetic_sts(4)
+        del records[2]["score"]
+        write_jsonl(records, sts_path)
+        capsys.readouterr()
+        assert dispatch(["eval-sts", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                         "--data", str(sts_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {sts_path}:3: ")
+        assert "score" in err[0]
+
+    def test_frozen_features_checkpoint_cannot_embed_text(self, tmp_path, capsys):
+        features = np.random.default_rng(0).normal(size=(72, 2, 2, 8)).astype(np.float32)
+        save_frozen(FrozenFeatures(num_layers=2, hidden_dim=8, features=features),
+                    tmp_path / "f.lapf")
+        cfg = _write_config(tmp_path, frozen_features=str(tmp_path / "f.lapf"))
+        assert dispatch(["train", "--config", str(cfg)]) == 0
+        sts_path = tmp_path / "sts.jsonl"
+        write_jsonl(make_synthetic_sts(4), sts_path)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("c0w1 c0w2\n")
+        ckpt = str(tmp_path / "run" / "checkpoint")
+        commands = [["eval-sts", "--checkpoint", ckpt, "--data", str(sts_path)],
+                    ["layer-sweep", "--checkpoint", ckpt, "--data", str(sts_path),
+                     "--out", str(tmp_path / "sweep.csv")],
+                    ["inspect-attention", "--checkpoint", ckpt, "--texts", str(texts),
+                     "--out-dir", str(tmp_path / "attn")],
+                    ["embed", "--checkpoint", ckpt, "--texts", str(texts),
+                     "--out", str(tmp_path / "emb.npy")]]
+        capsys.readouterr()
+        errors = set()
+        for argv in commands:
+            assert dispatch(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and "no encoder" in err[0]
+            errors.add(err[0])
+        assert len(errors) == 1
+        assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "emb.npy").exists()
+
     def test_checkpoint_dir_dot_keeps_the_output_dir(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, checkpoint_dir=".")
         (tmp_path / "run").mkdir()
@@ -322,3 +365,10 @@ class TestDispatch:
         first = (tmp_path / "run" / "loss.csv").read_bytes()
         dispatch(["train", "--config", str(cfg)])
         assert (tmp_path / "run" / "loss.csv").read_bytes() == first
+
+
+def test_every_exported_name_resolves():
+    # the package loads its submodules lazily, so a stale entry in its export
+    # table would otherwise fail only on first use
+    for name in layerpool.__all__:
+        assert getattr(layerpool, name) is not None, name

@@ -6,6 +6,7 @@ from layerpool.autodiff import Rng, Tensor, grad_check
 from layerpool.objectives import loss_sup_hard
 from layerpool.pooler import (
     ATTENTION_STRATEGIES,
+    RATIO_EPS,
     PoolerParams,
     PoolStrategy,
     attention_scores,
@@ -74,6 +75,19 @@ class TestAttentionScores:
                                PoolStrategy.ATTN_CLS_AVG, "ratio")
         assert rep.fallback.tolist() == [True, True]
         assert np.allclose(rep.weights, 0.5, atol=1e-12)
+
+    @pytest.mark.parametrize("strategy", [PoolStrategy.ATTN_CLS, PoolStrategy.ATTN_AVG,
+                                          PoolStrategy.ATTN_CLS_AVG])
+    def test_ratio_weights_bounded_by_inverse_eps(self, strategy):
+        # raw scores that nearly cancel fall back instead of dividing by ~0
+        gen = Rng(17).generator()
+        stacks = Tensor(gen.standard_normal((2000, 4, 2, 8)))
+        rep = attention_scores(stacks, PoolerParams.init(8, Rng(4)), strategy, "ratio")
+        kept = rep.weights[~rep.fallback]
+        assert np.abs(kept).max() < 1.0 / RATIO_EPS
+        assert np.allclose(kept.sum(axis=-1), 1.0, atol=1e-9)
+        assert np.allclose(rep.weights[rep.fallback], 0.25, atol=0)
+        assert 0 < rep.fallback.sum() < rep.fallback.size
 
     def test_softmax_shift_invariance(self):
         # adding a constant to a row of raw scores leaves softmax weights alone:

@@ -74,13 +74,26 @@ class TestEmbeddingMatrix:
         (np.ones((2, 3, 4)), None, "2-D"),
         (np.array([[1.0, np.nan], [1.0, 0.0]]), None, "finite"),
         (np.array([[1.0, 0.0], [-np.inf, 0.0]]), None, "finite"),
-        (np.array([[1.0, 0.0], [1e200, 1e200]]), None, "row 1 needs a finite nonzero norm"),
         (np.ones((3, 2)), np.arange(2), "ids"),
         (np.ones((3, 2)), np.arange(6).reshape(3, 2), "ids"),
-    ], ids=["1-d", "3-d", "nan", "inf", "norm-overflow", "ids-short", "ids-2-d"])
+    ], ids=["1-d", "3-d", "nan", "inf", "ids-short", "ids-2-d"])
     def test_malformed_input_rejected(self, vectors, ids, match):
         with pytest.raises(ValueError, match=match):
             EmbeddingMatrix(vectors=vectors, ids=ids)
+
+    @pytest.mark.parametrize("row", [[1e-200, 2e-200], [1e200, 2e200], [5e-324, 1e-323],
+                                     [1.7e308, 3.4e307], [3e-160, 4e-160]],
+                             ids=["norm-underflow", "norm-overflow", "subnormal", "near-max",
+                                  "subnormal-square"])
+    def test_tiny_and_huge_rows_keep_their_direction(self, row):
+        # the plain float64 norm of these rows is 0, inf, or inexact because
+        # the sum of squares is subnormal
+        x = np.array([[3.0, 4.0], row])
+        m = EmbeddingMatrix(vectors=x)
+        direction = np.array(row) / row[0]
+        expected = (direction / np.linalg.norm(direction)).astype(np.float32)
+        assert np.allclose(m.vectors[1], expected, rtol=1e-6, atol=0)
+        assert m.vectors[0].tobytes() == np.array([0.6, 0.8], np.float32).tobytes()
 
 
 class TestKmeans:
@@ -190,9 +203,8 @@ class TestQuery:
         ids = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m,
                                  unique=True), label="ids")
         matrix = EmbeddingMatrix(vectors=rows, ids=ids)
-        # float32 entries: a float64 entry near 1e-200 has a norm that underflows to 0
-        q = data.draw(hnp.arrays(np.float32, d, elements=st.floats(-3, 3, width=32)),
-                      label="q").astype(np.float64)
+        # float64 entries, subnormal ones included: a norm that underflows is rescued
+        q = data.draw(hnp.arrays(np.float64, d, elements=st.floats(-3, 3)), label="q")
         q[0] += not q.any()
         top_k = data.draw(st.integers(1, m + 2), label="top_k")
         expected = brute_force_query(matrix, q, top_k)
@@ -254,6 +266,21 @@ class TestQuery:
     def test_both_searches_reject_a_bad_query(self, search, q, top_k, match):
         with pytest.raises(ValueError, match=match):
             search(random_matrix(10, 4), q, top_k)
+
+    @pytest.mark.parametrize("search", [full_probe, brute_force_query],
+                             ids=["query", "brute_force_query"])
+    @pytest.mark.parametrize("q, direction", [
+        ([1e-200, -2e-200, 5e-201, 0.0], [1.0, -2.0, 0.5, 0.0]),
+        ([1e200, -2e200, 5e199, 0.0], [1.0, -2.0, 0.5, 0.0]),
+        ([5e-324, -1e-323, 5e-324, 0.0], [1.0, -2.0, 1.0, 0.0]),
+        ([2e-160, -4e-160, 1e-160, 0.0], [1.0, -2.0, 0.5, 0.0]),
+    ], ids=["norm-underflow", "norm-overflow", "subnormal", "subnormal-square"])
+    def test_tiny_and_huge_queries_keep_their_direction(self, search, q, direction):
+        # the plain float64 norm of q is 0, inf, or inexact (a subnormal square)
+        matrix = random_matrix(10, 4, seed=3)
+        hits, reference = search(matrix, np.array(q), 10), search(matrix, direction, 10)
+        assert [i for i, _ in hits] == [i for i, _ in reference]
+        assert np.allclose([c for _, c in hits], [c for _, c in reference], rtol=0, atol=1e-12)
 
     def test_nprobe_range(self):
         index = build_index(random_matrix(10, 4), 2, Rng(0))

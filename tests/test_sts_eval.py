@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from layer_stacks import layer_stack, pair_batch
 from layerpool.autodiff import Rng
-from layerpool.encoder import EncoderConfig
+from layerpool.encoder import EncoderConfig, FrozenFeatures, save_frozen
 from layerpool.pooler import PoolerParams, PoolStrategy
+from layerpool.search import embed_corpus
 from layerpool.sts_eval import (
     StsRecord,
     attention_report,
@@ -58,6 +59,13 @@ class TestSpearman:
     def test_zero_variance_surfaced(self):
         with pytest.raises(ValueError, match="variance"):
             spearman([1, 2, 3], [5, 5, 5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            spearman([bad, 0.2, 0.9, 0.5], [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="finite"):
+            spearman([1, 2, 3, 4], [0.5, bad, 0.9, 0.2])
 
     def test_exhaustive_against_rank_oracle(self):
         # all ys patterns (with ties) against fixed xs, lengths <= 6
@@ -275,3 +283,40 @@ def test_load_sts_records(tmp_path):
     tsv.write_text("hello there\tgoodbye\t1.25\n")
     (rec,) = load_sts_records(tsv)
     assert rec.sent1 == "hello there" and rec.gold == 1.25
+
+
+@pytest.mark.parametrize("line, why", [
+    ('{"sent1": "a", "sent2": "b", "score": 3.5', "JSON"),
+    ('{"sent1": "a", "sent2": "b"}', "score"),
+    ('{"sent1": "a", "sent2": "b", "score": null}', "float"),
+    ("a\tb", "expected 3, got 2"),
+    ("a\tb\t1.0\t2.0", "too many values"),
+    ("a\tb\thigh", "float"),
+    ("a\tb\t6.0", "gold"),
+], ids=["bad-json", "missing-key", "null-score", "two-fields", "four-fields",
+        "non-numeric", "out-of-range"])
+def test_bad_sts_record_names_its_line(tmp_path, line, why):
+    path = tmp_path / "r.txt"
+    path.write_text(f"a\tb\t1.0\n\n{line}\n")
+    with pytest.raises(ValueError, match=f"r.txt:3: .*{why}"):
+        load_sts_records(path)
+
+
+def test_frozen_features_checkpoint_refuses_text_in_one_place(tmp_path):
+    gen = Rng(0).generator()
+    features = gen.normal(size=(8, 2, 2, 4)).astype(np.float32)
+    save_frozen(FrozenFeatures(num_layers=2, hidden_dim=4, features=features),
+                tmp_path / "f.lapf")
+    cfg = TrainConfig(objective="unsup", batch_size=4, epochs=1,
+                      frozen_features=str(tmp_path / "f.lapf"))
+    ckpt, _ = train(cfg, [{"text": f"tok{i}"} for i in range(8)])
+    with pytest.raises(ValueError, match="no encoder") as direct:
+        ckpt.encoder()
+    records = [StsRecord("tok1", "tok2", 1.0), StsRecord("tok3", "tok4", 2.0)]
+    for call in (lambda: evaluate(ckpt, "cls_last", records),
+                 lambda: layer_sweep(ckpt, records),
+                 lambda: attention_report(ckpt, ["tok1"]),
+                 lambda: embed_corpus(ckpt, ["tok1"])):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == str(direct.value)

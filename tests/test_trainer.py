@@ -210,15 +210,17 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "ck")
 
     def test_version_1_rejected(self, tmp_path):
-        # older checkpoints (versions 1 and 2) had no header.json; this is
-        # the version check itself
+        # older checkpoints (versions 1 and 2) had no header.json, and
+        # version 3 stored a tokenizer mode; this is the version check itself
         ckpt, _ = train(tiny_config(), pair_corpus(), max_steps=0)
         save_checkpoint(ckpt, tmp_path / "ck")
         header = json.loads((tmp_path / "ck" / "header.json").read_text())
-        header["version"] = 1
-        (tmp_path / "ck" / "header.json").write_text(json.dumps(header))
-        with pytest.raises(ArtifactVersionError):
-            load_checkpoint(tmp_path / "ck")
+        header["meta"]["tokenizer_mode"] = "whitespace"
+        for version in (1, 3):
+            header["version"] = version
+            (tmp_path / "ck" / "header.json").write_text(json.dumps(header))
+            with pytest.raises(ArtifactVersionError):
+                load_checkpoint(tmp_path / "ck")
 
     def test_rewritten_tensor_rejected(self, tmp_path):
         # same length, other bytes
