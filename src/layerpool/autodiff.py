@@ -28,10 +28,13 @@ class Rng:
     def child(self, *tags) -> "Rng":
         return Rng(self.seed, self.path + tags)
 
-    def generator(self) -> np.random.Generator:
+    def key(self) -> np.ndarray:
+        """The stream's 128-bit Philox key as two little-endian uint64 words."""
         digest = hashlib.sha256(repr((self.seed, self.path)).encode()).digest()
-        key = int.from_bytes(digest[:16], "little")
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.frombuffer(digest[:16], dtype="<u8")
+
+    def generator(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self.key()))
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, path={self.path})"
@@ -82,9 +85,11 @@ class Tensor:
         return self.data.shape
 
     def _accum(self, g: np.ndarray) -> None:
+        # a copy (g may be shared with another parent) and never a numpy scalar
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -214,11 +219,17 @@ class Tensor:
         return Tensor(self.data.reshape(*shape), parents=(self,),
                       bw=lambda g: self._accum(g.reshape(self.data.shape)))
 
+    def transpose(self, *axes):
+        """Permute the axes as ``np.transpose`` does."""
+        inverse = np.argsort(axes)
+        return Tensor(self.data.transpose(axes), parents=(self,),
+                      bw=lambda g: self._accum(g.transpose(inverse)))
+
     @property
     def T(self):
         """Swap the last two axes."""
-        return Tensor(np.swapaxes(self.data, -1, -2), parents=(self,),
-                      bw=lambda g: self._accum(np.swapaxes(g, -1, -2)))
+        n = self.data.ndim
+        return self.transpose(*range(n - 2), n - 1, n - 2)
 
     @staticmethod
     def concat(tensors: list["Tensor"], axis: int = 0) -> "Tensor":
@@ -243,7 +254,7 @@ class Tensor:
         def bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, self.data.shape).copy())
+            self._accum(np.broadcast_to(g, self.data.shape))
 
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,), bw=bw)
 
@@ -254,10 +265,6 @@ class Tensor:
     def tanh(self):
         y = np.tanh(self.data)
         return Tensor(y, parents=(self,), bw=lambda g: self._accum(g * (1.0 - y * y)))
-
-    def exp(self):
-        y = np.exp(self.data)
-        return Tensor(y, parents=(self,), bw=lambda g: self._accum(g * y))
 
     def logsumexp(self, axis: int = -1, keepdims: bool = False):
         """Stable log-sum-exp along an axis, with a softmax backward."""
@@ -275,7 +282,34 @@ class Tensor:
                       bw=bw)
 
     def softmax(self, axis: int = -1):
-        return (self - self.logsumexp(axis=axis, keepdims=True)).exp()
+        """exp(x - max) / Σ exp(x - max) along an axis, with one exp."""
+        y = np.exp(self.data - self.data.max(axis=axis, keepdims=True))
+        y /= y.sum(axis=axis, keepdims=True)
+        return Tensor(y, parents=(self,),
+                      bw=lambda g: self._accum(y * (g - (g * y).sum(axis=axis, keepdims=True))))
+
+    def layer_norm(self, gamma: "Tensor", beta: "Tensor", eps: float = 1e-6):
+        """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis.
+
+        The backward is closed-form: with ĝ = g·gamma and x̂ the normalized
+        input, dx = (ĝ - mean ĝ - x̂·mean(ĝ·x̂)) / sqrt(var + eps).
+        """
+        inv_n = 1.0 / self.data.shape[-1]
+        centered = self.data - self.data.sum(axis=-1, keepdims=True) * inv_n
+        std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+        xhat = centered / std
+
+        def bw(g):
+            if self.requires_grad:
+                gh = g * gamma.data
+                proj = (gh * xhat).sum(axis=-1, keepdims=True) * inv_n
+                self._accum((gh - gh.sum(axis=-1, keepdims=True) * inv_n - xhat * proj) / std)
+            if gamma.requires_grad:
+                gamma._accum(_unbroadcast(g * xhat, gamma.data.shape))
+            if beta.requires_grad:
+                beta._accum(_unbroadcast(g, beta.data.shape))
+
+        return Tensor(xhat * gamma.data + beta.data, parents=(self, gamma, beta), bw=bw)
 
     def item(self) -> float:
         return float(self.data)
@@ -287,16 +321,27 @@ class Tensor:
 NORM_FLOOR = 2.0**-511  # a smaller norm has a subnormal square: 0 or inexact
 
 
-def rescue_norms(x: np.ndarray, norms: np.ndarray):
-    """``x`` and its last-axis L2 ``norms``, each row whose norm is below
-    NORM_FLOOR or inf scaled by 2**-e (e the exponent of its max |x|, an exact
-    scaling that keeps its direction) and measured again; other rows keep their bits."""
+def rescue_shifts(x: np.ndarray, norms: np.ndarray):
+    """Per-row power-of-two exponents (..., 1) for ``x`` with last-axis L2
+    ``norms``, or None when every norm is in [NORM_FLOOR, inf): -e for a row
+    outside it (e the exponent of its max |x|, so scaling by 2**-e brings that
+    max into [0.5, 1) and keeps the direction), 0 for the other rows."""
     bad = (norms < NORM_FLOOR) | np.isinf(norms)
     if not bad.any():
-        return x, norms
+        return None
     _, exp = np.frexp(np.abs(x).max(axis=-1, keepdims=True))
-    x = np.where(bad[..., None], np.ldexp(x, -exp), x)
-    return x, np.where(bad, np.linalg.norm(x, axis=-1), norms)
+    return np.where(bad[..., None], -exp, 0)
+
+
+def rescue_norms(x: np.ndarray, norms: np.ndarray):
+    """``x`` and its last-axis L2 ``norms``, each row whose norm is below
+    NORM_FLOOR or inf scaled exactly by ``rescue_shifts`` and measured again;
+    other rows keep their bits."""
+    shifts = rescue_shifts(x, norms)
+    if shifts is None:
+        return x, norms
+    x = np.ldexp(x, shifts)
+    return x, np.where(shifts[..., 0] != 0, np.linalg.norm(x, axis=-1), norms)
 
 
 def cosine_sim(a, b):
@@ -316,13 +361,26 @@ def cosine_sim(a, b):
     return np.clip((a * b).sum(axis=-1) / (na * nb), -1.0, 1.0)
 
 
+# one bit generator for all dropout masks, as building one costs about as much as
+# a small mask; each mask resets its whole state, so nothing carries over (but
+# two threads must not draw masks at the same time)
+_DROPOUT_BITS = np.random.Philox(0)
+_DROPOUT_GEN = np.random.Generator(_DROPOUT_BITS)
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
 def dropout_mask(shape, p: float, rng: Rng) -> np.ndarray:
-    """Inverted-dropout mask of {0, 1/(1-p)}; identity when p = 0."""
+    """Inverted-dropout mask ``rng.generator().random(shape) >= p`` scaled to
+    {0, 1/(1-p)}; identity when p = 0."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return np.ones(shape, dtype=np.float64)
-    keep = rng.generator().random(shape) >= p
+    _DROPOUT_BITS.state = {"bit_generator": "Philox",
+                           "state": {"counter": _ZERO_WORDS, "key": rng.key()},
+                           "buffer": _ZERO_WORDS, "buffer_pos": 4,
+                           "has_uint32": 0, "uinteger": 0}
+    keep = _DROPOUT_GEN.random(shape) >= p
     return keep.astype(np.float64) / (1.0 - p)
 
 

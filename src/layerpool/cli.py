@@ -133,10 +133,10 @@ def _cmd_inspect_attention(args) -> int:
     from .sts_eval import attention_report
     from .trainer import load_checkpoint
 
-    ckpt = load_checkpoint(args.checkpoint)
-    texts = _read_lines(args.texts)
+    reports = attention_report(load_checkpoint(args.checkpoint), _read_lines(args.texts))
+    # only a run that has its reports creates --out-dir
     os.makedirs(args.out_dir, exist_ok=True)
-    for i, report in enumerate(attention_report(ckpt, texts)):
+    for i, report in enumerate(reports):
         report.write_csv(os.path.join(args.out_dir, f"attention_{i:04d}.csv"))
     return 0
 

@@ -104,13 +104,6 @@ def init_encoder_params(config: EncoderConfig, rng: Rng) -> dict[str, Tensor]:
     return params
 
 
-def _layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-6) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps) ** 0.5 * g + b
-
-
 class Encoder:
     """Forward pass from batches of token ids to (B, N, 2, d) layer stacks."""
 
@@ -160,16 +153,16 @@ class Encoder:
         x = p["token_emb"][ids] + p["pos_emb"][:T]
         x = self._dropout(x, rngs, lengths, train_mode, "emb")
 
-        # additive mask keeping attention off padding keys, per row
-        key_mask = np.where(pad, -1e9, 0.0)[:, None, :]
+        # additive mask keeping every head's attention off padding keys, per row
+        key_mask = np.where(pad, -1e9, 0.0)[:, None, None, :]
 
         layers = []
         for i in range(cfg.num_layers):
             pre = f"layer{i}."
-            a_in = _layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
+            a_in = x.layer_norm(p[pre + "ln1_g"], p[pre + "ln1_b"])
             attn = self._attention(a_in, p, pre, key_mask)
             x = x + self._dropout(attn, rngs, lengths, train_mode, f"attn{i}")
-            f_in = _layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
+            f_in = x.layer_norm(p[pre + "ln2_g"], p[pre + "ln2_b"])
             hidden = (f_in @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"]).tanh()
             ffn = hidden @ p[pre + "ffn_w2"] + p[pre + "ffn_b2"]
             x = x + self._dropout(ffn, rngs, lengths, train_mode, f"ffn{i}")
@@ -196,18 +189,20 @@ class Encoder:
 
     def _attention(self, x: Tensor, p: dict[str, Tensor], prefix: str,
                    key_mask: np.ndarray) -> Tensor:
-        cfg = self.config
-        q = x @ p[prefix + "attn_q"]
-        k = x @ p[prefix + "attn_k"]
-        v = x @ p[prefix + "attn_v"]
-        dh = cfg.hidden_dim // cfg.num_heads
-        heads = []
-        for h in range(cfg.num_heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            scores = q[..., sl] @ k[..., sl].T * (1.0 / np.sqrt(dh)) + key_mask
-            weights = scores.softmax(axis=-1)
-            heads.append(weights @ v[..., sl])
-        return Tensor.concat(heads, axis=-1) @ p[prefix + "attn_o"]
+        """All heads at once: q, k and v are split into (B, H, T, dh)."""
+        B, T, d = x.shape
+        H = self.config.num_heads
+        dh = d // H
+
+        def heads(name, *axes):
+            return (x @ p[prefix + name]).reshape(B, T, H, dh).transpose(*axes)
+
+        q = heads("attn_q", 0, 2, 1, 3)
+        k_t = heads("attn_k", 0, 2, 3, 1)  # (B, H, dh, T)
+        v = heads("attn_v", 0, 2, 1, 3)
+        weights = (q @ k_t * (1.0 / np.sqrt(dh)) + key_mask).softmax(axis=-1)
+        out = (weights @ v).transpose(0, 2, 1, 3).reshape(B, T, d)
+        return out @ p[prefix + "attn_o"]
 
     def _dropout(self, x: Tensor, rngs, lengths: np.ndarray, train_mode: bool,
                  tag: str) -> Tensor:

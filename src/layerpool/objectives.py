@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, rescue_shifts
 
 OBJECTIVES = ("sup_basic", "unsup", "sup_hard")
 
@@ -18,14 +18,23 @@ DEFAULT_TEMPERATURE = 0.05
 
 
 def _check_rows(h: Tensor, name: str) -> None:
-    # a row has zero norm exactly when every entry is zero
+    # an all-zero row has no direction; any other row has one, even when its
+    # squared norm underflows to 0 (_normalize_rows rescales such a row)
     bad = np.nonzero(~h.data.any(axis=1))[0]
     if bad.size:
         raise ValueError(f"{name}: zero-norm embedding at row {int(bad[0])}")
 
 
 def _normalize_rows(h: Tensor) -> Tensor:
-    sq = (h * h).sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # an overflowing norm is rescued
+        sq = (h * h).sum(axis=1, keepdims=True)
+    shifts = rescue_shifts(h.data, np.sqrt(sq.data[:, 0]))
+    if shifts is not None:
+        # an exact power-of-two factor per row keeps each direction and, being 1
+        # for the other rows, their bits; 2**1023 is the largest finite one and
+        # already lifts a subnormal max |h| to at least 2**-51
+        h = h * np.ldexp(1.0, np.minimum(shifts, 1023))
+        sq = (h * h).sum(axis=1, keepdims=True)
     return h / sq**0.5
 
 

@@ -139,6 +139,25 @@ class TestDropoutMask:
         with pytest.raises(ValueError):
             dropout_mask((2, 2), 1.0, Rng(0))
 
+    def test_matches_a_fresh_generator_bit_for_bit(self):
+        # the reused bit generator must not carry state from one mask to the
+        # next, so shapes, probabilities and streams are interleaved
+        shapes = [(3, 64), (1, 1), (17,), (5, 4, 3), (40, 8)]
+        for i in range(60):
+            rng = Rng(i % 7).child("step", i // 3, "dropout", f"ffn{i % 4}")
+            shape, p = shapes[i % len(shapes)], (0.1, 0.5, 0.9)[i % 3]
+            expected = (rng.generator().random(shape) >= p).astype(np.float64) / (1.0 - p)
+            assert np.array_equal(dropout_mask(shape, p, rng), expected), i
+
+    def test_open_generators_are_unaffected(self):
+        rng = Rng(9).child("x")
+        gen = rng.generator()
+        head = gen.random(5)
+        dropout_mask((4, 4), 0.5, rng)
+        dropout_mask((3,), 0.5, Rng(9).child("y"))
+        tail = gen.random(5)
+        assert np.array_equal(np.concatenate([head, tail]), rng.generator().random(10))
+
 
 class TestRng:
     def test_same_seed_same_stream(self):
@@ -215,6 +234,54 @@ class TestTape:
         err = grad_check(lambda ts: ((ts[0].T @ ts[1]) ** 2).sum(),
                          [x, gen.normal(size=(2, 3, 5))])
         assert err < 1e-6
+
+    def test_transpose_4d_permutation(self):
+        gen = np.random.default_rng(5)
+        x = gen.normal(size=(2, 3, 4, 5))
+        assert Tensor(x).transpose(2, 0, 3, 1).shape == (4, 2, 5, 3)
+        w = gen.normal(size=(4, 2, 5, 3))
+        err = grad_check(lambda ts: (ts[0].transpose(2, 0, 3, 1).tanh() * w).sum(), [x])
+        assert err < 1e-6
+
+    def test_layer_norm_grad(self):
+        gen = np.random.default_rng(6)
+        x, gamma, beta = gen.normal(size=(2, 3, 5)), gen.normal(size=5), gen.normal(size=5)
+        w = gen.normal(size=(2, 3, 5))
+        err = grad_check(lambda ts: (ts[0].layer_norm(ts[1], ts[2]).tanh() * w).sum(),
+                         [x, gamma, beta])
+        assert err < 1e-6
+
+    def test_softmax_grad_with_masked_entries(self):
+        gen = np.random.default_rng(7)
+        mask = np.where(gen.random((2, 3, 4, 4)) < 0.3, -1e9, 0.0)
+        mask[..., 0] = 0.0  # every row keeps one entry, as CLS does in the encoder
+        w = gen.normal(size=(2, 3, 4, 4))
+        err = grad_check(lambda ts: ((ts[0] + mask).softmax(axis=-1) * w).sum(),
+                         [gen.normal(size=(2, 3, 4, 4))])
+        assert err < 1e-6
+
+    def test_fused_ops_match_composites(self):
+        gen = np.random.default_rng(8)
+        x = gen.normal(size=(3, 4, 6)) * 3.0
+        gamma, beta = gen.normal(size=6), gen.normal(size=6)
+        w = gen.normal(size=(3, 4, 6))
+
+        def composite_layer_norm(x, g, b, eps=1e-6):
+            centered = x - x.mean(axis=-1, keepdims=True)
+            var = (centered * centered).mean(axis=-1, keepdims=True)
+            return centered / (var + eps) ** 0.5 * g + b
+
+        grads = []
+        for norm in (Tensor.layer_norm, composite_layer_norm):
+            ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+            out = norm(*ts)
+            (out * w).sum().backward()
+            grads.append([out.data] + [t.grad for t in ts])
+        for fused, composite in zip(*grads):
+            assert np.allclose(fused, composite, rtol=0.0, atol=1e-12)
+        soft = Tensor(x).softmax(axis=1).data
+        assert np.allclose(soft, np.exp(x - Tensor(x).logsumexp(axis=1, keepdims=True).data),
+                           rtol=0.0, atol=1e-12)
 
     def test_logsumexp_matches_scalar_version(self):
         xs = np.array([1.0, -2.0, 0.5, 900.0])

@@ -330,6 +330,7 @@ class TestDispatch:
             errors.add(err[0])
         assert len(errors) == 1
         assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "emb.npy").exists()
+        assert not (tmp_path / "attn").exists()
 
     def test_checkpoint_dir_dot_keeps_the_output_dir(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, checkpoint_dir=".")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError
-from layerpool.autodiff import Rng
+from layerpool.autodiff import Rng, Tensor
 from layerpool.corpus import make_synthetic_triplets
 from layerpool.encoder import EncoderConfig, FrozenFeatures, load_frozen, save_frozen
 from layerpool.trainer import (
@@ -332,6 +332,25 @@ def test_golden_trace_frozen_headline(tmp_path):
                       frozen_features=str(tmp_path / "f.lapf"))
     _, trace = train(cfg, make_synthetic_triplets(num_pairs=32))
     _assert_trace(trace, GOLDEN_FROZEN_TRACE)
+
+
+def test_encoder_step_tape_size(monkeypatch):
+    # one default-encoder sup_hard step (M=16) builds this many Tensors with
+    # attention on a head axis and layer norm and softmax as single ops; a
+    # loop over heads or composite layer norm and softmax more than doubles it
+    cfg = TrainConfig(objective="sup_hard", strategy="attn_cls_avg_concat",
+                      batch_size=16, seed=3)
+    corpus = make_synthetic_triplets(num_pairs=16)
+    ckpt, _ = train(cfg, corpus, max_steps=0)
+    count, init = [0], Tensor.__init__
+
+    def counting_init(obj, *args, **kwargs):
+        count[0] += 1
+        init(obj, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    train(ckpt.config, corpus, resume_from=ckpt, max_steps=1)
+    assert count[0] == 584
 
 
 def test_golden_trace_encoder():
