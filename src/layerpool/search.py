@@ -21,7 +21,8 @@ from .trainer import Checkpoint
 @dataclass
 class EmbeddingMatrix:
     """float32 unit rows, one per sentence, and uint32 ids: the one place rows are
-    checked (2-D, finite, nonzero, one id each) and normalized in float64."""
+    checked (2-D, finite, nonzero, one distinct id in [0, 2³²) each) and
+    normalized in float64."""
 
     vectors: np.ndarray = field(repr=False)
     ids: np.ndarray | None = None
@@ -35,10 +36,17 @@ class EmbeddingMatrix:
         if not norms.all():  # argmin: the first zero norm
             raise ValueError(f"embedding at row {int(norms.argmin())} is all zeros")
         self.vectors = (x / norms[:, None]).astype(np.float32)
-        ids = np.arange(x.shape[0]) if self.ids is None else np.asarray(self.ids)
+        if self.ids is None:
+            self.ids = np.arange(x.shape[0], dtype=np.uint32)
+            return
+        ids = np.asarray(self.ids)
         if ids.shape != (x.shape[0],):
             raise ValueError(f"ids must have shape ({x.shape[0]},), got {ids.shape}")
+        if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= 2**32):
+            raise ValueError("ids must be integers in [0, 2**32)")
         self.ids = ids.astype(np.uint32)
+        if np.unique(self.ids).size != self.ids.size:
+            raise ValueError("ids must be distinct")
 
     @property
     def num_rows(self) -> int:
@@ -117,11 +125,13 @@ def kmeans_fit(x: np.ndarray, k: int, rng: Rng, max_iters: int = 25) -> np.ndarr
 
 @dataclass
 class IvfIndex:
-    """Centroids plus per-cluster posting lists of (id, stored vector)."""
+    """Centroids plus posting lists in one layout: list c holds rows
+    offsets[c]:offsets[c + 1] of `ids` and `vectors`, the lists back to back."""
 
     centroids: np.ndarray = field(repr=False)  # (nlist, d) float32
-    posting_ids: list[np.ndarray] = field(repr=False)  # u32 per list
-    posting_vectors: list[np.ndarray] = field(repr=False)  # (n_c, d) f32 per list
+    ids: np.ndarray = field(repr=False)  # (m,) uint32, in list order
+    vectors: np.ndarray = field(repr=False)  # (m, d) float32 unit rows, in list order
+    offsets: np.ndarray = field(repr=False)  # (nlist + 1,) int64, from 0 to m
 
     @property
     def nlist(self) -> int:
@@ -131,20 +141,20 @@ class IvfIndex:
     def dim(self) -> int:
         return self.centroids.shape[1]
 
+    @property
+    def posting_ids(self) -> list[np.ndarray]:
+        """Each list's ids, as views of `ids`."""
+        return np.split(self.ids, self.offsets[1:-1])
+
+    @property
+    def posting_vectors(self) -> list[np.ndarray]:
+        """Each list's vectors, as views of `vectors`."""
+        return np.split(self.vectors, self.offsets[1:-1])
+
     def memory_bytes(self) -> int:
-        """Index payload: centroids + ids + stored vectors."""
-        return (
-            self.centroids.nbytes
-            + sum(p.nbytes for p in self.posting_ids)
-            + sum(v.nbytes for v in self.posting_vectors)
-        )
-
-
-def _with_postings(centroids, ids, vectors, sizes) -> IvfIndex:
-    """Posting lists as views of one buffer: list c holds the next sizes[c] rows."""
-    offsets = np.cumsum(sizes)[:-1]
-    return IvfIndex(centroids=centroids, posting_ids=np.split(ids, offsets),
-                    posting_vectors=np.split(vectors, offsets))
+        """Index payload: centroids + ids + stored vectors + list offsets."""
+        return (self.centroids.nbytes + self.ids.nbytes + self.vectors.nbytes
+                + self.offsets.nbytes)
 
 
 def build_index(matrix: EmbeddingMatrix, nlist: int, rng: Rng,
@@ -155,8 +165,9 @@ def build_index(matrix: EmbeddingMatrix, nlist: int, rng: Rng,
                        centroids.astype(np.float64)).argmin(axis=1)
     # stable: each list keeps its rows in ascending row order
     order = np.argsort(assign, kind="stable")
-    return _with_postings(centroids, matrix.ids[order], matrix.vectors[order],
-                          np.bincount(assign, minlength=nlist))
+    sizes = np.bincount(assign, minlength=nlist)
+    return IvfIndex(centroids, matrix.ids[order], matrix.vectors[order],
+                    np.concatenate(([0], np.cumsum(sizes))))
 
 
 def _unit_query(q, dim: int, top_k: int) -> np.ndarray:
@@ -174,14 +185,51 @@ def _unit_query(q, dim: int, top_k: int) -> np.ndarray:
     return q / norm
 
 
-def _rank(vecs: np.ndarray, ids: np.ndarray, q: np.ndarray,
+# The float32 screen. With u = 2⁻²⁴ and γ(n) = nu/(1 − nu), rounding the unit
+# query q to float32 and a float32 dot product in any summation order give
+# s32 = Σ v_i·q_i·(1 + θ_i) with |θ_i| ≤ γ(d + 1) (Higham, Accuracy and Stability
+# of Numerical Algorithms, §3.1), so |s32 − v·q| ≤ γ(d + 1)·‖v‖·‖q‖ by
+# Cauchy-Schwarz. The float64 einsum s64 is within d·2⁻⁵²·‖v‖·‖q‖ of v·q.
+# Stored rows have ‖v‖ ≤ 1 + 2⁻²¹ (UNIT_TOLERANCE, checked at load) and ‖q‖
+# is 1 to float64 rounding, so ‖v‖·‖q‖ ≤ 1 + 2⁻²⁰ and, for d < 2¹⁸,
+#   |s32 − s64| ≤ γ(d + 1) + γ(d + 1)·2⁻²⁰ + d·2⁻⁵¹ ≤ γ(d + 1) + u/2 + u/2⁸,
+# which is below γ(d + 2) = ε because γ(d + 2) − γ(d + 1) ≥ u. What is left
+# of that gap covers float32 underflow (at most d·2⁻¹⁴⁹) and the rounding of
+# the float64 threshold below.
+#
+# Exactness. Let s_k be the k-th largest s32. The k rows at or above it have
+# s64 ≥ s_k − ε, so the k-th largest s64 is at least s_k − ε, and every row
+# with an s64 that large, the whole top k by (−s64, id) and its ties included,
+# has s32 ≥ s_k − 2ε. Ranking only those rows, in scan order with the same
+# einsum and stable lexsort, returns the full scan's top k bit for bit.
+UNIT_TOLERANCE = 2.0**-20  # on |‖v‖² − 1|
+
+
+def _screen_margin(d: int) -> float:
+    """ε = γ(d + 2), a bound on |s32 − s64| for a stored row and a unit query."""
+    g = (d + 2) * 2.0**-24
+    return g / (1.0 - g)
+
+
+def _rank(vectors: np.ndarray, ids: np.ndarray, rows: np.ndarray | None, q: np.ndarray,
           top_k: int) -> list[tuple[int, float]]:
-    """Top-k (id, cosine) of unit rows: descending cosine, ascending id on ties."""
+    """Top-k (id, cosine) of the unit rows `vectors[rows]` (every row if `rows` is
+    None), scanned in that order: descending cosine, ascending id on ties."""
+    vecs = vectors if rows is None else vectors.take(rows, axis=0)
+    n = len(vecs)
+    if top_k < n:  # the float32 screen; see the comment above
+        s32 = vecs @ q.astype(np.float32)
+        s_k = float(np.partition(s32, n - top_k)[n - top_k])
+        # compared in float64, so the threshold is not rounded to float32
+        keep = np.flatnonzero(s32 >= np.float64(s_k - 2.0 * _screen_margin(len(q))))
+        vecs = vecs[keep]
+        rows = keep if rows is None else rows[keep]
+    row_ids = ids if rows is None else ids.take(rows)
     # einsum accumulates per row independently of how rows are grouped,
-    # so full-probe results match the brute-force scan bit for bit
+    # so the kept rows get the bits the full scan would give them
     sims = np.einsum("ij,j->i", vecs.astype(np.float64), q)
-    order = np.lexsort((ids, -sims))[:top_k]
-    return [(int(ids[i]), float(sims[i])) for i in order]
+    order = np.lexsort((row_ids, -sims))[:top_k]
+    return list(zip(row_ids[order].tolist(), sims[order].tolist()))
 
 
 def query(index: IvfIndex, q: np.ndarray, top_k: int = 10,
@@ -190,16 +238,21 @@ def query(index: IvfIndex, q: np.ndarray, top_k: int = 10,
     q = _unit_query(q, index.dim, top_k)
     if not 1 <= nprobe <= index.nlist:
         raise ValueError(f"nprobe must be in [1, {index.nlist}]")
-    cd2 = ((index.centroids.astype(np.float64) - q) ** 2).sum(axis=1)
+    cd2 = ((index.centroids - q) ** 2).sum(axis=1)  # in float64, as q is
     probes = np.argsort(cd2, kind="stable")[:nprobe]
-    return _rank(np.concatenate([index.posting_vectors[c] for c in probes]),
-                 np.concatenate([index.posting_ids[c] for c in probes]), q, top_k)
+    starts, ends = index.offsets[probes], index.offsets[probes + 1]
+    sizes = ends - starts
+    # the probed lists' rows, list after list: scan position j of run r is row
+    # starts[r] + j − (sizes[0] + … + sizes[r − 1]) = ends[r] − cumsum(sizes)[r] + j
+    rows = np.repeat(ends - np.cumsum(sizes), sizes)
+    rows += np.arange(len(rows))
+    return _rank(index.vectors, index.ids, rows, q, top_k)
 
 
 def brute_force_query(matrix: EmbeddingMatrix, q: np.ndarray,
                       top_k: int = 10) -> list[tuple[int, float]]:
     """Exact scan over all rows under the same metric and tie rule."""
-    return _rank(matrix.vectors, matrix.ids, _unit_query(q, matrix.dim, top_k), top_k)
+    return _rank(matrix.vectors, matrix.ids, None, _unit_query(q, matrix.dim, top_k), top_k)
 
 
 @dataclass
@@ -221,15 +274,13 @@ def evaluate_search(index: IvfIndex, queries: np.ndarray, gold_ids,
     gold_ids = [int(g) for g in gold_ids]
     if len(gold_ids) != queries.shape[0]:
         raise ValueError("one gold id required per query")
-    indexed = set()
-    for p in index.posting_ids:
-        indexed.update(int(i) for i in p)
+    indexed = np.isin(gold_ids, index.ids)
 
     reciprocal = []
     missing = []
     results = [query(index, q, top_k=10, nprobe=nprobe) for q in queries]
-    for res, gold in zip(results, gold_ids):
-        if gold not in indexed:
+    for res, gold, present in zip(results, gold_ids, indexed):
+        if not present:
             missing.append(gold)
             reciprocal.append(0.0)
             continue
@@ -263,11 +314,11 @@ _INDEX_ARRAYS = {"centroids": ("<f4", 2), "posting_ids": ("<u4", 1),
 def save_index(index: IvfIndex, path) -> None:
     """An artifact directory (see `artifact`): f32 centroids, then all posting
     lists' u32 ids and f32 vectors back to back, split by `posting_sizes`."""
-    meta = {"metric": "cosine", "posting_sizes": [len(p) for p in index.posting_ids]}
+    meta = {"metric": "cosine", "posting_sizes": np.diff(index.offsets).tolist()}
     write_dir(path, INDEX_FORMAT, INDEX_VERSION, meta, {
         "centroids": index.centroids.astype("<f4"),
-        "posting_ids": np.concatenate(index.posting_ids).astype("<u4"),
-        "posting_vectors": np.concatenate(index.posting_vectors).astype("<f4"),
+        "posting_ids": index.ids.astype("<u4"),
+        "posting_vectors": index.vectors.astype("<f4"),
     })
 
 
@@ -286,4 +337,12 @@ def load_index(path) -> IvfIndex:
     if sum(sizes) != m:
         raise ArtifactCorruptError(f"{path}: posting_sizes sum to {sum(sizes)}, "
                                    f"the arrays hold m={m} rows")
-    return _with_postings(centroids, ids, vectors, sizes)
+    if not np.isfinite(centroids).all():
+        raise ArtifactCorruptError(f"{path}: centroids must be finite")
+    # the float32 screen in `_rank` relies on unit rows; a NaN fails this too
+    sq_norms = np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64)
+    bad = np.flatnonzero(~(np.abs(sq_norms - 1.0) <= UNIT_TOLERANCE))
+    if bad.size:
+        raise ArtifactCorruptError(f"{path}: stored vector at row {bad[0]} is not a finite "
+                                   f"unit row (squared norm {sq_norms[bad[0]]})")
+    return IvfIndex(centroids, ids, vectors, np.cumsum([0] + sizes))

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError
+from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError, write_dir
 from layerpool.autodiff import Rng
 from layerpool.encoder import INFERENCE_CHUNK, EncoderConfig
 from layerpool.pooler import PoolStrategy, pool
 from layerpool.search import (
+    INDEX_FORMAT,
+    INDEX_VERSION,
     EmbeddingMatrix,
+    IvfIndex,
     _sq_dists,
     brute_force_query,
     build_index,
@@ -76,10 +79,23 @@ class TestEmbeddingMatrix:
         (np.array([[1.0, 0.0], [-np.inf, 0.0]]), None, "finite"),
         (np.ones((3, 2)), np.arange(2), "ids"),
         (np.ones((3, 2)), np.arange(6).reshape(3, 2), "ids"),
-    ], ids=["1-d", "3-d", "nan", "inf", "ids-short", "ids-2-d"])
+        # uint32 storage would wrap -1 and 2**32 and truncate 2.7 without a word
+        (np.ones((3, 2)), [-1, 2**32, 3], "integers"),
+        (np.ones((3, 2)), [0, -1, 3], "integers"),
+        (np.ones((3, 2)), [0.0, 2.7, 3.0], "integers"),
+        (np.ones((3, 2)), [2**64, 1, 2], "integers"),
+        (np.ones((3, 2)), [True, False, True], "integers"),
+        (np.ones((3, 2)), ["0", "1", "2"], "integers"),
+        (np.ones((3, 2)), [7, 3, 7], "distinct"),
+    ], ids=["1-d", "3-d", "nan", "inf", "ids-short", "ids-2-d", "ids-wrap", "ids-negative",
+            "ids-float", "ids-beyond-int64", "ids-bool", "ids-str", "ids-duplicate"])
     def test_malformed_input_rejected(self, vectors, ids, match):
         with pytest.raises(ValueError, match=match):
             EmbeddingMatrix(vectors=vectors, ids=ids)
+
+    def test_extreme_ids_kept(self):
+        m = EmbeddingMatrix(vectors=np.ones((3, 2)), ids=np.array([2**32 - 1, 0, 5], np.uint64))
+        assert m.ids.dtype == np.uint32 and m.ids.tolist() == [2**32 - 1, 0, 5]
 
     @pytest.mark.parametrize("row", [[1e-200, 2e-200], [1e200, 2e200], [5e-324, 1e-323],
                                      [1.7e308, 3.4e307], [3e-160, 4e-160]],
@@ -163,11 +179,11 @@ class TestBuildIndex:
 
     def test_posting_lists_are_views_of_one_buffer(self):
         index = build_index(random_matrix(50, 6, seed=5), 5, Rng(0))
-        for lists in (index.posting_ids, index.posting_vectors):
-            base = lists[0].base
-            assert base is not None and all(p.base is base for p in lists)
-        assert np.array_equal(np.concatenate(index.posting_vectors),
-                              index.posting_vectors[0].base)
+        for lists, whole in ((index.posting_ids, index.ids),
+                             (index.posting_vectors, index.vectors)):
+            assert all(p.base is whole for p in lists)
+            assert np.array_equal(np.concatenate(lists), whole)
+        assert [len(p) for p in index.posting_ids] == np.diff(index.offsets).tolist()
 
     def test_rebuild_deterministic(self):
         m = random_matrix(30, 4, seed=6)
@@ -294,6 +310,85 @@ class TestQuery:
         assert [i for i, _ in results] == [0, 1, 2, 3, 4]
 
 
+def scan_reference(vectors, ids, q, top_k):
+    """The ranking with no float32 screen: a float64 einsum over every scanned
+    row, then a (-cosine, id) lexsort."""
+    q = np.asarray(q, dtype=np.float64) / np.linalg.norm(q)
+    sims = np.einsum("ij,j->i", vectors.astype(np.float64), q)
+    order = np.lexsort((ids, -sims))[:top_k]
+    return [(int(ids[i]), float(sims[i])) for i in order]
+
+
+def near_ties(bases, picks, ulps):
+    """Rows `bases[picks]` with each entry moved by `ulps` float32 ulps (2⁻²³ relative)."""
+    return bases[picks].astype(np.float64) * (1.0 + np.asarray(ulps) * 2.0**-23)
+
+
+class TestScreen:
+    """`_rank` keeps only rows whose float32 score is near the k-th best; rows a few
+    ulps apart are where float32 and float64 orders disagree."""
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_screened_searches_equal_a_full_float64_scan(self, data):
+        d = data.draw(st.integers(1, 8), label="d")
+        m = data.draw(st.integers(1, 40), label="m")
+        bases = data.draw(hnp.arrays(np.float32, (data.draw(st.integers(1, 3)), d),
+                                     elements=st.floats(-1, 1, width=32)), label="bases")
+        bases[~bases.any(axis=1), 0] = 1.0
+        picks = data.draw(st.lists(st.integers(0, len(bases) - 1), min_size=m, max_size=m))
+        ulps = data.draw(hnp.arrays(np.int64, (m, d), elements=st.integers(-3, 3)))
+        ids = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m,
+                                 unique=True), label="ids")
+        matrix = EmbeddingMatrix(vectors=near_ties(bases, picks, ulps), ids=ids)
+        if data.draw(st.booleans(), label="q near a base"):
+            q = near_ties(bases, data.draw(st.integers(0, len(bases) - 1)),
+                          data.draw(hnp.arrays(np.int64, d, elements=st.integers(-3, 3))))
+        else:
+            # float32 entries: the reference's plain norm needs no rescue
+            q = data.draw(hnp.arrays(np.float64, d, elements=st.floats(-1, 1, width=32)),
+                          label="q")
+            q[0] += not q.any()
+        top_k = data.draw(st.integers(1, m + 3), label="top_k")
+        assert (brute_force_query(matrix, q, top_k)
+                == scan_reference(matrix.vectors, matrix.ids, q, top_k))
+
+        # any assignment of rows to lists, empty lists included
+        nlist = data.draw(st.integers(1, 6), label="nlist")
+        assign = np.array(data.draw(st.lists(st.integers(0, nlist - 1), min_size=m,
+                                             max_size=m)), dtype=np.int64)
+        order = np.argsort(assign, kind="stable")
+        centroids = data.draw(hnp.arrays(np.float32, (nlist, d),
+                                         elements=st.floats(-1, 1, width=32)))
+        index = IvfIndex(centroids, matrix.ids[order], matrix.vectors[order],
+                         np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=nlist)))))
+        q_unit = q / np.linalg.norm(q)
+        probe_order = np.argsort(((centroids.astype(np.float64) - q_unit) ** 2).sum(axis=1),
+                                 kind="stable")
+        for nprobe in range(1, nlist + 1):
+            probes = probe_order[:nprobe]
+            scanned = [np.concatenate([lists[c] for c in probes])
+                       for lists in (index.posting_vectors, index.posting_ids)]
+            assert query(index, q, top_k, nprobe) == scan_reference(*scanned, q, top_k)
+
+    def test_rows_a_float32_top_k_would_drop_are_found(self):
+        gen = Rng(5).generator()
+        dropped = 0
+        for _ in range(20):
+            base = gen.normal(size=(1, 64)).astype(np.float32)
+            matrix = EmbeddingMatrix(vectors=near_ties(base, np.zeros(300, np.int64),
+                                                       gen.integers(-3, 4, size=(300, 64))))
+            q = near_ties(base, 0, gen.integers(-3, 4, size=64))
+            expected = scan_reference(matrix.vectors, matrix.ids, q, 10)
+            s32 = matrix.vectors @ (q / np.linalg.norm(q)).astype(np.float32)
+            top32 = set(matrix.ids[np.lexsort((matrix.ids, -s32))[:10]].tolist())
+            dropped += not {i for i, _ in expected} <= top32
+            assert brute_force_query(matrix, q, 10) == expected
+            assert query(build_index(matrix, 4, Rng(0)), q, 10, nprobe=4) == expected
+        # the margin matters: the float32 top 10 alone misses exact hits here
+        assert dropped >= 5
+
+
 class TestEvaluateSearch:
     def _planted_index(self):
         # orthogonal unit rows: query row i retrieves exactly row i first
@@ -331,6 +426,12 @@ class TestEvaluateSearch:
         metrics = evaluate_search(index, np.eye(12)[:2], [0, 999], nprobe=1)
         assert metrics.missing_gold_ids == [999]
         assert metrics.mrr_at_10 == pytest.approx(0.5)
+
+    def test_gold_ids_outside_uint32_flagged_not_wrapped(self):
+        # 2**32 would wrap to the indexed id 0
+        metrics = evaluate_search(self._planted_index(), np.eye(12)[:2], [2**32, -1], nprobe=1)
+        assert metrics.missing_gold_ids == [2**32, -1]
+        assert metrics.mrr_at_10 == 0.0
 
     def test_mrr_monotone_in_nprobe(self):
         m = random_matrix(200, 8, seed=12)
@@ -403,6 +504,42 @@ class TestPersistence:
         self.edit_header(saved, grow_first_list)
         with pytest.raises(ArtifactCorruptError, match="bytes"):
             load_index(saved)
+
+    @staticmethod
+    def write_crafted(path, index, edit):
+        """`index` written as a valid artifact (sha256 and all) after `edit`
+        changes copies of its centroids and vectors."""
+        centroids, vectors = index.centroids.copy(), index.vectors.copy()
+        edit(centroids, vectors)
+        write_dir(path, INDEX_FORMAT, INDEX_VERSION,
+                  {"metric": "cosine", "posting_sizes": np.diff(index.offsets).tolist()},
+                  {"centroids": centroids, "posting_ids": index.ids,
+                   "posting_vectors": vectors})
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda c, v: c.__setitem__((1, 0), np.nan), "centroids"),
+        (lambda c, v: c.__setitem__((3, 4), -np.inf), "centroids"),
+        (lambda c, v: v.__setitem__((3, 1), np.nan), "row 3"),
+        (lambda c, v: v.__setitem__((9, 0), np.inf), "row 9"),
+        (lambda c, v: v.__setitem__(5, 0.0), "row 5"),
+        (lambda c, v: v.__setitem__(7, v[7] * 2), "row 7"),
+        (lambda c, v: v.__setitem__(8, v[8] * np.float32(1 + 2**-18)), "row 8"),
+    ], ids=["nan-centroid", "inf-centroid", "nan-row", "inf-row", "zero-row", "long-row",
+            "row-beyond-tolerance"])
+    def test_crafted_index_breaking_the_screen_premise_rejected(self, tmp_path, edit, match):
+        # the float32 screen is exact only for finite centroids and unit rows
+        index = build_index(random_matrix(40, 5, seed=14), 4, Rng(2))
+        self.write_crafted(tmp_path / "idx", index, edit)
+        with pytest.raises(ArtifactCorruptError, match=match):
+            load_index(tmp_path / "idx")
+
+    def test_crafted_index_within_tolerance_loads(self, tmp_path):
+        index = build_index(random_matrix(40, 5, seed=14), 4, Rng(2))
+        self.write_crafted(tmp_path / "idx", index,
+                           lambda c, v: v.__setitem__(8, v[8] * np.float32(1 + 2**-22)))
+        loaded = load_index(tmp_path / "idx")
+        assert np.array_equal(loaded.ids, index.ids)
+        assert np.array_equal(loaded.offsets, index.offsets)
 
     def test_unreadable_header_rejected(self, saved):
         (saved / "header.json").write_text("{nope")
