@@ -41,7 +41,6 @@ class EncoderConfig:
     num_heads: int = 4
     ffn_dim: int = 256
     max_seq_len: int = 32
-    vocab_size: int = 1000
     dropout_p: float = 0.1
 
     def __post_init__(self):
@@ -81,12 +80,14 @@ def _uniform_init(gen: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return gen.uniform(-bound, bound, size=shape)
 
 
-def init_encoder_params(config: EncoderConfig, rng: Rng) -> dict[str, Tensor]:
-    """Seeded symmetric-uniform fan-in initialization of all encoder tensors."""
+def init_encoder_params(config: EncoderConfig, vocab_size: int,
+                        rng: Rng) -> dict[str, Tensor]:
+    """Seeded symmetric-uniform fan-in initialization of all encoder tensors;
+    the token table has one row per id of a `vocab_size` vocabulary."""
     d, f = config.hidden_dim, config.ffn_dim
     gen = rng.child("encoder_init").generator()
     params: dict[str, Tensor] = {
-        "token_emb": Tensor(_uniform_init(gen, (config.vocab_size, d), d), requires_grad=True),
+        "token_emb": Tensor(_uniform_init(gen, (vocab_size, d), d), requires_grad=True),
         "pos_emb": Tensor(_uniform_init(gen, (config.max_seq_len, d), d), requires_grad=True),
     }
     for i in range(config.num_layers):
@@ -132,7 +133,7 @@ class Encoder:
         if T > cfg.max_seq_len:
             raise ValueError(f"token sequence longer than max_seq_len={cfg.max_seq_len}")
         flat = np.concatenate(token_lists).astype(np.int64)
-        if flat.size and (flat.min() < 0 or flat.max() >= cfg.vocab_size):
+        if flat.size and (flat.min() < 0 or flat.max() >= self.params["token_emb"].shape[0]):
             raise ValueError("token id out of vocabulary range")
         ids = np.full((B, T), PAD_ID)
         ids[np.arange(T) < lengths[:, None]] = flat

@@ -337,6 +337,8 @@ def load_index(path) -> IvfIndex:
     if sum(sizes) != m:
         raise ArtifactCorruptError(f"{path}: posting_sizes sum to {sum(sizes)}, "
                                    f"the arrays hold m={m} rows")
+    if np.unique(ids).size != m:
+        raise ArtifactCorruptError(f"{path}: posting_ids must be distinct")
     if not np.isfinite(centroids).all():
         raise ArtifactCorruptError(f"{path}: centroids must be finite")
     # the float32 screen in `_rank` relies on unit rows; a NaN fails this too

@@ -9,13 +9,7 @@ import numpy as np
 
 from .artifact import write_csv
 from .autodiff import Tensor, cosine_sim
-from .pooler import (
-    ATTENTION_STRATEGIES,
-    AttentionReport,
-    PoolStrategy,
-    attention_scores,
-    pool,
-)
+from .pooler import AttentionReport, PoolStrategy, attention_scores, pool
 from .trainer import Checkpoint
 
 
@@ -140,11 +134,7 @@ def layer_sweep(checkpoint: Checkpoint, records: list[StsRecord]) -> SweepResult
 
 def attention_report(checkpoint: Checkpoint, texts: list[str]) -> list[AttentionReport]:
     """Layer-attention weight matrices for each text."""
-    strategy = PoolStrategy(checkpoint.config.strategy)
-    if strategy not in ATTENTION_STRATEGIES:
-        raise ValueError(
-            f"strategy {strategy.value!r} is fixed pooling; no attention to report"
-        )
     report = attention_scores(checkpoint.stacks(texts), checkpoint.pooler_params(),
-                              strategy, checkpoint.config.norm_mode)
+                              PoolStrategy(checkpoint.config.strategy),
+                              checkpoint.config.norm_mode)
     return [AttentionReport(w, f) for w, f in zip(report.weights, report.fallback)]

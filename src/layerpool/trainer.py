@@ -8,7 +8,7 @@ uninterrupted trajectory.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .objectives import loss_sup_basic, loss_sup_hard, loss_unsup
 from .pooler import PoolerParams, PoolStrategy, pool
 
 CHECKPOINT_FORMAT = "layerpool-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 # corpus record keys required by each objective
 _REQUIRED_KEYS = {
@@ -57,11 +57,10 @@ class Checkpoint:
         return self.encoder().encode_texts(self.tokenizer(), texts)
 
 
-def init_params(config: TrainConfig, rng: Rng) -> dict[str, Tensor]:
-    """Seeded parameter set for (encoder unless frozen) + pooler."""
-    params: dict[str, Tensor] = {}
-    if config.frozen_features is None:
-        params.update(init_encoder_params(config.encoder, rng))
+def init_params(config: TrainConfig, vocab_size: int, rng: Rng) -> dict[str, Tensor]:
+    """Seeded encoder and pooler tensors of an encoder run; the token table
+    has `vocab_size` rows."""
+    params = init_encoder_params(config.encoder, vocab_size, rng)
     params.update(PoolerParams.init(config.encoder.hidden_dim, rng).named())
     return params
 
@@ -79,14 +78,8 @@ def validate_corpus(objective: str, corpus: list[dict]) -> None:
 
 
 def _trainable(config: TrainConfig, params: dict[str, Tensor]) -> list[str]:
-    names = []
-    for name in params:
-        if config.frozen_features is not None and not name.startswith("pooler."):
-            continue
-        if config.freeze_mlp and name in ("pooler.mlp_weight", "pooler.mlp_bias"):
-            continue
-        names.append(name)
-    return names
+    frozen_mlp = ("pooler.mlp_weight", "pooler.mlp_bias") if config.freeze_mlp else ()
+    return [name for name in params if name not in frozen_mlp]
 
 
 def _batch_loss(config, encoder, tokenizer, frozen, batch, indices, pooler, rng_step):
@@ -127,16 +120,23 @@ def train(config: TrainConfig, corpus: list[dict],
     Adam with beta1=0.9, beta2=0.999, eps=1e-8. The last incomplete batch of
     each epoch is dropped so the in-batch negative count is always M.
 
+    The returned checkpoint holds `config` (or the resumed run's) unchanged:
+    the token table has one row per vocabulary id, and a frozen-features run
+    takes N and d from the frozen file, not from `config.encoder`.
+
     `resume_from` continues an interrupted run (config, optimizer state, and
     step counter all come from the checkpoint). `init_from` warm-starts a new
-    run from a pretrained checkpoint: encoder weights and vocabulary are
-    copied, but the pooler, optimizer state, and schedule start fresh under
-    the new config.
+    encoder run from a pretrained checkpoint: encoder weights and vocabulary
+    are copied, but the pooler, optimizer state, and schedule start fresh
+    under the new config.
     """
     if resume_from is not None and init_from is not None:
         raise ValueError("resume_from and init_from are mutually exclusive")
     if resume_from is not None:
         config = resume_from.config
+    if init_from is not None and config.frozen_features is not None:
+        raise ValueError("init_from warm-starts an encoder, which a frozen_features run "
+                         "does not have")
     validate_corpus(config.objective, corpus)
     rng = Rng(config.seed)
 
@@ -149,8 +149,6 @@ def train(config: TrainConfig, corpus: list[dict],
                 f"frozen features hold {frozen.num_sentences} sentences, "
                 f"corpus needs {needed}"
             )
-        config = replace(config, encoder=replace(
-            config.encoder, num_layers=frozen.num_layers, hidden_dim=frozen.hidden_dim))
 
     if resume_from is not None:
         ckpt = resume_from
@@ -159,21 +157,18 @@ def train(config: TrainConfig, corpus: list[dict],
         start_step = ckpt.step
     else:
         if init_from is not None:
-            # vocab_size is excluded: it is resized to the fitted vocabulary,
-            # which the warm start copies along with the embedding table
-            theirs = {**asdict(init_from.config.encoder), "vocab_size": 0}
-            ours = {**asdict(config.encoder), "vocab_size": 0}
-            if theirs != ours:
+            # encoder() also refuses a checkpoint trained on frozen features
+            if init_from.encoder().config != config.encoder:
                 raise ValueError(
                     "init_from encoder architecture differs from the new config"
                 )
             tokenizer = init_from.tokenizer()
         else:
             tokenizer = Tokenizer.from_texts(_corpus_texts(config.objective, corpus))
-        if frozen is None:
-            config = replace(config, encoder=replace(
-                config.encoder, vocab_size=tokenizer.vocab_size))
-        params = init_params(config, rng)
+        if frozen is not None:
+            params = PoolerParams.init(frozen.hidden_dim, rng).named()
+        else:
+            params = init_params(config, tokenizer.vocab_size, rng)
         if init_from is not None:
             for name, tensor in init_from.params.items():
                 if not name.startswith("pooler."):

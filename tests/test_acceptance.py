@@ -265,8 +265,7 @@ def test_criterion_4_closed_form_losses():
 
 
 EXPERIMENT_ENCODER = EncoderConfig(num_layers=2, hidden_dim=16, num_heads=2,
-                                   ffn_dim=32, max_seq_len=11, vocab_size=500,
-                                   dropout_p=0.0)
+                                   ffn_dim=32, max_seq_len=11, dropout_p=0.0)
 PRETRAIN_SEED = 17
 PRETRAIN_STEPS = 150
 POOLER_STEPS = 300

@@ -38,8 +38,7 @@ def tiny_checkpoint(steps):
               for i in range(8)]
     config = TrainConfig(objective="sup_basic", batch_size=4, epochs=2,
                          encoder=EncoderConfig(num_layers=1, hidden_dim=4, num_heads=2,
-                                               ffn_dim=8, max_seq_len=6, vocab_size=16,
-                                               dropout_p=0.0))
+                                               ffn_dim=8, max_seq_len=6, dropout_p=0.0))
     return train(config, corpus, max_steps=steps)[0]
 
 

@@ -10,13 +10,13 @@ import pytest
 
 import layerpool
 from layerpool.cli import dispatch
-from layerpool.config import ConfigError, load_config, validate_config
+from layerpool.config import ConfigError, load_config, train_config_doc, validate_config
 from layerpool.corpus import make_synthetic_sts, make_synthetic_triplets, write_jsonl
 from layerpool.encoder import FrozenFeatures, save_frozen
 from layerpool.trainer import load_checkpoint
 
 ENC = {"num_layers": 2, "hidden_dim": 8, "num_heads": 2, "ffn_dim": 16,
-       "max_seq_len": 12, "vocab_size": 200, "dropout_p": 0.0}
+       "max_seq_len": 12, "dropout_p": 0.0}
 
 
 def _write_config(tmp_path, **overrides):
@@ -65,6 +65,12 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="encoder"):
             validate_config({"objective": "unsup", "corpus": "c",
                              "encoder": {"hiden_dim": 8}})
+
+    def test_encoder_vocab_size_is_unknown(self):
+        # the token table takes its size from the fitted vocabulary
+        with pytest.raises(ConfigError, match="unknown encoder key 'vocab_size'"):
+            validate_config({"objective": "unsup", "corpus": "c",
+                             "encoder": {"vocab_size": 200}})
 
     def test_bad_objective(self):
         with pytest.raises(ConfigError, match="objective"):
@@ -161,6 +167,9 @@ class TestDispatch:
         assert (run / "effective_config.json").exists()
         echoed = json.loads((run / "effective_config.json").read_text())
         assert echoed["temperature"] == 0.05
+        # the echo is the config the checkpoint was trained with
+        trained = train_config_doc(load_checkpoint(run / "checkpoint").config)
+        assert {key: echoed[key] for key in trained} == trained
 
     def test_objective_corpus_mismatch_exits_1(self, tmp_path, capsys):
         pair_path = tmp_path / "pairs.jsonl"

@@ -21,12 +21,12 @@ from layerpool.encoder import (
 @pytest.fixture
 def small_config():
     return EncoderConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
-                         max_seq_len=6, vocab_size=12, dropout_p=0.1)
+                         max_seq_len=6, dropout_p=0.1)
 
 
 @pytest.fixture
 def encoder(small_config):
-    return Encoder(small_config, init_encoder_params(small_config, Rng(0)))
+    return Encoder(small_config, init_encoder_params(small_config, 12, Rng(0)))
 
 
 class TestConfig:
@@ -88,6 +88,12 @@ class TestEncode:
         with pytest.raises(ValueError, match="vocabulary"):
             encoder.encode([[CLS_ID, 99]])
 
+    def test_ids_checked_against_the_token_table(self, encoder):
+        # the fixture's table has 12 rows, for ids 0..11
+        encoder.encode([[CLS_ID, 11]])
+        with pytest.raises(ValueError, match="vocabulary"):
+            encoder.encode([[CLS_ID, 12]])
+
     def test_must_start_with_cls(self, encoder):
         with pytest.raises(ValueError, match="CLS"):
             encoder.encode([[3, 4]])
@@ -103,7 +109,7 @@ class TestEncode:
         # recompute h^a by re-running and averaging token rows by hand:
         # encode returns per-layer means over content positions, so a
         # sentence of one token must have h_a equal to that token's row.
-        params = init_encoder_params(small_config, Rng(1))
+        params = init_encoder_params(small_config, 12, Rng(1))
         enc = Encoder(small_config, params)
         stack = enc.encode([[CLS_ID, 7]])
         stack2 = enc.encode([[CLS_ID, 7, PAD_ID]])
@@ -131,8 +137,8 @@ class TestBatchedEncode:
     @pytest.fixture
     def long_encoder(self):
         config = EncoderConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
-                               max_seq_len=41, vocab_size=30, dropout_p=0.1)
-        return Encoder(config, init_encoder_params(config, Rng(6)))
+                               max_seq_len=41, dropout_p=0.1)
+        return Encoder(config, init_encoder_params(config, 30, Rng(6)))
 
     def test_rows_match_singleton_encodes(self, long_encoder):
         # 1-40 words, so rows are padded across numpy's 8-accumulator summation
@@ -190,17 +196,17 @@ class TestBatchedEncode:
 
 class TestInitParams:
     def test_same_seed_identical(self, small_config):
-        a = init_encoder_params(small_config, Rng(4))
-        b = init_encoder_params(small_config, Rng(4))
+        a = init_encoder_params(small_config, 12, Rng(4))
+        b = init_encoder_params(small_config, 12, Rng(4))
         assert all(np.array_equal(a[k].data, b[k].data) for k in a)
 
     def test_different_seed_differs(self, small_config):
-        a = init_encoder_params(small_config, Rng(4))
-        b = init_encoder_params(small_config, Rng(5))
+        a = init_encoder_params(small_config, 12, Rng(4))
+        b = init_encoder_params(small_config, 12, Rng(5))
         assert any(not np.array_equal(a[k].data, b[k].data) for k in a)
 
     def test_within_init_bound(self, small_config):
-        params = init_encoder_params(small_config, Rng(0))
+        params = init_encoder_params(small_config, 12, Rng(0))
         for k, t in params.items():
             assert np.all(np.isfinite(t.data))
             assert np.all(np.abs(t.data) <= 1.0)

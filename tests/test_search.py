@@ -541,6 +541,17 @@ class TestPersistence:
         assert np.array_equal(loaded.ids, index.ids)
         assert np.array_equal(loaded.offsets, index.offsets)
 
+    def test_repeated_ids_rejected(self, tmp_path):
+        # a valid artifact (sha256 and all) whose one list holds id 7 four
+        # times; loaded, a query returned (7, 0.5) four times
+        write_dir(tmp_path / "idx", INDEX_FORMAT, INDEX_VERSION,
+                  {"metric": "cosine", "posting_sizes": [4]},
+                  {"centroids": np.full((1, 4), 0.5, np.float32),
+                   "posting_ids": np.full(4, 7, np.uint32),
+                   "posting_vectors": np.eye(4, dtype=np.float32)})
+        with pytest.raises(ArtifactCorruptError, match="posting_ids must be distinct"):
+            load_index(tmp_path / "idx")
+
     def test_unreadable_header_rejected(self, saved):
         (saved / "header.json").write_text("{nope")
         with pytest.raises(ArtifactCorruptError):
@@ -554,8 +565,7 @@ def checkpoint():
         objective="unsup", strategy="attn_cls_avg_concat", batch_size=4,
         epochs=1, seed=3,
         encoder=EncoderConfig(num_layers=2, hidden_dim=8, num_heads=2,
-                              ffn_dim=16, max_seq_len=6, vocab_size=32,
-                              dropout_p=0.1),
+                              ffn_dim=16, max_seq_len=6, dropout_p=0.1),
     )
     ckpt, _ = train(cfg, corpus)
     return ckpt

@@ -212,8 +212,7 @@ def trained_checkpoint():
         objective="unsup", strategy="attn_cls_avg_concat", batch_size=4,
         epochs=1, seed=0,
         encoder=EncoderConfig(num_layers=2, hidden_dim=8, num_heads=2,
-                              ffn_dim=16, max_seq_len=8, vocab_size=32,
-                              dropout_p=0.1),
+                              ffn_dim=16, max_seq_len=8, dropout_p=0.1),
     )
     ckpt, _ = train(cfg, corpus)
     return ckpt
@@ -261,7 +260,7 @@ class TestAttentionReport:
 
         fixed = dataclasses.replace(trained_checkpoint.config, strategy="cls_last")
         ckpt = dataclasses.replace(trained_checkpoint, config=fixed)
-        with pytest.raises(ValueError, match="no attention"):
+        with pytest.raises(ValueError, match="not an attention strategy"):
             attention_report(ckpt, ["tok1"])
 
     def test_identical_layers_uniform_on_fresh_init(self):

@@ -19,7 +19,9 @@ from layerpool.trainer import (
 )
 
 TINY_ENCODER = dict(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
-                    max_seq_len=8, vocab_size=64, dropout_p=0.1)
+                    max_seq_len=8, dropout_p=0.1)
+# token-table rows of the tensors that init_params builds outside train()
+TINY_VOCAB = 64
 
 
 def tiny_config(**overrides):
@@ -53,18 +55,18 @@ def triplet_corpus(n=16):
 class TestInitParams:
     def test_same_seed_identical(self):
         cfg = tiny_config()
-        a = init_params(cfg, Rng(3))
-        b = init_params(tiny_config(), Rng(3))
+        a = init_params(cfg, TINY_VOCAB, Rng(3))
+        b = init_params(tiny_config(), TINY_VOCAB, Rng(3))
         assert set(a) == set(b)
         assert all(np.array_equal(a[k].data, b[k].data) for k in a)
 
     def test_different_seed_differs(self):
-        a = init_params(tiny_config(), Rng(3))
-        b = init_params(tiny_config(), Rng(4))
+        a = init_params(tiny_config(), TINY_VOCAB, Rng(3))
+        b = init_params(tiny_config(), TINY_VOCAB, Rng(4))
         assert any(not np.array_equal(a[k].data, b[k].data) for k in a)
 
     def test_finite_and_bounded(self):
-        params = init_params(tiny_config(), Rng(0))
+        params = init_params(tiny_config(), TINY_VOCAB, Rng(0))
         for t in params.values():
             assert np.all(np.isfinite(t.data)) and np.all(np.abs(t.data) <= 1.0)
 
@@ -106,7 +108,7 @@ class TestTrain:
 
     def test_freeze_mlp(self):
         cfg = tiny_config(freeze_mlp=True)
-        before = init_params(tiny_config(freeze_mlp=True), Rng(cfg.seed))
+        before = init_params(tiny_config(freeze_mlp=True), TINY_VOCAB, Rng(cfg.seed))
         ckpt, _ = train(cfg, pair_corpus())
         assert np.array_equal(ckpt.params["pooler.mlp_weight"].data,
                               before["pooler.mlp_weight"].data)
@@ -115,7 +117,7 @@ class TestTrain:
 
     def test_cls_last_leaves_pooler_untouched(self):
         cfg = tiny_config(strategy="cls_last")
-        before = init_params(tiny_config(strategy="cls_last"), Rng(cfg.seed))
+        before = init_params(tiny_config(strategy="cls_last"), TINY_VOCAB, Rng(cfg.seed))
         ckpt, _ = train(cfg, pair_corpus())
         for name in before:
             if name.startswith("pooler."):
@@ -156,16 +158,44 @@ class TestFrozenFeatures:
         with pytest.raises(ValueError, match="frozen features"):
             train(cfg, bare_corpus(16))
 
+    def test_width_need_not_divide_into_encoder_heads(self, tmp_path):
+        # d = 30 is no multiple of the default encoder's 4 heads; a frozen run
+        # has no encoder, so its pooler takes d from the file and nothing else
+        path = self._frozen_file(tmp_path, m=16, d=30)
+        cfg = TrainConfig(objective="unsup", batch_size=4, frozen_features=path)
+        ckpt, trace = train(cfg, bare_corpus(16))
+        assert len(trace) == 4 and ckpt.config == cfg
+        assert all(t.shape[0] == 30 for t in ckpt.params.values())
+
+    def test_init_from_refused(self, tmp_path):
+        # a warm start copies encoder tensors, which a frozen run never uses
+        pretrained, _ = train(tiny_config(), pair_corpus(), max_steps=0)
+        cfg = tiny_config(objective="unsup", frozen_features=self._frozen_file(tmp_path, m=16))
+        with pytest.raises(ValueError, match="frozen_features"):
+            train(cfg, bare_corpus(16), init_from=pretrained)
+
+    def test_frozen_checkpoint_cannot_warm_start_an_encoder(self, tmp_path):
+        cfg = tiny_config(objective="unsup", frozen_features=self._frozen_file(tmp_path, m=16))
+        frozen_ckpt, _ = train(cfg, bare_corpus(16), max_steps=0)
+        with pytest.raises(ValueError, match="no encoder"):
+            train(tiny_config(), pair_corpus(), init_from=frozen_ckpt)
+
 
 class TestConfigUntouched:
+    @staticmethod
+    def assert_kept(cfg, before, ckpt, path):
+        """`cfg` is unchanged, and the checkpoint holds it, saved and loaded too."""
+        assert cfg == before and ckpt.config == cfg
+        save_checkpoint(ckpt, path)
+        assert load_checkpoint(path).config == cfg
+
     def test_encoder_path(self, tmp_path):
         cfg = tiny_config()
         before = copy.deepcopy(cfg)
         ckpt, _ = train(cfg, pair_corpus(), max_steps=0)
-        assert cfg == before
-        save_checkpoint(ckpt, tmp_path / "ck")
-        fitted = load_checkpoint(tmp_path / "ck")
-        assert fitted.config.encoder.vocab_size == ckpt.tokenizer().vocab_size != 64
+        self.assert_kept(cfg, before, ckpt, tmp_path / "ck")
+        # one token-table row per id of the fitted vocabulary
+        assert ckpt.params["token_emb"].shape == (ckpt.tokenizer().vocab_size, 8)
 
     def test_frozen_path(self, tmp_path):
         arr = Rng(0).generator().normal(size=(16, 3, 2, 6)).astype(np.float32)
@@ -174,10 +204,17 @@ class TestConfigUntouched:
         cfg = tiny_config(objective="unsup", frozen_features=str(tmp_path / "f.lapf"))
         before = copy.deepcopy(cfg)
         ckpt, _ = train(cfg, bare_corpus(16), max_steps=1)
-        assert cfg == before
-        save_checkpoint(ckpt, tmp_path / "ck")
-        enc = load_checkpoint(tmp_path / "ck").config.encoder
-        assert (enc.num_layers, enc.hidden_dim) == (3, 6)
+        self.assert_kept(cfg, before, ckpt, tmp_path / "ck")
+        # the pooler is as wide as the file, not the config's encoder
+        assert ckpt.params["pooler.w_q"].shape == (6, 6)
+
+    def test_init_from_path(self, tmp_path):
+        corpus = pair_corpus()
+        pretrained, _ = train(tiny_config(seed=7), corpus, max_steps=0)
+        cfg = tiny_config(seed=1)
+        before = copy.deepcopy(cfg)
+        warm, _ = train(cfg, corpus, init_from=pretrained, max_steps=1)
+        self.assert_kept(cfg, before, warm, tmp_path / "ck")
 
 
 class TestCheckpoint:
@@ -210,13 +247,15 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "ck")
 
     def test_version_1_rejected(self, tmp_path):
-        # older checkpoints (versions 1 and 2) had no header.json, and
-        # version 3 stored a tokenizer mode; this is the version check itself
+        # older checkpoints (versions 1 and 2) had no header.json, version 3
+        # stored a tokenizer mode and version 4 an encoder vocab_size; this is
+        # the version check itself
         ckpt, _ = train(tiny_config(), pair_corpus(), max_steps=0)
         save_checkpoint(ckpt, tmp_path / "ck")
         header = json.loads((tmp_path / "ck" / "header.json").read_text())
         header["meta"]["tokenizer_mode"] = "whitespace"
-        for version in (1, 3):
+        header["meta"]["config"]["encoder"]["vocab_size"] = 1000
+        for version in (1, 3, 4):
             header["version"] = version
             (tmp_path / "ck" / "header.json").write_text(json.dumps(header))
             with pytest.raises(ArtifactVersionError):
