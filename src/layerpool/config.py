@@ -2,8 +2,8 @@
 
 The JSON keys, their types and their defaults are the fields of `RunConfig`,
 `TrainConfig` and `EncoderConfig`; `TrainConfig`'s fields sit at the top
-level next to `RunConfig`'s, and `tau` is spelled `temperature`. Values keep
-their JSON type: an integer may stand for a float, nothing else converts.
+level next to `RunConfig`'s. Values keep their JSON type: an integer may
+stand for a float, nothing else converts.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from .encoder import EncoderConfig
 from .objectives import DEFAULT_TEMPERATURE, OBJECTIVES
 from .pooler import PoolStrategy
 
-_KEY_OF = {"tau": "temperature"}  # field name -> JSON key
-
-
 class ConfigError(ValueError):
     pass
 
@@ -30,7 +27,7 @@ class TrainConfig:
     objective: str
     strategy: str = "attn_cls_avg_concat"
     norm_mode: str = "softmax"
-    tau: float = DEFAULT_TEMPERATURE
+    temperature: float = DEFAULT_TEMPERATURE
     batch_size: int = 16
     learning_rate: float = 1e-3
     epochs: int = 1
@@ -46,8 +43,8 @@ class TrainConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.norm_mode not in ("softmax", "ratio"):
             raise ValueError(f"unknown norm_mode {self.norm_mode!r}")
-        if self.tau <= 0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
+        if self.temperature <= 0:
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
@@ -67,10 +64,6 @@ class RunConfig:
 _RUN_KEYS = {f.name for f in fields(RunConfig)} - {"train"}
 
 
-def _keys(cls) -> dict:
-    return {_KEY_OF.get(f.name, f.name): f for f in fields(cls)}
-
-
 def _reject_unknown(doc: dict, known, context: str) -> None:
     for key in doc:
         if key not in known:
@@ -84,7 +77,7 @@ def _from_doc(cls, doc, context: str, defaults: bool):
     when `defaults` is true and are an error otherwise."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    keys = _keys(cls)
+    keys = {f.name: f for f in fields(cls)}
     _reject_unknown(doc, keys, context)
     hints = get_type_hints(cls)
     kwargs = {}
@@ -93,7 +86,7 @@ def _from_doc(cls, doc, context: str, defaults: bool):
             if defaults and (f.default is not MISSING or f.default_factory is not MISSING):
                 continue
             raise ConfigError(f"missing required key {key!r}")
-        value, kind = doc[key], hints[f.name]
+        value, kind = doc[key], hints[key]
         if is_dataclass(kind):
             value = _from_doc(kind, value, key, defaults)
         elif kind is float and type(value) is int:
@@ -101,7 +94,7 @@ def _from_doc(cls, doc, context: str, defaults: bool):
         elif not isinstance(value, kind) or type(value) is bool and kind is not bool:
             name = getattr(kind, "__name__", kind)
             raise ConfigError(f"{key} must be {name}, got {value!r}")
-        kwargs[f.name] = value
+        kwargs[key] = value
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -112,7 +105,7 @@ def validate_config(doc: dict) -> RunConfig:
     """Type-check and default a parsed config document."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _reject_unknown(doc, _RUN_KEYS | set(_keys(TrainConfig)), "config")
+    _reject_unknown(doc, _RUN_KEYS | {f.name for f in fields(TrainConfig)}, "config")
     run_doc = {k: v for k, v in doc.items() if k in _RUN_KEYS}
     run_doc["train"] = {k: v for k, v in doc.items() if k not in _RUN_KEYS}
     return _from_doc(RunConfig, run_doc, "config", defaults=True)
@@ -120,7 +113,7 @@ def validate_config(doc: dict) -> RunConfig:
 
 def train_config_doc(config: TrainConfig) -> dict:
     """The JSON object of a TrainConfig, read back by `train_config_from_doc`."""
-    return {_KEY_OF.get(k, k): v for k, v in asdict(config).items()}
+    return asdict(config)
 
 
 def train_config_from_doc(doc) -> TrainConfig:
@@ -146,6 +139,6 @@ def load_config(path) -> RunConfig:
 
 def effective_config_doc(config: RunConfig) -> dict:
     """The fully-defaulted document echoed next to every run's outputs."""
-    doc = {**asdict(config), **train_config_doc(config.train)}
-    del doc["train"]
+    doc = asdict(config)
+    doc.update(doc.pop("train"))
     return doc

@@ -8,7 +8,7 @@ uninterrupted trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ _REQUIRED_KEYS = {
 class Checkpoint:
     config: TrainConfig
     params: dict[str, Tensor]          # encoder (unless frozen) + pooler tensors
-    adam_m: dict[str, np.ndarray]
+    adam_m: dict[str, np.ndarray]      # one per tensor that trains, shaped as it
     adam_v: dict[str, np.ndarray]
     step: int
     vocab: dict[str, int]
@@ -77,11 +77,6 @@ def validate_corpus(objective: str, corpus: list[dict]) -> None:
             )
 
 
-def _trainable(config: TrainConfig, params: dict[str, Tensor]) -> list[str]:
-    frozen_mlp = ("pooler.mlp_weight", "pooler.mlp_bias") if config.freeze_mlp else ()
-    return [name for name in params if name not in frozen_mlp]
-
-
 def _batch_loss(config, encoder, tokenizer, frozen, batch, indices, pooler, rng_step):
     strategy = PoolStrategy(config.strategy)
     keys = _REQUIRED_KEYS[config.objective]
@@ -98,17 +93,44 @@ def _batch_loss(config, encoder, tokenizer, frozen, batch, indices, pooler, rng_
         return pool(stacks, pooler, strategy, config.norm_mode)
 
     if config.objective == "sup_basic":
-        return loss_sup_basic(embed("sent1", "a"), embed("sent2", "p"), config.tau)
+        return loss_sup_basic(embed("sent1", "a"), embed("sent2", "p"), config.temperature)
     if config.objective == "unsup":
-        return loss_unsup(embed("text", "z"), embed("text", "z2"), config.tau)
+        return loss_unsup(embed("text", "z"), embed("text", "z2"), config.temperature)
     return loss_sup_hard(embed("anchor", "a"), embed("positive", "p"),
-                         embed("negative", "n"), config.tau)
+                         embed("negative", "n"), config.temperature)
 
 
-def _corpus_texts(objective: str, corpus: list[dict]):
-    for rec in corpus:
-        for key in _REQUIRED_KEYS[objective]:
-            yield rec[key]
+def _initial_checkpoint(config: TrainConfig, corpus: list[dict],
+                        init_from: Checkpoint | None,
+                        frozen: FrozenFeatures | None) -> Checkpoint:
+    """The step-0 checkpoint of a fresh or warm-started run: seeded tensors,
+    zero Adam state for exactly the tensors that train, and the vocabulary
+    (empty for a run over `frozen` features, which tokenizes nothing)."""
+    rng = Rng(config.seed)
+    if frozen is not None:
+        if init_from is not None:
+            raise ValueError("init_from warm-starts an encoder, which a frozen_features run "
+                             "does not have")
+        params, vocab = PoolerParams.init(frozen.hidden_dim, rng).named(), {}
+    elif init_from is not None:
+        # encoder() also refuses a checkpoint trained on frozen features
+        if init_from.encoder().config != config.encoder:
+            raise ValueError("init_from encoder architecture differs from the new config")
+        params = {name: Tensor(tensor.data.copy(), requires_grad=True)
+                  for name, tensor in init_from.params.items()
+                  if not name.startswith("pooler.")}
+        params.update(PoolerParams.init(config.encoder.hidden_dim, rng).named())
+        vocab = dict(init_from.vocab)
+    else:
+        tokenizer = Tokenizer.from_texts(rec[key] for rec in corpus
+                                         for key in _REQUIRED_KEYS[config.objective])
+        params, vocab = init_params(config, tokenizer.vocab_size, rng), tokenizer.vocab
+    fixed = ("pooler.mlp_weight", "pooler.mlp_bias") if config.freeze_mlp else ()
+
+    def zeros():
+        return {name: np.zeros_like(t.data) for name, t in params.items() if name not in fixed}
+
+    return Checkpoint(config, params, zeros(), zeros(), 0, vocab)
 
 
 def train(config: TrainConfig, corpus: list[dict],
@@ -124,64 +146,35 @@ def train(config: TrainConfig, corpus: list[dict],
     the token table has one row per vocabulary id, and a frozen-features run
     takes N and d from the frozen file, not from `config.encoder`.
 
-    `resume_from` continues an interrupted run (config, optimizer state, and
-    step counter all come from the checkpoint). `init_from` warm-starts a new
-    encoder run from a pretrained checkpoint: encoder weights and vocabulary
-    are copied, but the pooler, optimizer state, and schedule start fresh
-    under the new config.
+    Every run continues a checkpoint and updates exactly the tensors that
+    have Adam state in it. `resume_from` continues an interrupted run
+    (config, optimizer state, and step counter all come from the checkpoint)
+    and is consumed: its tensors and Adam arrays become the result's and are
+    advanced in place. Otherwise the run starts from step 0, and `init_from`
+    warm-starts a new encoder run from a pretrained checkpoint: encoder
+    weights and vocabulary are copied, but the pooler, optimizer state, and
+    schedule start fresh under the new config. A `max_steps` at or below the
+    checkpoint's step runs nothing and keeps that step.
     """
     if resume_from is not None and init_from is not None:
         raise ValueError("resume_from and init_from are mutually exclusive")
     if resume_from is not None:
         config = resume_from.config
-    if init_from is not None and config.frozen_features is not None:
-        raise ValueError("init_from warm-starts an encoder, which a frozen_features run "
-                         "does not have")
     validate_corpus(config.objective, corpus)
-    rng = Rng(config.seed)
+    frozen = None if config.frozen_features is None else load_frozen(config.frozen_features)
+    ckpt = resume_from or _initial_checkpoint(config, corpus, init_from, frozen)
+    params, adam_m, adam_v = ckpt.params, ckpt.adam_m, ckpt.adam_v
 
-    frozen: FrozenFeatures | None = None
-    if config.frozen_features is not None:
-        frozen = load_frozen(config.frozen_features)
+    if frozen is not None:
         needed = len(corpus) * len(_REQUIRED_KEYS[config.objective])
         if frozen.num_sentences < needed:
-            raise ValueError(
-                f"frozen features hold {frozen.num_sentences} sentences, "
-                f"corpus needs {needed}"
-            )
-
-    if resume_from is not None:
-        ckpt = resume_from
-        tokenizer = ckpt.tokenizer()
-        params, adam_m, adam_v = ckpt.params, ckpt.adam_m, ckpt.adam_v
-        start_step = ckpt.step
-    else:
-        if init_from is not None:
-            # encoder() also refuses a checkpoint trained on frozen features
-            if init_from.encoder().config != config.encoder:
-                raise ValueError(
-                    "init_from encoder architecture differs from the new config"
-                )
-            tokenizer = init_from.tokenizer()
-        else:
-            tokenizer = Tokenizer.from_texts(_corpus_texts(config.objective, corpus))
-        if frozen is not None:
-            params = PoolerParams.init(frozen.hidden_dim, rng).named()
-        else:
-            params = init_params(config, tokenizer.vocab_size, rng)
-        if init_from is not None:
-            for name, tensor in init_from.params.items():
-                if not name.startswith("pooler."):
-                    params[name] = Tensor(tensor.data.copy(), requires_grad=True)
-        adam_m = {}
-        adam_v = {}
-        start_step = 0
-
-    encoder = None if frozen is not None else Encoder(config.encoder, params)
-    trainable = _trainable(config, params)
-    for name in trainable:
-        adam_m.setdefault(name, np.zeros_like(params[name].data))
-        adam_v.setdefault(name, np.zeros_like(params[name].data))
+            raise ValueError(f"frozen features hold {frozen.num_sentences} sentences, "
+                             f"corpus needs {needed}")
+        width = params["pooler.w_q"].shape[0]
+        if frozen.hidden_dim != width:
+            raise ValueError(f"frozen features in {config.frozen_features} have width "
+                             f"d = {frozen.hidden_dim}, the checkpoint's pooler d = {width}")
+    encoder = None if frozen is not None else ckpt.encoder()
 
     M = config.batch_size
     steps_per_epoch = len(corpus) // M
@@ -190,10 +183,13 @@ def train(config: TrainConfig, corpus: list[dict],
     total_steps = steps_per_epoch * config.epochs
     if max_steps is not None:
         total_steps = min(total_steps, max_steps)
+    total_steps = max(total_steps, ckpt.step)
 
+    rng = Rng(config.seed)
+    tokenizer = ckpt.tokenizer()
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     trace: list[tuple[int, float]] = []
-    for step in range(start_step, total_steps):
+    for step in range(ckpt.step, total_steps):
         epoch, slot = divmod(step, steps_per_epoch)
         order = rng.child("shuffle", epoch).generator().permutation(len(corpus))
         indices = order[slot * M : (slot + 1) * M]
@@ -209,7 +205,7 @@ def train(config: TrainConfig, corpus: list[dict],
         loss.backward()
 
         t = step + 1
-        for name in trainable:
+        for name in adam_m:
             g = params[name].grad
             if g is None:
                 continue
@@ -220,17 +216,7 @@ def train(config: TrainConfig, corpus: list[dict],
             params[name].data -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         trace.append((step, loss.item()))
 
-    return (
-        Checkpoint(
-            config=config,
-            params=params,
-            adam_m=adam_m,
-            adam_v=adam_v,
-            step=total_steps,
-            vocab=tokenizer.vocab,
-        ),
-        trace,
-    )
+    return replace(ckpt, step=total_steps), trace
 
 
 def write_loss_trace(trace, path) -> None:
@@ -264,7 +250,13 @@ def load_checkpoint(path) -> Checkpoint:
             if group not in tensors or array.dtype != "<f8":
                 raise ValueError(f"unexpected array {name!r} of dtype {array.dtype}")
             tensors[group][key] = array
+        params, adam_m, adam_v = tensors["param"], tensors["adam_m"], tensors["adam_v"]
+        if adam_m.keys() != adam_v.keys() or any(
+                name not in params or not params[name].shape == m.shape == adam_v[name].shape
+                for name, m in adam_m.items()):
+            raise ValueError("adam_m and adam_v must hold the same tensors, each shaped "
+                             "as the param of its name")
     except (KeyError, ValueError) as exc:
         raise ArtifactCorruptError(f"malformed checkpoint header in {path}: {exc!r}") from exc
-    params = {k: Tensor(v, requires_grad=True) for k, v in tensors["param"].items()}
-    return Checkpoint(config, params, tensors["adam_m"], tensors["adam_v"], step, vocab)
+    params = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+    return Checkpoint(config, params, adam_m, adam_v, step, vocab)

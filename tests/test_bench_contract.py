@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,15 +60,39 @@ def test_attributes_the_session_reads():
     assert all(isinstance(p, np.ndarray) for p in index.posting_ids)
 
 
-def test_session_train_configs_train(tmp_path, monkeypatch):
+def _session_and_frozen(tmp_path, monkeypatch, batches=1):
+    """session.py, a corpus of `batches` batches of triplets, and its frozen file."""
     # session.py imports its sibling as `from tracing import ...`
     monkeypatch.syspath_prepend(str(PERFBENCH))
     session = _load_perfbench("session")
-    corpus = make_synthetic_triplets(num_pairs=session.BATCH_SIZE)
+    corpus = make_synthetic_triplets(num_pairs=session.BATCH_SIZE * batches)
     path = str(tmp_path / "frozen.bin")
     save_frozen(FrozenFeatures(num_layers=session.NUM_LAYERS, hidden_dim=session.DIM,
                                features=session.frozen_rows(corpus, 0)), path)
+    return session, corpus, path
+
+
+def test_session_train_configs_train(tmp_path, monkeypatch):
+    session, corpus, path = _session_and_frozen(tmp_path, monkeypatch)
     # as session.setup and session.initial_checkpoint build their checkpoints
     train(session._train_config(0), corpus, max_steps=0)
     ckpt, trace = train(session._train_config(0, path), corpus, max_steps=1)
     assert len(trace) == 1 and ckpt.config == session._train_config(0, path)
+
+
+@pytest.mark.parametrize("phase", ["train_pooler", "train_encoder"])
+def test_train_loop_matches_one_run(tmp_path, monkeypatch, phase):
+    # TrainLoop resumes the in-memory checkpoint of its previous unit every
+    # `chunk` steps; two batches per epoch make the chunks cross epochs
+    session, corpus, path = _session_and_frozen(tmp_path, monkeypatch, batches=2)
+    inputs = SimpleNamespace(corpus=corpus, frozen_path=path)
+    ledger = session.Ledger()
+    loop = session.TrainLoop(phase, session.initial_checkpoint(phase, inputs, 0), corpus,
+                             session.TrainPlan(share=1.0, chunk=2, loss_steps=6), ledger)
+    for k in range(3):
+        loop.unit(k)
+    # an uninterrupted run from a fresh step-0 checkpoint, as the loop's first
+    # checkpoint was advanced in place
+    _, trace = train(loop.ckpt.config, corpus, max_steps=6)
+    assert loop.trace == trace and loop.ckpt.step == 6
+    assert ledger.attempted == {phase: 6} and ledger.failed == {}

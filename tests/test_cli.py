@@ -40,7 +40,7 @@ def _write_config(tmp_path, **overrides):
 class TestValidateConfig:
     def test_minimal_defaults(self):
         cfg = validate_config({"objective": "unsup", "corpus": "c.jsonl"})
-        assert cfg.train.tau == 0.05
+        assert cfg.train.temperature == 0.05
         assert cfg.train.norm_mode == "softmax"
         assert cfg.train.seed == 0
         assert cfg.train.strategy == "attn_cls_avg_concat"
@@ -98,8 +98,8 @@ class TestValidateConfig:
     def test_integer_stands_for_float(self):
         cfg = validate_config({"objective": "unsup", "corpus": "c", "temperature": 1,
                                "learning_rate": 1, "encoder": {"dropout_p": 0}})
-        assert (cfg.train.tau, cfg.train.learning_rate) == (1.0, 1.0)
-        assert type(cfg.train.tau) is float and type(cfg.train.encoder.dropout_p) is float
+        assert (cfg.train.temperature, cfg.train.learning_rate) == (1.0, 1.0)
+        assert type(cfg.train.temperature) is float and type(cfg.train.encoder.dropout_p) is float
 
     def test_zero_heads_is_a_config_error(self):
         with pytest.raises(ConfigError, match="num_heads"):

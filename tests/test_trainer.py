@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError
 from layerpool.autodiff import Rng, Tensor
 from layerpool.corpus import make_synthetic_triplets
-from layerpool.encoder import EncoderConfig, FrozenFeatures, load_frozen, save_frozen
+from layerpool.encoder import (EncoderConfig, FrozenFeatures, Tokenizer, load_frozen,
+                               save_frozen)
 from layerpool.trainer import (
     Checkpoint,
     TrainConfig,
@@ -167,6 +169,26 @@ class TestFrozenFeatures:
         assert len(trace) == 4 and ckpt.config == cfg
         assert all(t.shape[0] == 30 for t in ckpt.params.values())
 
+    def test_resume_refuses_another_width(self, tmp_path):
+        path = self._frozen_file(tmp_path, m=16, d=6)
+        cfg = tiny_config(objective="unsup", frozen_features=path)
+        save_checkpoint(train(cfg, bare_corpus(16), max_steps=1)[0], tmp_path / "ck")
+        self._frozen_file(tmp_path, m=16, d=8)  # same path, wider features
+        with pytest.raises(ValueError, match=rf"{re.escape(path)}.*\b8\b.*\b6\b"):
+            train(cfg, bare_corpus(16), resume_from=load_checkpoint(tmp_path / "ck"))
+
+    def test_vocabulary_empty(self, tmp_path, monkeypatch):
+        # a frozen run tokenizes nothing, so it fits and stores no vocabulary
+        def refuse(texts):
+            raise AssertionError("a frozen run fitted a vocabulary")
+
+        monkeypatch.setattr(Tokenizer, "from_texts", refuse)
+        cfg = tiny_config(objective="unsup", frozen_features=self._frozen_file(tmp_path, m=16))
+        ckpt, _ = train(cfg, bare_corpus(16), max_steps=1)
+        assert ckpt.vocab == {}
+        save_checkpoint(ckpt, tmp_path / "ck")
+        assert load_checkpoint(tmp_path / "ck").vocab == {}
+
     def test_init_from_refused(self, tmp_path):
         # a warm start copies encoder tensors, which a frozen run never uses
         pretrained, _ = train(tiny_config(), pair_corpus(), max_steps=0)
@@ -290,6 +312,28 @@ class TestCheckpoint:
         for (sa, la), (sb, lb) in zip(combined, full_trace):
             assert sa == sb
             assert abs(la - lb) < 1e-12
+
+
+    def test_resume_past_max_steps_keeps_step(self):
+        corpus = pair_corpus()
+        ckpt, _ = train(tiny_config(epochs=2), corpus, max_steps=6)
+        before = {name: t.data.copy() for name, t in ckpt.params.items()}
+        resumed, trace = train(ckpt.config, corpus, resume_from=ckpt, max_steps=3)
+        assert trace == [] and resumed.step == 6
+        assert all(np.array_equal(resumed.params[k].data, v) for k, v in before.items())
+
+    @pytest.mark.parametrize("tamper", ["unpaired", "no_param", "shape"])
+    def test_adam_state_must_match_params(self, tmp_path, tamper):
+        ckpt, _ = train(tiny_config(), pair_corpus(), max_steps=1)
+        if tamper == "unpaired":
+            del ckpt.adam_v["pos_emb"]
+        elif tamper == "no_param":
+            ckpt.adam_m["nope"] = ckpt.adam_v["nope"] = np.zeros(8)
+        else:
+            ckpt.adam_v["pos_emb"] = ckpt.adam_v["pos_emb"][:-1]
+        save_checkpoint(ckpt, tmp_path / "ck")
+        with pytest.raises(ArtifactCorruptError, match="adam_m and adam_v"):
+            load_checkpoint(tmp_path / "ck")
 
 
 class TestWarmStart:
