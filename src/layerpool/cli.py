@@ -68,12 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int, default=10)
     p.add_argument("--nprobe", type=int, default=8)
 
-    p = isub.add_parser("eval", help="MRR@10 / latency / memory metrics")
+    p = isub.add_parser("eval", help="MRR@10 / p50, p99 latency / memory metrics")
     p.add_argument("--index", required=True)
     p.add_argument("--query-embeddings", required=True)
     p.add_argument("--gold", required=True, help="file with one gold id per query line")
     p.add_argument("--nprobe", type=int, default=8)
-    p.add_argument("--timing-repeats", type=int, default=1000)
     return parser
 
 
@@ -186,8 +185,7 @@ def _cmd_index(args) -> int:
     index = load_index(args.index)
     matrix = _load_embeddings(args.query_embeddings)
     gold = [int(x) for x in _read_lines(args.gold)]
-    metrics = evaluate_search(index, matrix.vectors, gold, nprobe=args.nprobe,
-                              timing_repeats=args.timing_repeats)
+    metrics = evaluate_search(index, matrix.vectors, gold, nprobe=args.nprobe)
     print(json.dumps(asdict(metrics), sort_keys=True))
     return 0
 

@@ -19,12 +19,6 @@ from .autodiff import Rng
 # published seed of the synthetic paraphrase corpus
 SYNTH_CORPUS_SEED = 230817
 
-_CORPUS_KEYS = {
-    "pairs": ("sent1", "sent2"),
-    "triplets": ("anchor", "positive", "negative"),
-    "bare": ("text",),
-}
-
 
 def load_jsonl(path) -> list[dict]:
     records = []

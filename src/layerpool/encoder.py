@@ -44,8 +44,10 @@ class EncoderConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
-        if self.num_heads < 1 or self.hidden_dim % self.num_heads != 0:
-            raise ValueError("hidden_dim must be a multiple of num_heads >= 1")
+        if self.num_heads < 1 or self.hidden_dim < 1 or self.hidden_dim % self.num_heads:
+            raise ValueError("hidden_dim must be a positive multiple of num_heads >= 1")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         if self.max_seq_len < 2:

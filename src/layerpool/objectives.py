@@ -12,7 +12,18 @@ import numpy as np
 
 from .autodiff import Tensor, rescue_shifts
 
-OBJECTIVES = ("sup_basic", "unsup", "sup_hard")
+# each objective's views in loss-argument order: (corpus record key, dropout tag)
+VIEWS = {
+    "sup_basic": (("sent1", "a"), ("sent2", "p")),
+    "unsup": (("text", "z"), ("text", "z2")),
+    "sup_hard": (("anchor", "a"), ("positive", "p"), ("negative", "n")),
+}
+OBJECTIVES = tuple(VIEWS)
+
+
+def record_keys(objective: str) -> tuple[str, ...]:
+    """The distinct corpus record keys an objective reads, in view order."""
+    return tuple(dict.fromkeys(key for key, _ in VIEWS[objective]))
 
 DEFAULT_TEMPERATURE = 0.05
 
@@ -68,7 +79,9 @@ def loss_unsup(h_view1: Tensor, h_view2: Tensor, tau: float = DEFAULT_TEMPERATUR
 
     Structurally identical to the supervised in-batch loss; the views come
     from two encoder passes with independent dropout streams. Negatives are
-    drawn only from the second view's rows.
+    drawn only from the second view's rows. On frozen features both views
+    are the same pooled stack, so the positive term is constant and only
+    the negatives train.
     """
     return loss_sup_basic(h_view1, h_view2, tau)
 

@@ -96,6 +96,8 @@ class AttentionReport:
     def write_csv(self, path) -> None:
         """Write one stack's (N, N) report."""
         n = self.weights.shape[0]
+        if self.weights.shape != (n, n):
+            raise ValueError(f"write_csv needs one (N, N) report, got {self.weights.shape}")
         write_csv(path, [["row"] + [f"layer{j + 1}" for j in range(n)],
                          *([f"layer{i + 1}"] + [repr(x) for x in self.weights[i]]
                            for i in range(n)),

@@ -258,45 +258,40 @@ def brute_force_query(matrix: EmbeddingMatrix, q: np.ndarray,
 @dataclass
 class SearchMetrics:
     mrr_at_10: float
-    avg_retrieval_time_ms: float
+    query_ms_p50: float
+    query_ms_p99: float
     memory_usage_bytes: int
     missing_gold_ids: list[int]
 
 
 def evaluate_search(index: IvfIndex, queries: np.ndarray, gold_ids,
-                    nprobe: int = 8, timing_repeats: int = 1) -> SearchMetrics:
-    """MRR@10, mean per-query wall-clock time, and index payload size.
+                    nprobe: int = 8) -> SearchMetrics:
+    """MRR@10, p50/p99 per-query wall-clock time, and index payload size, from
+    one pass: each query is timed around the same `query` call that is scored.
 
-    Gold ids absent from the index contribute 0 and are flagged. Timing
-    averages over `timing_repeats` repetitions after the scored (warm-up) pass.
+    Gold ids absent from the index contribute 0 and are flagged.
     """
     queries = np.asarray(queries, dtype=np.float64)
     gold_ids = [int(g) for g in gold_ids]
-    if len(gold_ids) != queries.shape[0]:
-        raise ValueError("one gold id required per query")
+    if len(gold_ids) != queries.shape[0] or not gold_ids:
+        raise ValueError("one gold id required per query, and at least one query")
     indexed = np.isin(gold_ids, index.ids)
 
-    reciprocal = []
-    missing = []
-    results = [query(index, q, top_k=10, nprobe=nprobe) for q in queries]
-    for res, gold, present in zip(results, gold_ids, indexed):
+    reciprocal, missing, times_ms = [], [], []
+    for q, gold, present in zip(queries, gold_ids, indexed):
+        start = time.perf_counter()
+        res = query(index, q, top_k=10, nprobe=nprobe)
+        times_ms.append((time.perf_counter() - start) * 1e3)
         if not present:
             missing.append(gold)
-            reciprocal.append(0.0)
-            continue
         rank = next((r + 1 for r, (i, _) in enumerate(res) if i == gold), None)
         reciprocal.append(1.0 / rank if rank is not None else 0.0)
 
-    start = time.perf_counter()
-    for _ in range(timing_repeats):
-        for q in queries:
-            query(index, q, top_k=10, nprobe=nprobe)
-    elapsed = time.perf_counter() - start
-    per_query_ms = elapsed / (timing_repeats * max(1, queries.shape[0])) * 1e3
-
+    p50, p99 = np.percentile(times_ms, [50, 99])
     return SearchMetrics(
         mrr_at_10=float(np.mean(reciprocal)),
-        avg_retrieval_time_ms=per_query_ms,
+        query_ms_p50=float(p50),
+        query_ms_p99=float(p99),
         memory_usage_bytes=index.memory_bytes(),
         missing_gold_ids=missing,
     )

@@ -92,15 +92,14 @@ def evaluate_stacks(pairs: Tensor, golds, pooler, strategy, norm_mode="softmax")
     return spearman(cosine_sim(embeddings[:, 0], embeddings[:, 1]), golds)
 
 
-def evaluate(checkpoint: Checkpoint, strategy, records: list[StsRecord],
-             norm_mode: str | None = None) -> float:
-    """Embed both sentences of each record with dropout off; Spearman vs gold."""
+def evaluate(checkpoint: Checkpoint, strategy, records: list[StsRecord]) -> float:
+    """Embed both sentences of each record with dropout off and pool them under
+    the checkpoint's `norm_mode`; Spearman vs gold."""
     if not records:
         raise ValueError("no STS records")
-    strategy = PoolStrategy(strategy)
-    norm_mode = norm_mode or checkpoint.config.norm_mode
     return evaluate_stacks(_pairs_for(checkpoint, records), [r.gold for r in records],
-                           checkpoint.pooler_params(), strategy, norm_mode)
+                           checkpoint.pooler_params(), PoolStrategy(strategy),
+                           checkpoint.config.norm_mode)
 
 
 @dataclass

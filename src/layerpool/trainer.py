@@ -8,27 +8,19 @@ uninterrupted trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .artifact import ArtifactCorruptError, read_dir, write_csv, write_dir
 from .autodiff import Rng, Tensor
 from .config import TrainConfig, train_config_doc, train_config_from_doc
-from .corpus import _CORPUS_KEYS
 from .encoder import Encoder, FrozenFeatures, Tokenizer, init_encoder_params, load_frozen
-from .objectives import loss_sup_basic, loss_sup_hard, loss_unsup
+from .objectives import VIEWS, loss_sup_basic, loss_sup_hard, loss_unsup, record_keys
 from .pooler import PoolerParams, PoolStrategy, pool
 
 CHECKPOINT_FORMAT = "layerpool-checkpoint"
 CHECKPOINT_VERSION = 5
-
-# corpus record keys required by each objective
-_REQUIRED_KEYS = {
-    objective: _CORPUS_KEYS[kind]
-    for objective, kind in (("sup_basic", "pairs"), ("unsup", "bare"),
-                            ("sup_hard", "triplets"))
-}
 
 
 @dataclass
@@ -68,7 +60,7 @@ def init_params(config: TrainConfig, vocab_size: int, rng: Rng) -> dict[str, Ten
 def validate_corpus(objective: str, corpus: list[dict]) -> None:
     if not corpus:
         raise ValueError("empty corpus")
-    required = _REQUIRED_KEYS[objective]
+    required = record_keys(objective)
     for key in required:
         if key not in corpus[0]:
             raise ValueError(
@@ -79,25 +71,24 @@ def validate_corpus(objective: str, corpus: list[dict]) -> None:
 
 def _batch_loss(config, encoder, tokenizer, frozen, batch, indices, pooler, rng_step):
     strategy = PoolStrategy(config.strategy)
-    keys = _REQUIRED_KEYS[config.objective]
+    keys = record_keys(config.objective)
 
     def embed(key, tag):
         """Pooled embeddings of one side of the batch; `tag` names its dropout stream."""
         if frozen is not None:
             # record i of the corpus occupies frozen rows k*i .. k*i + k - 1,
-            # one per required key, in key order
+            # one per record key, in key order
             stacks = frozen.stack(indices * len(keys) + keys.index(key))
         else:
             stacks = encoder.encode_texts(tokenizer, [r[key] for r in batch],
                                           rng_step.child(tag), train_mode=True)
         return pool(stacks, pooler, strategy, config.norm_mode)
 
-    if config.objective == "sup_basic":
-        return loss_sup_basic(embed("sent1", "a"), embed("sent2", "p"), config.temperature)
-    if config.objective == "unsup":
-        return loss_unsup(embed("text", "z"), embed("text", "z2"), config.temperature)
-    return loss_sup_hard(embed("anchor", "a"), embed("positive", "p"),
-                         embed("negative", "n"), config.temperature)
+    # the losses are looked up at call time, so a wrapper patched over them is seen
+    loss = {"sup_basic": loss_sup_basic, "unsup": loss_unsup,
+            "sup_hard": loss_sup_hard}[config.objective]
+    return loss(*(embed(key, tag) for key, tag in VIEWS[config.objective]),
+                config.temperature)
 
 
 def _initial_checkpoint(config: TrainConfig, corpus: list[dict],
@@ -116,14 +107,13 @@ def _initial_checkpoint(config: TrainConfig, corpus: list[dict],
         # encoder() also refuses a checkpoint trained on frozen features
         if init_from.encoder().config != config.encoder:
             raise ValueError("init_from encoder architecture differs from the new config")
-        params = {name: Tensor(tensor.data.copy(), requires_grad=True)
-                  for name, tensor in init_from.params.items()
+        params = {name: tensor for name, tensor in init_from.params.items()
                   if not name.startswith("pooler.")}
         params.update(PoolerParams.init(config.encoder.hidden_dim, rng).named())
         vocab = dict(init_from.vocab)
     else:
         tokenizer = Tokenizer.from_texts(rec[key] for rec in corpus
-                                         for key in _REQUIRED_KEYS[config.objective])
+                                         for key in record_keys(config.objective))
         params, vocab = init_params(config, tokenizer.vocab_size, rng), tokenizer.vocab
     fixed = ("pooler.mlp_weight", "pooler.mlp_bias") if config.freeze_mlp else ()
 
@@ -149,11 +139,13 @@ def train(config: TrainConfig, corpus: list[dict],
     Every run continues a checkpoint and updates exactly the tensors that
     have Adam state in it. `resume_from` continues an interrupted run
     (config, optimizer state, and step counter all come from the checkpoint)
-    and is consumed: its tensors and Adam arrays become the result's and are
-    advanced in place. Otherwise the run starts from step 0, and `init_from`
-    warm-starts a new encoder run from a pretrained checkpoint: encoder
-    weights and vocabulary are copied, but the pooler, optimizer state, and
-    schedule start fresh under the new config. A `max_steps` at or below the
+    and is left as given: the result holds new Tensors and Adam dicts, and
+    updates rebind arrays rather than write into them, so resuming one
+    checkpoint twice repeats the trace. Otherwise the run starts from step
+    0, and `init_from` warm-starts a new encoder run from a pretrained
+    checkpoint, also left as given: encoder weights and vocabulary carry
+    over, but the pooler, optimizer state, and schedule start fresh under
+    the new config. A `max_steps` at or below the
     checkpoint's step runs nothing and keeps that step.
     """
     if resume_from is not None and init_from is not None:
@@ -163,10 +155,12 @@ def train(config: TrainConfig, corpus: list[dict],
     validate_corpus(config.objective, corpus)
     frozen = None if config.frozen_features is None else load_frozen(config.frozen_features)
     ckpt = resume_from or _initial_checkpoint(config, corpus, init_from, frozen)
-    params, adam_m, adam_v = ckpt.params, ckpt.adam_m, ckpt.adam_v
+    # the run's own Tensors and Adam dicts over the checkpoint's arrays
+    params = {name: Tensor(t.data, requires_grad=True) for name, t in ckpt.params.items()}
+    adam_m, adam_v = dict(ckpt.adam_m), dict(ckpt.adam_v)
 
     if frozen is not None:
-        needed = len(corpus) * len(_REQUIRED_KEYS[config.objective])
+        needed = len(corpus) * len(record_keys(config.objective))
         if frozen.num_sentences < needed:
             raise ValueError(f"frozen features hold {frozen.num_sentences} sentences, "
                              f"corpus needs {needed}")
@@ -174,7 +168,7 @@ def train(config: TrainConfig, corpus: list[dict],
         if frozen.hidden_dim != width:
             raise ValueError(f"frozen features in {config.frozen_features} have width "
                              f"d = {frozen.hidden_dim}, the checkpoint's pooler d = {width}")
-    encoder = None if frozen is not None else ckpt.encoder()
+    encoder = None if frozen is not None else Encoder(config.encoder, params)
 
     M = config.batch_size
     steps_per_epoch = len(corpus) // M
@@ -213,10 +207,11 @@ def train(config: TrainConfig, corpus: list[dict],
             adam_v[name] = beta2 * adam_v[name] + (1 - beta2) * g * g
             m_hat = adam_m[name] / (1 - beta1**t)
             v_hat = adam_v[name] / (1 - beta2**t)
-            params[name].data -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            params[name].data = params[name].data - (
+                config.learning_rate * m_hat / (np.sqrt(v_hat) + eps))
         trace.append((step, loss.item()))
 
-    return replace(ckpt, step=total_steps), trace
+    return Checkpoint(config, params, adam_m, adam_v, total_steps, ckpt.vocab), trace
 
 
 def write_loss_trace(trace, path) -> None:

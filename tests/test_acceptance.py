@@ -401,8 +401,7 @@ def test_criterion_7_search_exactness_and_mrr():
             docs.append(v)
     planted = EmbeddingMatrix(vectors=np.stack(docs))
     index = build_index(planted, nlist=1, rng=Rng(3))
-    metrics = evaluate_search(index, queries, gold_ids, nprobe=1,
-                              timing_repeats=1)
+    metrics = evaluate_search(index, queries, gold_ids, nprobe=1)
     expected = float(np.mean([1.0, 0.5, 0.1, 0.0]))
     mrr_exact = metrics.mrr_at_10 == expected
 

@@ -105,6 +105,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="num_heads"):
             validate_config({"objective": "unsup", "corpus": "c", "encoder": {"num_heads": 0}})
 
+    @pytest.mark.parametrize("encoder, named", [
+        ({"hidden_dim": 0}, "hidden_dim"), ({"dropout_p": 1.5}, "dropout_p"),
+        ({"dropout_p": 1.0}, "dropout_p"), ({"dropout_p": -0.1}, "dropout_p"),
+    ])
+    def test_out_of_range_encoder_value_is_a_config_error(self, encoder, named):
+        # caught when the config loads, not as a traceback from the first step
+        with pytest.raises(ConfigError, match=named):
+            validate_config({"objective": "unsup", "corpus": "c", "encoder": encoder})
+
     def test_effective_config_reads_back(self):
         from layerpool.config import effective_config_doc
 
@@ -240,9 +249,10 @@ class TestDispatch:
         gold.write_text("\n".join(str(i) for i in range(12)) + "\n")
         assert dispatch(["index", "eval", "--index", str(index_dir),
                          "--query-embeddings", str(emb), "--gold", str(gold),
-                         "--nprobe", "2", "--timing-repeats", "1"]) == 0
+                         "--nprobe", "2"]) == 0
         metrics = json.loads(capsys.readouterr().out)
         assert metrics["mrr_at_10"] == 1.0
+        assert 0.0 <= metrics["query_ms_p50"] <= metrics["query_ms_p99"]
         assert metrics["memory_usage_bytes"] > 0
 
     def test_inspect_attention_writes_reports(self, tmp_path, capsys):
@@ -368,6 +378,19 @@ class TestDispatch:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
         assert os.listdir(tmp_path) == ["nan.npy"]
+
+    def test_index_eval_rejects_zero_queries(self, tmp_path, capsys):
+        emb, none, gold = tmp_path / "emb.npy", tmp_path / "none.npy", tmp_path / "gold.txt"
+        np.save(emb, np.eye(4, dtype=np.float32))
+        np.save(none, np.zeros((0, 4), dtype=np.float32))
+        gold.write_text("")
+        assert dispatch(["index", "build", "--embeddings", str(emb), "--nlist", "1",
+                         "--out", str(tmp_path / "idx")]) == 0
+        assert dispatch(["index", "eval", "--index", str(tmp_path / "idx"),
+                         "--query-embeddings", str(none), "--gold", str(gold),
+                         "--nprobe", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "query" in err[0]
 
     def test_train_determinism_bit_for_bit(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

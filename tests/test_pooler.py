@@ -116,6 +116,14 @@ class TestAttentionScores:
         assert len(lines) == 1 + 3 + 1  # header, rows, aggregate
         assert lines[-1].startswith("aggregate,")
 
+    def test_csv_refuses_a_batch_of_reports(self, tmp_path):
+        stacks = Tensor(np.stack([random_stack(2, 4, seed=s).data for s in range(3)]))
+        rep = attention_scores(stacks, PoolerParams.init(4, Rng(0)), PoolStrategy.ATTN_CLS_AVG)
+        assert rep.weights.shape == (3, 2, 2)
+        with pytest.raises(ValueError, match=r"\(N, N\)"):
+            rep.write_csv(tmp_path / "a.csv")
+        assert not (tmp_path / "a.csv").exists()
+
 
 class TestPoolLayerwise:
     def test_single_layer_passthrough(self):

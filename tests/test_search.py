@@ -400,8 +400,26 @@ class TestEvaluateSearch:
         queries = np.eye(12)[:4]
         metrics = evaluate_search(index, queries, [0, 1, 2, 3], nprobe=1)
         assert metrics.mrr_at_10 == 1.0
-        assert metrics.avg_retrieval_time_ms >= 0.0
+        assert 0.0 <= metrics.query_ms_p50 <= metrics.query_ms_p99
         assert metrics.memory_usage_bytes == index.memory_bytes()
+
+    def test_one_query_call_per_query(self, monkeypatch):
+        # each query is timed around the very call that is scored
+        index = self._planted_index()
+        calls = []
+
+        def counting_query(*args, **kwargs):
+            calls.append(1)
+            return query(*args, **kwargs)
+
+        monkeypatch.setattr("layerpool.search.query", counting_query)
+        metrics = evaluate_search(index, np.eye(12)[:5], [0, 1, 2, 3, 4], nprobe=1)
+        assert len(calls) == 5
+        assert metrics.mrr_at_10 == 1.0
+
+    def test_zero_queries_rejected(self):
+        with pytest.raises(ValueError, match="at least one query"):
+            evaluate_search(self._planted_index(), np.zeros((0, 12)), [], nprobe=1)
 
     def test_rank_three_reciprocal(self):
         # query closest to rows 0 > 1 > 2; gold is 2 -> 1/3

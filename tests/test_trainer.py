@@ -322,6 +322,20 @@ class TestCheckpoint:
         assert trace == [] and resumed.step == 6
         assert all(np.array_equal(resumed.params[k].data, v) for k, v in before.items())
 
+    def test_resume_leaves_the_checkpoint_as_given(self):
+        corpus = pair_corpus()
+        ckpt, _ = train(tiny_config(epochs=2), corpus, max_steps=4)
+        params = {name: t.data.copy() for name, t in ckpt.params.items()}
+        adam = [{name: a.copy() for name, a in d.items()} for d in (ckpt.adam_m, ckpt.adam_v)]
+        _, first = train(ckpt.config, corpus, resume_from=ckpt, max_steps=6)
+        _, second = train(ckpt.config, corpus, resume_from=ckpt, max_steps=6)
+        assert len(first) == 2 and first == second
+        assert ckpt.step == 4
+        assert all(np.array_equal(ckpt.params[k].data, v) for k, v in params.items())
+        for before, after in zip(adam, (ckpt.adam_m, ckpt.adam_v)):
+            assert before.keys() == after.keys()
+            assert all(np.array_equal(after[k], v) for k, v in before.items())
+
     @pytest.mark.parametrize("tamper", ["unpaired", "no_param", "shape"])
     def test_adam_state_must_match_params(self, tmp_path, tamper):
         ckpt, _ = train(tiny_config(), pair_corpus(), max_steps=1)
@@ -420,9 +434,10 @@ def test_golden_trace_frozen_headline(tmp_path):
 def test_encoder_step_tape_size(monkeypatch):
     # one default-encoder sup_hard step (M=16) builds this many Tensors with
     # attention on a head axis and layer norm and softmax as single ops; a
-    # loop over heads or composite layer norm and softmax more than doubles it
+    # loop over heads or composite layer norm and softmax more than doubles it.
+    # A 2-step call minus a 1-step call leaves out what a call builds at setup.
     cfg = TrainConfig(objective="sup_hard", strategy="attn_cls_avg_concat",
-                      batch_size=16, seed=3)
+                      batch_size=16, epochs=2, seed=3)
     corpus = make_synthetic_triplets(num_pairs=16)
     ckpt, _ = train(cfg, corpus, max_steps=0)
     count, init = [0], Tensor.__init__
@@ -432,8 +447,13 @@ def test_encoder_step_tape_size(monkeypatch):
         init(obj, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counting_init)
-    train(ckpt.config, corpus, resume_from=ckpt, max_steps=1)
-    assert count[0] == 584
+
+    def tensors_built(max_steps):
+        count[0] = 0
+        train(ckpt.config, corpus, resume_from=ckpt, max_steps=max_steps)
+        return count[0]
+
+    assert tensors_built(2) - tensors_built(1) == 584
 
 
 def test_golden_trace_encoder():
