@@ -26,7 +26,7 @@ PAD_ID = 1
 UNK_ID = 2
 _NUM_RESERVED = 3
 
-# texts per forward pass outside train_mode
+# texts per forward pass of encode_texts, which only runs inference
 INFERENCE_CHUNK = 64
 
 FROZEN_MAGIC = b"LAPF"
@@ -114,22 +114,22 @@ class Encoder:
         self.config = config
         self.params = params
 
-    def encode(self, token_lists, rngs: list[Rng] | None = None,
-               train_mode: bool = False) -> Tensor:
+    def encode(self, token_lists, rngs: list[Rng] | None = None) -> Tensor:
         """(B, N, 2, d) layer stacks of B token lists in one padded forward pass.
 
         The lists are padded with PAD_ID to the longest one; attention never
         reads a PAD key and the AVG stream averages only non-PAD positions
-        after CLS. In train_mode list b draws its dropout masks from
-        ``rngs[b]``. Outside train_mode the parameters are read as constants,
-        so the pass records no tape and the result requires no grad.
+        after CLS. Given ``rngs``, the pass trains: list b draws its dropout
+        masks from ``rngs[b]``, so a row does not depend on its batch. Without
+        them the parameters are read as constants, so the pass records no
+        tape and the result requires no grad.
         """
         cfg = self.config
         token_lists = list(token_lists)
         if not token_lists:
             raise ValueError("no token sequences to encode")
-        if train_mode and (rngs is None or len(rngs) != len(token_lists)):
-            raise ValueError("train_mode requires one rng per token sequence for dropout")
+        if rngs is not None and len(rngs) != len(token_lists):
+            raise ValueError("training needs one rng per token sequence for dropout")
         lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
         B, T = len(token_lists), int(lengths.max())
         if T > cfg.max_seq_len:
@@ -152,9 +152,10 @@ class Encoder:
         content_mask = content[:, :, None].astype(np.float64)
         inv_count = 1.0 / content.sum(axis=1, keepdims=True)
 
-        p = self.params if train_mode else {k: Tensor(v.data) for k, v in self.params.items()}
+        p = self.params if rngs is not None else {
+            k: Tensor(v.data) for k, v in self.params.items()}
         x = p["token_emb"][ids] + p["pos_emb"][:T]
-        x = self._dropout(x, rngs, lengths, train_mode, "emb")
+        x = self._dropout(x, rngs, lengths, "emb")
 
         # additive mask keeping every head's attention off padding keys, per row
         key_mask = np.where(pad, -1e9, 0.0)[:, None, None, :]
@@ -164,27 +165,21 @@ class Encoder:
             pre = f"layer{i}."
             a_in = x.layer_norm(p[pre + "ln1_g"], p[pre + "ln1_b"])
             attn = self._attention(a_in, p, pre, key_mask)
-            x = x + self._dropout(attn, rngs, lengths, train_mode, f"attn{i}")
+            x = x + self._dropout(attn, rngs, lengths, f"attn{i}")
             f_in = x.layer_norm(p[pre + "ln2_g"], p[pre + "ln2_b"])
             hidden = (f_in @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"]).tanh()
             ffn = hidden @ p[pre + "ffn_w2"] + p[pre + "ffn_b2"]
-            x = x + self._dropout(ffn, rngs, lengths, train_mode, f"ffn{i}")
+            x = x + self._dropout(ffn, rngs, lengths, f"ffn{i}")
             layers += [x[:, 0], (x * content_mask).sum(axis=1) * inv_count]
         return Tensor.concat(layers, axis=1).reshape(B, cfg.num_layers, 2, cfg.hidden_dim)
 
-    def encode_texts(self, tokenizer: Tokenizer, texts, rng: Rng | None = None,
-                     train_mode: bool = False) -> Tensor:
-        """(B, N, 2, d) layer stacks of B texts.
+    def encode_texts(self, tokenizer: Tokenizer, texts) -> Tensor:
+        """(B, N, 2, d) layer stacks of B texts with dropout off.
 
-        In train_mode the batch is one forward pass and text b draws its
-        dropout masks from ``rng.child(b)``. Outside train_mode the texts are
-        encoded in fixed chunks of ``INFERENCE_CHUNK``, so memory stays
-        bounded however many texts there are.
+        The texts are encoded in fixed chunks of ``INFERENCE_CHUNK``, so
+        memory stays bounded however many texts there are.
         """
         token_lists = [tokenizer.encode(text, self.config.max_seq_len) for text in texts]
-        if train_mode:
-            rngs = None if rng is None else [rng.child(b) for b in range(len(token_lists))]
-            return self.encode(token_lists, rngs, train_mode=True)
         # an empty text list still makes one call, which rejects it
         starts = range(0, max(len(token_lists), 1), INFERENCE_CHUNK)
         return Tensor(np.concatenate(
@@ -207,10 +202,9 @@ class Encoder:
         out = (weights @ v).transpose(0, 2, 1, 3).reshape(B, T, d)
         return out @ p[prefix + "attn_o"]
 
-    def _dropout(self, x: Tensor, rngs, lengths: np.ndarray, train_mode: bool,
-                 tag: str) -> Tensor:
+    def _dropout(self, x: Tensor, rngs, lengths: np.ndarray, tag: str) -> Tensor:
         """Sequence b's (T_b, d) mask from ``rngs[b]``, written into a padded array."""
-        if not train_mode or self.config.dropout_p == 0.0:
+        if rngs is None or self.config.dropout_p == 0.0:
             return x
         mask = np.zeros(x.shape)
         for b, (rng, n) in enumerate(zip(rngs, lengths)):

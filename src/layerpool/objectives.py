@@ -1,9 +1,10 @@
 """Contrastive training objectives over batches of pooled embeddings.
 
-All three losses share the same skeleton: cosine similarities scaled by a
-temperature, one positive per anchor, a log-sum-exp denominator over the
-batch. Losses are averaged over the batch so the learning rate does not
-depend on batch size.
+All three losses are one InfoNCE core: cosine similarities of each anchor
+with a candidate matrix, scaled by a temperature, where candidate row i is
+anchor i's positive and every other row is a negative, and a log-sum-exp
+denominator over the candidates. Losses are averaged over the batch so the
+learning rate does not depend on batch size.
 """
 
 from __future__ import annotations
@@ -56,42 +57,33 @@ def similarity_matrix(h_a: Tensor, h_b: Tensor) -> Tensor:
     return _normalize_rows(h_a) @ _normalize_rows(h_b).T
 
 
-def _diagonal(m: Tensor) -> Tensor:
-    n = m.data.shape[0]
-    return m[np.arange(n), np.arange(n)]
-
-
-def _validate_tau(tau: float) -> None:
+def _info_nce(h: Tensor, candidates: Tensor, tau: float) -> Tensor:
+    """Mean cross-entropy of anchor i picking candidate row i among all rows."""
     if not tau > 0:
         raise ValueError(f"temperature must be positive, got {tau}")
+    sims = similarity_matrix(h, candidates) * (1.0 / tau)  # (M, K)
+    rows = np.arange(sims.shape[0])
+    return (sims.logsumexp(axis=1) - sims[rows, rows]).mean()
 
 
 def loss_sup_basic(h: Tensor, h_pos: Tensor, tau: float = DEFAULT_TEMPERATURE) -> Tensor:
     """In-batch negative cross-entropy: anchors vs positives."""
-    _validate_tau(tau)
-    sims = similarity_matrix(h, h_pos) * (1.0 / tau)  # (M, M)
-    per_example = sims.logsumexp(axis=1) - _diagonal(sims)
-    return per_example.mean()
+    return _info_nce(h, h_pos, tau)
 
 
 def loss_unsup(h_view1: Tensor, h_view2: Tensor, tau: float = DEFAULT_TEMPERATURE) -> Tensor:
     """Dropout-pair objective: two stochastic views of the same sentences.
 
     Structurally identical to the supervised in-batch loss; the views come
-    from two encoder passes with independent dropout streams. Negatives are
-    drawn only from the second view's rows. On frozen features both views
-    are the same pooled stack, so the positive term is constant and only
-    the negatives train.
+    from one encoder pass in which each sentence appears twice, under two
+    independent dropout streams. Negatives are drawn only from the second
+    view's rows. On frozen features both views are the same pooled stack,
+    so the positive term is constant and only the negatives train.
     """
-    return loss_sup_basic(h_view1, h_view2, tau)
+    return _info_nce(h_view1, h_view2, tau)
 
 
 def loss_sup_hard(h: Tensor, h_pos: Tensor, h_neg: Tensor,
                   tau: float = DEFAULT_TEMPERATURE) -> Tensor:
     """Hard-negative objective: the denominator also sums over contradictions."""
-    _validate_tau(tau)
-    sims_pos = similarity_matrix(h, h_pos) * (1.0 / tau)
-    sims_neg = similarity_matrix(h, h_neg) * (1.0 / tau)
-    both = Tensor.concat([sims_pos, sims_neg], axis=1)  # (M, 2M)
-    per_example = both.logsumexp(axis=1) - _diagonal(sims_pos)
-    return per_example.mean()
+    return _info_nce(h, Tensor.concat([h_pos, h_neg]), tau)  # (M, 2M) similarities

@@ -88,8 +88,8 @@ def kmeans_fit(x: np.ndarray, k: int, rng: Rng, max_iters: int = 25) -> np.ndarr
     """
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0]
-    if k > m:
-        raise ValueError(f"k={k} exceeds {m} points")
+    if not 1 <= k <= m:
+        raise ValueError(f"k={k} is below 1 or exceeds {m} points")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     gen = rng.child("kmeans").generator()

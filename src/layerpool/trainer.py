@@ -58,37 +58,42 @@ def init_params(config: TrainConfig, vocab_size: int, rng: Rng) -> dict[str, Ten
 
 
 def validate_corpus(objective: str, corpus: list[dict]) -> None:
+    """Every record must be an object holding each key the objective reads
+    as a non-blank string; the first that is not is named by index and key."""
     if not corpus:
         raise ValueError("empty corpus")
     required = record_keys(objective)
-    for key in required:
-        if key not in corpus[0]:
-            raise ValueError(
-                f"objective {objective!r} needs corpus records with keys "
-                f"{required}, got {tuple(sorted(corpus[0]))}"
-            )
+    for i, record in enumerate(corpus):
+        if not isinstance(record, dict):
+            raise ValueError(f"corpus record {i} is a {type(record).__name__}, not an object")
+        for key in required:
+            if not isinstance(record.get(key), str) or not record[key].strip():
+                got = repr(record[key]) if key in record else "no such key"
+                raise ValueError(f"corpus record {i}: objective {objective!r} needs key "
+                                 f"{key!r} as a non-blank string, got {got}")
 
 
 def _batch_loss(config, encoder, tokenizer, frozen, batch, indices, pooler, rng_step):
-    strategy = PoolStrategy(config.strategy)
-    keys = record_keys(config.objective)
-
-    def embed(key, tag):
-        """Pooled embeddings of one side of the batch; `tag` names its dropout stream."""
-        if frozen is not None:
-            # record i of the corpus occupies frozen rows k*i .. k*i + k - 1,
-            # one per record key, in key order
-            stacks = frozen.stack(indices * len(keys) + keys.index(key))
-        else:
-            stacks = encoder.encode_texts(tokenizer, [r[key] for r in batch],
-                                          rng_step.child(tag), train_mode=True)
-        return pool(stacks, pooler, strategy, config.norm_mode)
-
+    """One step's loss. Every view of the batch goes through one encoder pass
+    (or one frozen `stack`) and one `pool` call; the (V*M, d) embeddings are
+    then sliced into the V views that the objective's loss takes."""
+    views, M = VIEWS[config.objective], len(batch)
+    if frozen is not None:
+        # record i of the corpus occupies frozen rows k*i .. k*i + k - 1,
+        # one per record key, in key order
+        keys = record_keys(config.objective)
+        stacks = frozen.stack(np.concatenate(
+            [indices * len(keys) + keys.index(key) for key, _ in views]))
+    else:
+        # text b of view `tag` draws its dropout masks from stream (tag, b)
+        rngs = [rng_step.child(tag, b) for _, tag in views for b in range(M)]
+        stacks = encoder.encode([tokenizer.encode(r[key], encoder.config.max_seq_len)
+                                 for key, _ in views for r in batch], rngs)
+    h = pool(stacks, pooler, PoolStrategy(config.strategy), config.norm_mode)
     # the losses are looked up at call time, so a wrapper patched over them is seen
     loss = {"sup_basic": loss_sup_basic, "unsup": loss_unsup,
             "sup_hard": loss_sup_hard}[config.objective]
-    return loss(*(embed(key, tag) for key, tag in VIEWS[config.objective]),
-                config.temperature)
+    return loss(*(h[v * M:(v + 1) * M] for v in range(len(views))), config.temperature)
 
 
 def _initial_checkpoint(config: TrainConfig, corpus: list[dict],

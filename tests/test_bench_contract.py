@@ -9,6 +9,7 @@ fail here, in the fast suite, and not only in a benchmark run.
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -96,3 +97,24 @@ def test_train_loop_matches_one_run(tmp_path, monkeypatch, phase):
     _, trace = train(loop.ckpt.config, corpus, max_steps=6)
     assert loop.trace == trace and loop.ckpt.step == 6
     assert ledger.attempted == {phase: 6} and ledger.failed == {}
+
+
+@pytest.mark.parametrize("phase, forward", [("train_pooler", "encoder.frozen_stack"),
+                                            ("train_encoder", "encoder.forward")])
+def test_traced_unit_sees_each_step(tmp_path, monkeypatch, phase, forward):
+    # a trainer change that bypasses a patched name would leave its per-layer
+    # metrics without spans; each step is one forward (or frozen stack), one
+    # pool, one loss and one backward
+    session, corpus, path = _session_and_frozen(tmp_path, monkeypatch)
+    inputs = SimpleNamespace(corpus=corpus, frozen_path=path)
+    loop = session.TrainLoop(phase, session.initial_checkpoint(phase, inputs, 0), corpus,
+                             session.TrainPlan(share=1.0, chunk=2, loss_steps=2),
+                             session.Ledger())
+    with session.Tracer() as tracer:
+        tracer.phase = phase
+        loop.unit(0)
+    spans = Counter(row[0] for row in tracer.spans if row[1] == phase)
+    steps = len(loop.trace)
+    assert steps == 2 and spans["trainer.train"] == 1
+    for name in (forward, "pooler.pool", "objectives.loss", "autodiff.backward"):
+        assert spans[name] == steps, name

@@ -189,6 +189,17 @@ class TestDispatch:
         assert err.startswith("error:")
         assert not (tmp_path / "run" / "loss.csv").exists()
 
+    def test_bad_corpus_record_exits_1(self, tmp_path, capsys):
+        # only record 5 of 64 is bad; the check names it before any work
+        corpus = make_synthetic_triplets(num_pairs=64)
+        corpus[5]["negative"] = 7
+        write_jsonl(corpus, tmp_path / "corpus.jsonl")
+        assert dispatch(["train", "--config", str(_write_config(tmp_path))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: corpus record 5: ")
+        assert "'negative'" in err[0] and "got 7" in err[0]
+        assert not (tmp_path / "run" / "loss.csv").exists()
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert dispatch(["train", "--config", str(tmp_path / "absent.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
@@ -378,6 +389,16 @@ class TestDispatch:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
         assert os.listdir(tmp_path) == ["nan.npy"]
+
+    @pytest.mark.parametrize("nlist", ["0", "-1"])
+    def test_index_build_rejects_nlist_below_one(self, tmp_path, capsys, nlist):
+        emb = tmp_path / "emb.npy"
+        np.save(emb, np.eye(4, dtype=np.float32))
+        assert dispatch(["index", "build", "--embeddings", str(emb), "--nlist", nlist,
+                         "--out", str(tmp_path / "idx")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == f"error: k={nlist} is below 1 or exceeds 4 points"
+        assert os.listdir(tmp_path) == ["emb.npy"]
 
     def test_index_eval_rejects_zero_queries(self, tmp_path, capsys):
         emb, none, gold = tmp_path / "emb.npy", tmp_path / "none.npy", tmp_path / "gold.txt"

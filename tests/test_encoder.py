@@ -71,15 +71,15 @@ class TestEncode:
         assert stack.shape == (1, small_config.num_layers, 2, small_config.hidden_dim)
 
     def test_eval_mode_deterministic(self, encoder):
-        a = encoder.encode([[CLS_ID, 3, 4, 5]], train_mode=False)
-        b = encoder.encode([[CLS_ID, 3, 4, 5]], train_mode=False)
+        a = encoder.encode([[CLS_ID, 3, 4, 5]])
+        b = encoder.encode([[CLS_ID, 3, 4, 5]])
         assert np.array_equal(a.data, b.data)
 
     def test_independent_dropout_streams_differ(self, encoder):
         diffs = 0
         for trial in range(10):
-            a = encoder.encode([[CLS_ID, 3, 4]], rngs=[Rng(trial).child("z")], train_mode=True)
-            b = encoder.encode([[CLS_ID, 3, 4]], rngs=[Rng(trial).child("z2")], train_mode=True)
+            a = encoder.encode([[CLS_ID, 3, 4]], rngs=[Rng(trial).child("z")])
+            b = encoder.encode([[CLS_ID, 3, 4]], rngs=[Rng(trial).child("z2")])
             if not np.array_equal(a.data[0, :, 0], b.data[0, :, 0]):
                 diffs += 1
         assert diffs >= 9
@@ -117,20 +117,10 @@ class TestEncode:
 
     def test_sentences_independent_of_batch_order(self, encoder):
         # encoding is per-sentence, so any interleaving gives identical stacks
-        s1 = encoder.encode([[CLS_ID, 3, 4]], train_mode=False)
-        _ = encoder.encode([[CLS_ID, 5]], train_mode=False)
-        s1_again = encoder.encode([[CLS_ID, 3, 4]], train_mode=False)
+        s1 = encoder.encode([[CLS_ID, 3, 4]])
+        _ = encoder.encode([[CLS_ID, 5]])
+        s1_again = encoder.encode([[CLS_ID, 3, 4]])
         assert np.array_equal(s1.data, s1_again.data)
-
-    def test_encode_texts_keeps_per_sentence_streams(self, encoder):
-        tok = Tokenizer({"a": 3, "b": 4, "c": 5})
-        texts = ["a b", "c", "b a c"]
-        rng = Rng(2).child("a")
-        batch = encoder.encode_texts(tok, texts, rng, train_mode=True)
-        assert batch.shape == (3, 2, 2, 8)
-        for pos, text in enumerate(texts):
-            single = encoder.encode([tok.encode(text, 6)], rngs=[rng.child(pos)], train_mode=True)
-            assert np.array_equal(batch.data[pos], single.data[0])
 
 
 class TestBatchedEncode:
@@ -158,9 +148,9 @@ class TestBatchedEncode:
             return {k: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                     for k, t in params.items()}
 
-        batch = long_encoder.encode(token_lists, rngs, train_mode=True)
+        batch = long_encoder.encode(token_lists, rngs)
         batch_grads = grads((batch * weights).sum())
-        singles = [long_encoder.encode([tokens], [rng], train_mode=True)
+        singles = [long_encoder.encode([tokens], [rng])
                    for tokens, rng in zip(token_lists, rngs)]
         single_grads = grads(sum((s[0] * w).sum() for s, w in zip(singles, weights)))
         for b, single in enumerate(singles):
@@ -189,9 +179,9 @@ class TestBatchedEncode:
         out.sum().backward()
         assert all(t.grad is None for t in encoder.params.values())
 
-    def test_train_mode_needs_one_rng_per_sequence(self, encoder):
+    def test_training_needs_one_rng_per_sequence(self, encoder):
         with pytest.raises(ValueError, match="rng"):
-            encoder.encode([[CLS_ID, 3], [CLS_ID, 4]], [Rng(0)], train_mode=True)
+            encoder.encode([[CLS_ID, 3], [CLS_ID, 4]], [Rng(0)])
 
 
 class TestInitParams:

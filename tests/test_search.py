@@ -141,6 +141,11 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans_fit(np.ones((3, 2)), 4, Rng(0))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        with pytest.raises(ValueError, match=f"k={k} is below 1"):
+            kmeans_fit(np.ones((3, 2)), k, Rng(0))
+
     def test_gemm_distances_pick_the_broadcast_argmin(self):
         for seed in range(5):
             gen = Rng(20 + seed).generator()

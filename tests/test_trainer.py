@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError
 from layerpool.autodiff import Rng, Tensor
 from layerpool.corpus import make_synthetic_triplets
-from layerpool.encoder import (EncoderConfig, FrozenFeatures, Tokenizer, load_frozen,
+from layerpool import trainer
+from layerpool.encoder import (Encoder, EncoderConfig, FrozenFeatures, Tokenizer, load_frozen,
                                save_frozen)
+from layerpool.objectives import OBJECTIVES, record_keys
 from layerpool.trainer import (
     Checkpoint,
     TrainConfig,
@@ -77,6 +80,53 @@ class TestTrain:
     def test_corpus_objective_mismatch(self):
         with pytest.raises(ValueError, match="sup_hard"):
             train(tiny_config(objective="sup_hard"), pair_corpus())
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda c: c[5].pop("negative"), r"record 5: .*'negative'.*no such key"),
+        (lambda c: c[5].update(negative=7), r"record 5: .*'negative'.*got 7$"),
+        (lambda c: c[5].update(positive=" "), r"record 5: .*'positive'.*got ' '$"),
+        (lambda c: c.__setitem__(5, ["w1 a"]), r"record 5 is a list"),
+    ], ids=["missing", "integer", "blank", "not-an-object"])
+    def test_every_record_checked_before_any_work(self, monkeypatch, spoil, message):
+        corpus = triplet_corpus(64)
+        spoil(corpus)
+
+        def refuse(texts):
+            raise AssertionError("the vocabulary was fitted before the corpus check")
+
+        monkeypatch.setattr(Tokenizer, "from_texts", refuse)
+        with pytest.raises(ValueError, match=message):
+            train(tiny_config(objective="sup_hard"), corpus)
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["encoder", "frozen"])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_one_forward_pool_and_loss_per_step(self, tmp_path, monkeypatch, objective,
+                                                frozen):
+        corpus = {"sup_basic": pair_corpus, "unsup": bare_corpus,
+                  "sup_hard": triplet_corpus}[objective]()
+        cfg = tiny_config(objective=objective)
+        if frozen:
+            rows = len(corpus) * len(record_keys(objective))
+            feats = Rng(0).generator().normal(size=(rows, 2, 2, 6)).astype(np.float32)
+            save_frozen(FrozenFeatures(num_layers=2, hidden_dim=6, features=feats),
+                        tmp_path / "f.lapf")
+            cfg = tiny_config(objective=objective, frozen_features=str(tmp_path / "f.lapf"))
+        ckpt, _ = train(cfg, corpus, max_steps=0)
+        calls = Counter()
+
+        def counted(kind, fn):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Encoder, "encode", counted("forward", Encoder.encode))
+        monkeypatch.setattr(FrozenFeatures, "stack", counted("forward", FrozenFeatures.stack))
+        monkeypatch.setattr(trainer, "pool", counted("pool", trainer.pool))
+        for name in ("loss_sup_basic", "loss_unsup", "loss_sup_hard"):
+            monkeypatch.setattr(trainer, name, counted("loss", getattr(trainer, name)))
+        _, trace = train(cfg, corpus, resume_from=ckpt, max_steps=1)
+        assert len(trace) == 1 and calls == {"forward": 1, "pool": 1, "loss": 1}
 
     def test_singleton_batch_loss_zero(self):
         cfg = tiny_config(objective="sup_basic", batch_size=1, epochs=1)
@@ -431,14 +481,9 @@ def test_golden_trace_frozen_headline(tmp_path):
     _assert_trace(trace, GOLDEN_FROZEN_TRACE)
 
 
-def test_encoder_step_tape_size(monkeypatch):
-    # one default-encoder sup_hard step (M=16) builds this many Tensors with
-    # attention on a head axis and layer norm and softmax as single ops; a
-    # loop over heads or composite layer norm and softmax more than doubles it.
-    # A 2-step call minus a 1-step call leaves out what a call builds at setup.
-    cfg = TrainConfig(objective="sup_hard", strategy="attn_cls_avg_concat",
-                      batch_size=16, epochs=2, seed=3)
-    corpus = make_synthetic_triplets(num_pairs=16)
+def _tensors_per_step(monkeypatch, cfg, corpus):
+    """Tensors one step builds: a 2-step call minus a 1-step call from the same
+    step-0 checkpoint leaves out what a call builds at setup."""
     ckpt, _ = train(cfg, corpus, max_steps=0)
     count, init = [0], Tensor.__init__
 
@@ -453,7 +498,28 @@ def test_encoder_step_tape_size(monkeypatch):
         train(ckpt.config, corpus, resume_from=ckpt, max_steps=max_steps)
         return count[0]
 
-    assert tensors_built(2) - tensors_built(1) == 584
+    return tensors_built(2) - tensors_built(1)
+
+
+def test_encoder_step_tape_size(monkeypatch):
+    # one default-encoder sup_hard step (M=16) builds this many Tensors with
+    # the three views in one forward pass, attention on a head axis and layer
+    # norm and softmax as single ops; a forward per view, a loop over heads or
+    # composite layer norm and softmax builds well over twice as many
+    cfg = TrainConfig(objective="sup_hard", strategy="attn_cls_avg_concat",
+                      batch_size=16, epochs=2, seed=3)
+    assert _tensors_per_step(monkeypatch, cfg, make_synthetic_triplets(num_pairs=16)) == 207
+
+
+def test_frozen_step_tape_size(tmp_path, monkeypatch):
+    # one frozen-features sup_hard step (M=16): one stack of the three views'
+    # rows, one pool call and one similarity matrix
+    feats = np.random.default_rng(0).normal(size=(3 * 16, 4, 2, 16)).astype(np.float32)
+    save_frozen(FrozenFeatures(num_layers=4, hidden_dim=16, features=feats),
+                tmp_path / "f.lapf")
+    cfg = TrainConfig(objective="sup_hard", strategy="attn_cls_avg_concat",
+                      batch_size=16, epochs=2, seed=3, frozen_features=str(tmp_path / "f.lapf"))
+    assert _tensors_per_step(monkeypatch, cfg, make_synthetic_triplets(num_pairs=16)) == 49
 
 
 def test_golden_trace_encoder():
