@@ -96,11 +96,12 @@ def _cmd_train(args) -> int:
     config = replace(
         config, train=resume.config if resume else replace(config.train, **overrides),
         output_dir=config.output_dir if args.output_dir is None else args.output_dir)
-    corpus = load_jsonl(config.corpus)
+    ckpt, trace = train(config.train, load_jsonl(config.corpus), resume_from=resume,
+                        init_from=init)
+    # only a run that trained creates the output directory
     os.makedirs(config.output_dir, exist_ok=True)
     doc = json.dumps(effective_config_doc(config), indent=1, sort_keys=True) + "\n"
     write_file(os.path.join(config.output_dir, "effective_config.json"), [doc.encode()])
-    ckpt, trace = train(config.train, corpus, resume_from=resume, init_from=init)
     ckpt_dir = os.path.join(config.output_dir, config.checkpoint_dir)
     save_checkpoint(ckpt, ckpt_dir)
     write_loss_trace(trace, os.path.join(config.output_dir, "loss.csv"))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import difflib
 import json
-import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
@@ -122,19 +121,13 @@ def train_config_from_doc(doc) -> TrainConfig:
 
 
 def load_config(path) -> RunConfig:
+    """The RunConfig of a JSON file; the files it names are checked when read."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    config = validate_config(doc)
-    if not os.path.exists(config.corpus):
-        raise ConfigError(f"corpus path does not exist: {config.corpus}")
-    if config.train.frozen_features and not os.path.exists(config.train.frozen_features):
-        raise ConfigError(
-            f"frozen_features path does not exist: {config.train.frozen_features}"
-        )
-    return config
+    return validate_config(doc)
 
 
 def effective_config_doc(config: RunConfig) -> dict:

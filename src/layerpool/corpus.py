@@ -1,10 +1,12 @@
-"""Corpus file formats and the synthetic cluster-paraphrase generator.
+"""Record files and the synthetic cluster-paraphrase generator.
 
-JSONL record shapes: pairs {"sent1","sent2"}, triplets {"anchor","positive",
-"negative"}, bare {"text"}; STS adds "score". The synthetic generator builds
-a topic-cluster world where sentences from the same cluster are paraphrases,
-used by the desk-scale directional experiment. Its default seed is fixed and
-published here so runs are reproducible.
+Training corpora and STS sets are both JSONL files of records, read by
+`load_jsonl` and checked by `check_records`. Record shapes: pairs
+{"sent1","sent2"}, triplets {"anchor","positive","negative"}, bare {"text"};
+STS adds "score". The synthetic generator builds a topic-cluster world where
+sentences from the same cluster are paraphrases, used by the desk-scale
+directional experiment. Its default seed is fixed and published here so runs
+are reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .autodiff import Rng
 SYNTH_CORPUS_SEED = 230817
 
 
-def load_jsonl(path) -> list[dict]:
+def load_jsonl(path) -> list:
+    """The JSON value of each non-blank line; invalid JSON is named by path:line."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -32,6 +35,20 @@ def load_jsonl(path) -> list[dict]:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
     return records
+
+
+def check_records(records: list, keys, where: str, reader: str) -> None:
+    """Every record must be an object holding each key as a non-blank string;
+    the first that is not is named by `where`, its index and the key that
+    `reader` needs."""
+    for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ValueError(f"{where} record {i} is a {type(record).__name__}, not an object")
+        for key in keys:
+            if not isinstance(record.get(key), str) or not record[key].strip():
+                got = repr(record[key]) if key in record else "no such key"
+                raise ValueError(f"{where} record {i}: {reader} needs key {key!r} "
+                                 f"as a non-blank string, got {got}")
 
 
 def write_jsonl(records: list[dict], path) -> None:

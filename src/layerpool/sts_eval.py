@@ -1,14 +1,18 @@
-"""Spearman-correlation evaluation, per-layer sweeps, attention reports."""
+"""Spearman-correlation evaluation, per-layer sweeps, attention reports.
+
+STS files are JSONL, read by `corpus.load_jsonl`; their texts are checked by
+`corpus.check_records`, and each score must be a JSON number in [0, 5].
+"""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .artifact import write_csv
 from .autodiff import Tensor, cosine_sim
+from .corpus import check_records, load_jsonl
 from .pooler import AttentionReport, PoolStrategy, attention_scores, pool
 from .trainer import Checkpoint
 
@@ -20,43 +24,31 @@ class StsRecord:
     gold: float
 
     def __post_init__(self):
-        if not 0.0 <= self.gold <= 5.0:
-            raise ValueError(f"gold score {self.gold} outside [0, 5]")
+        gold = self.gold
+        # a number, not a bool or a string: a score keeps its JSON type
+        if type(gold) is bool or not isinstance(gold, (int, float)) or not 0 <= gold <= 5:
+            raise ValueError(f"gold score must be a number in [0, 5], got {gold!r}")
 
 
 def load_sts_records(path) -> list[StsRecord]:
-    """STS records from JSONL ({"sent1","sent2","score"}) or TSV; errors name path:line."""
+    """The records of a JSONL file of {"sent1","sent2","score"} objects. A bad
+    record is named by the path and its index, invalid JSON by path:line."""
+    docs = load_jsonl(path)
+    check_records(docs, ("sent1", "sent2"), str(path), "STS")
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                if line.lstrip().startswith("{"):
-                    doc = json.loads(line)
-                    s1, s2, score = doc["sent1"], doc["sent2"], doc["score"]
-                else:
-                    s1, s2, score = line.split("\t")
-                records.append(StsRecord(s1, s2, float(score)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad STS record: {exc!r}") from exc
+    for i, doc in enumerate(docs):
+        try:
+            records.append(StsRecord(doc["sent1"], doc["sent2"], doc.get("score")))
+        except ValueError as exc:
+            raise ValueError(f"{path} record {i}: {exc}") from exc
     return records
 
 
 def rank_average_ties(xs: np.ndarray) -> np.ndarray:
     """1-based fractional ranks; tied values get the mean of their positions."""
-    xs = np.asarray(xs, dtype=np.float64)
-    order = np.argsort(xs, kind="stable")
-    ranks = np.empty(len(xs))
-    i = 0
-    while i < len(xs):
-        j = i
-        while j + 1 < len(xs) and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(xs, dtype=np.float64),
+                                   return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(xs, ys) -> float:

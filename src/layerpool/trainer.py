@@ -15,6 +15,7 @@ import numpy as np
 from .artifact import ArtifactCorruptError, read_dir, write_csv, write_dir
 from .autodiff import Rng, Tensor
 from .config import TrainConfig, train_config_doc, train_config_from_doc
+from .corpus import check_records
 from .encoder import Encoder, FrozenFeatures, Tokenizer, init_encoder_params, load_frozen
 from .objectives import VIEWS, loss_sup_basic, loss_sup_hard, loss_unsup, record_keys
 from .pooler import PoolerParams, PoolStrategy, pool
@@ -55,22 +56,6 @@ def init_params(config: TrainConfig, vocab_size: int, rng: Rng) -> dict[str, Ten
     params = init_encoder_params(config.encoder, vocab_size, rng)
     params.update(PoolerParams.init(config.encoder.hidden_dim, rng).named())
     return params
-
-
-def validate_corpus(objective: str, corpus: list[dict]) -> None:
-    """Every record must be an object holding each key the objective reads
-    as a non-blank string; the first that is not is named by index and key."""
-    if not corpus:
-        raise ValueError("empty corpus")
-    required = record_keys(objective)
-    for i, record in enumerate(corpus):
-        if not isinstance(record, dict):
-            raise ValueError(f"corpus record {i} is a {type(record).__name__}, not an object")
-        for key in required:
-            if not isinstance(record.get(key), str) or not record[key].strip():
-                got = repr(record[key]) if key in record else "no such key"
-                raise ValueError(f"corpus record {i}: objective {objective!r} needs key "
-                                 f"{key!r} as a non-blank string, got {got}")
 
 
 def _batch_loss(config, encoder, tokenizer, frozen, batch, indices, pooler, rng_step):
@@ -157,7 +142,10 @@ def train(config: TrainConfig, corpus: list[dict],
         raise ValueError("resume_from and init_from are mutually exclusive")
     if resume_from is not None:
         config = resume_from.config
-    validate_corpus(config.objective, corpus)
+    if not corpus:
+        raise ValueError("empty corpus")
+    check_records(corpus, record_keys(config.objective), "corpus",
+                  f"objective {config.objective!r}")
     frozen = None if config.frozen_features is None else load_frozen(config.frozen_features)
     ckpt = resume_from or _initial_checkpoint(config, corpus, init_from, frozen)
     # the run's own Tensors and Adam dicts over the checkpoint's arrays

@@ -207,6 +207,22 @@ class TestTape:
         with pytest.raises(ValueError):
             grad_check(lambda ts: tensor_log(ts[0]).sum(), [np.array([-1.0])])
 
+    def test_backward_needs_a_scalar(self):
+        with pytest.raises(ValueError, match="scalar"):
+            (Tensor(np.ones(3), requires_grad=True) * 2.0).backward()
+
+    @pytest.mark.parametrize("f, shapes", [
+        (lambda ts: (1.5 - ts[0]).sum(), [(3,)]),
+        (lambda ts: ((2.0 / ts[0]) ** 2).sum(), [(3,)]),
+        (lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(3, 4), (4,)]),
+        (lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(2, 3, 4), (4,)]),
+    ], ids=["rsub", "rtruediv", "matmul-1d-rhs", "stacked-matmul-1d-rhs"])
+    def test_right_hand_operator_grads(self, f, shapes):
+        gen = np.random.default_rng(5)
+        # entries kept away from 0 so 2 / x stays well conditioned
+        params = [gen.uniform(0.5, 2.0, size=s) * gen.choice([-1, 1], size=s) for s in shapes]
+        assert grad_check(f, params) < 1e-6
+
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 2**32))
     def test_composite_expression_grad(self, seed):

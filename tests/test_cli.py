@@ -2,14 +2,16 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import layerpool
-from layerpool.cli import dispatch
+from layerpool.cli import _build_parser, dispatch
 from layerpool.config import ConfigError, load_config, train_config_doc, validate_config
 from layerpool.corpus import make_synthetic_sts, make_synthetic_triplets, write_jsonl
 from layerpool.encoder import FrozenFeatures, save_frozen
@@ -76,13 +78,6 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="objective"):
             validate_config({"objective": "triplet", "corpus": "c"})
 
-    def test_load_rejects_missing_corpus(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"objective": "unsup",
-                                    "corpus": str(tmp_path / "absent.jsonl")}))
-        with pytest.raises(ConfigError, match="corpus"):
-            load_config(path)
-
     @pytest.mark.parametrize("key, value, named", [
         ("freeze_mlp", "false", "freeze_mlp"), ("batch_size", 16.7, "batch_size"),
         ("seed", "3", "seed"), ("seed", True, "seed"),
@@ -94,6 +89,19 @@ class TestValidateConfig:
     def test_json_types_are_checked_not_coerced(self, key, value, named):
         with pytest.raises(ConfigError, match=named):
             validate_config({"objective": "unsup", "corpus": "c", key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("norm_mode", "sparsemax"), ("batch_size", 0), ("learning_rate", 0),
+        ("learning_rate", -0.1), ("epochs", 0),
+    ])
+    def test_out_of_range_train_value_is_a_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            validate_config({"objective": "unsup", "corpus": "c", key: value})
+
+    @pytest.mark.parametrize("doc", [[], "run.json", None])
+    def test_config_must_be_an_object(self, doc):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            validate_config(doc)
 
     def test_integer_stands_for_float(self):
         cfg = validate_config({"objective": "unsup", "corpus": "c", "temperature": 1,
@@ -108,6 +116,7 @@ class TestValidateConfig:
     @pytest.mark.parametrize("encoder, named", [
         ({"hidden_dim": 0}, "hidden_dim"), ({"dropout_p": 1.5}, "dropout_p"),
         ({"dropout_p": 1.0}, "dropout_p"), ({"dropout_p": -0.1}, "dropout_p"),
+        ({"num_layers": 0}, "num_layers"),
     ])
     def test_out_of_range_encoder_value_is_a_config_error(self, encoder, named):
         # caught when the config loads, not as a traceback from the first step
@@ -198,7 +207,29 @@ class TestDispatch:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: corpus record 5: ")
         assert "'negative'" in err[0] and "got 7" in err[0]
-        assert not (tmp_path / "run" / "loss.csv").exists()
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, name", [("corpus", "absent.jsonl"),
+                                           ("frozen_features", "absent.lapf")],
+                             ids=["corpus", "frozen"])
+    def test_missing_input_file_is_named_by_its_reader(self, tmp_path, capsys, key, name):
+        absent = str(tmp_path / name)
+        cfg = _write_config(tmp_path, **{key: absent})
+        assert dispatch(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and absent in err[0]
+        assert not (tmp_path / "run").exists()
+
+    def test_resume_ignores_the_config_frozen_file(self, tmp_path, capsys):
+        # the resumed run trains the checkpoint's config, which names no frozen file
+        cfg = _write_config(tmp_path, epochs=1)
+        assert dispatch(["train", "--config", str(cfg),
+                         "--output-dir", str(tmp_path / "base")]) == 0
+        _write_config(tmp_path, frozen_features=str(tmp_path / "absent.lapf"))
+        assert dispatch(["train", "--config", str(cfg), "--resume",
+                         str(tmp_path / "base" / "checkpoint")]) == 0
+        resumed = load_checkpoint(tmp_path / "run" / "checkpoint")
+        assert resumed.config.frozen_features is None
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert dispatch(["train", "--config", str(tmp_path / "absent.json")]) == 1
@@ -330,8 +361,27 @@ class TestDispatch:
         assert dispatch(["eval-sts", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
                          "--data", str(sts_path)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {sts_path}:3: ")
+        assert len(err) == 1 and err[0].startswith(f"error: {sts_path} record 2: ")
         assert "score" in err[0]
+
+    @pytest.mark.parametrize("command", ["eval-sts", "layer-sweep"])
+    def test_sts_text_that_is_not_a_string_exits_1(self, tmp_path, capsys, command):
+        cfg = _write_config(tmp_path)
+        dispatch(["train", "--config", str(cfg)])
+        sts_path = tmp_path / "sts.jsonl"
+        records = make_synthetic_sts(4)
+        records[1]["sent1"] = 5
+        write_jsonl(records, sts_path)
+        capsys.readouterr()
+        argv = [command, "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                "--data", str(sts_path)]
+        if command == "layer-sweep":
+            argv += ["--out", str(tmp_path / "sweep.csv")]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {sts_path} record 1: STS needs key 'sent1' as a non-blank "
+                       "string, got 5"]
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_frozen_features_checkpoint_cannot_embed_text(self, tmp_path, capsys):
         features = np.random.default_rng(0).normal(size=(72, 2, 2, 8)).astype(np.float32)
@@ -426,3 +476,15 @@ def test_every_exported_name_resolves():
     # table would otherwise fail only on first use
     for name in layerpool.__all__:
         assert getattr(layerpool, name) is not None, name
+
+
+def test_readme_cli_lines_parse():
+    # a renamed or removed flag fails here instead of leaving the README stale
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    lines = [line.split("#")[0].split() for line in block.splitlines()
+             if line.startswith("layerpool ")]
+    parser = _build_parser()
+    commands = {parser.parse_args(words[1:]).command for words in lines}
+    assert commands == {"train", "eval-sts", "layer-sweep", "inspect-attention", "embed",
+                        "index"}

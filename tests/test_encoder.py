@@ -38,6 +38,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             EncoderConfig(max_seq_len=1)
 
+    def test_at_least_one_layer(self):
+        with pytest.raises(ValueError, match="num_layers"):
+            EncoderConfig(num_layers=0)
+
 
 class TestTokenizer:
     def test_whitespace_mapping(self):
@@ -93,6 +97,15 @@ class TestEncode:
         encoder.encode([[CLS_ID, 11]])
         with pytest.raises(ValueError, match="vocabulary"):
             encoder.encode([[CLS_ID, 12]])
+
+    def test_no_token_lists_rejected(self, encoder):
+        with pytest.raises(ValueError, match="no token sequences"):
+            encoder.encode([])
+
+    def test_longer_than_max_seq_len_rejected(self, encoder, small_config):
+        encoder.encode([[CLS_ID] + [3] * (small_config.max_seq_len - 1)])
+        with pytest.raises(ValueError, match="max_seq_len=6"):
+            encoder.encode([[CLS_ID], [CLS_ID] + [3] * small_config.max_seq_len])
 
     def test_must_start_with_cls(self, encoder):
         with pytest.raises(ValueError, match="CLS"):

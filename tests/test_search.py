@@ -113,6 +113,10 @@ class TestEmbeddingMatrix:
 
 
 class TestKmeans:
+    def test_max_iters_below_one(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            kmeans_fit(Rng(1).generator().normal(size=(6, 3)), 2, Rng(0), max_iters=0)
+
     def test_k_equals_m_zero_inertia(self):
         gen = Rng(1).generator()
         x = gen.normal(size=(6, 3))
@@ -505,6 +509,14 @@ class TestPersistence:
     def test_other_format_or_version_rejected(self, saved, key, value):
         self.edit_header(saved, lambda h: h.update({key: value}))
         with pytest.raises(ArtifactVersionError, match="version"):
+            load_index(saved)
+
+    def test_wrong_set_of_arrays_rejected(self, saved):
+        def drop_ids(h):
+            h["arrays"] = [a for a in h["arrays"] if a["name"] != "posting_ids"]
+
+        self.edit_header(saved, drop_ids)
+        with pytest.raises(ArtifactCorruptError, match="index arrays must be"):
             load_index(saved)
 
     def test_posting_sizes_must_sum_to_m(self, saved):

@@ -110,6 +110,15 @@ class TestSpearman:
         assert np.array_equal(rank_average_ties([10.0, 20.0, 20.0, 30.0]),
                               [1.0, 2.5, 2.5, 4.0])
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.one_of(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0]),
+                              st.floats(-1e6, 1e6)), min_size=1, max_size=60))
+    def test_ranks_match_scipy_with_heavy_ties(self, xs):
+        from scipy.stats import rankdata
+
+        # -0.0 and 0.0 are one value; half-integer ranks are exact in float64
+        assert np.array_equal(rank_average_ties(xs), rankdata(xs, method="average"))
+
 
 def const_stack(vec, n=2):
     vec = np.asarray(vec, dtype=np.float64)
@@ -232,6 +241,13 @@ class TestEvaluateEndToEnd:
         with pytest.raises(ValueError, match="gold"):
             StsRecord("a", "b", 6.0)
 
+    @pytest.mark.parametrize("call", [lambda c: evaluate(c, "cls_last", []),
+                                      lambda c: layer_sweep(c, [])],
+                             ids=["evaluate", "layer_sweep"])
+    def test_no_records_rejected(self, trained_checkpoint, call):
+        with pytest.raises(ValueError, match="no STS records"):
+            call(trained_checkpoint)
+
     def test_sweep_reproducible(self, trained_checkpoint):
         records = [StsRecord(f"tok{i}", f"tok{i + 1} tok2", float(i % 6))
                    for i in range(8)]
@@ -275,29 +291,34 @@ class TestAttentionReport:
 
 def test_load_sts_records(tmp_path):
     jsonl = tmp_path / "r.jsonl"
-    jsonl.write_text('{"sent1": "a", "sent2": "b", "score": 3.5}\n')
-    (records,) = load_sts_records(jsonl)
-    assert records.gold == 3.5
-    tsv = tmp_path / "r.tsv"
-    tsv.write_text("hello there\tgoodbye\t1.25\n")
-    (rec,) = load_sts_records(tsv)
-    assert rec.sent1 == "hello there" and rec.gold == 1.25
+    jsonl.write_text('{"sent1": "a", "sent2": "b", "score": 3.5}\n\n'
+                     '{"sent1": "c d", "sent2": "e", "score": 5}\n')
+    first, second = load_sts_records(jsonl)
+    assert (first.sent1, first.sent2, first.gold) == ("a", "b", 3.5)
+    assert (second.sent1, second.gold) == ("c d", 5)
 
 
 @pytest.mark.parametrize("line, why", [
-    ('{"sent1": "a", "sent2": "b", "score": 3.5', "JSON"),
-    ('{"sent1": "a", "sent2": "b"}', "score"),
-    ('{"sent1": "a", "sent2": "b", "score": null}', "float"),
-    ("a\tb", "expected 3, got 2"),
-    ("a\tb\t1.0\t2.0", "too many values"),
-    ("a\tb\thigh", "float"),
-    ("a\tb\t6.0", "gold"),
-], ids=["bad-json", "missing-key", "null-score", "two-fields", "four-fields",
-        "non-numeric", "out-of-range"])
+    ('{"sent1": "a", "sent2": "b", "score": 3.5', r"r.txt:3: invalid JSON"),
+    ('{"sent1": "a", "sent2": "b"}', r"r.txt record 1: .*score.*got None"),
+    ('{"sent1": "a", "sent2": "b", "score": null}', r"r.txt record 1: .*score.*got None"),
+    ('{"sent1": "a", "sent2": "b", "score": "high"}', r"r.txt record 1: .*got 'high'"),
+    ('{"sent1": "a", "sent2": "b", "score": 6.0}', r"r.txt record 1: .*\[0, 5\], got 6.0"),
+    ('{"sent1": "a", "sent2": "b", "score": NaN}', r"r.txt record 1: .*got nan"),
+    ('{"sent1": "a", "sent2": "b", "score": true}', r"r.txt record 1: .*got True"),
+    ('{"sent1": "a", "sent2": "b", "score": "3.5"}', r"r.txt record 1: .*got '3.5'"),
+    ('{"sent1": 5, "sent2": "b", "score": 1.0}', r"r.txt record 1: .*'sent1'.*got 5$"),
+    ('{"sent1": "a", "sent2": " ", "score": 1.0}', r"r.txt record 1: .*'sent2'.*got ' '$"),
+    ('{"sent2": "b", "score": 1.0}', r"r.txt record 1: .*'sent1'.*no such key"),
+    ('["a", "b", 1.0]', r"r.txt record 1 is a list, not an object"),
+], ids=["bad-json", "missing-key", "null-score", "non-numeric", "out-of-range", "nan-score",
+        "bool-score", "string-score", "integer-text", "blank-text", "missing-text",
+        "json-array"])
 def test_bad_sts_record_names_its_line(tmp_path, line, why):
+    # the bad record is the second, on line 3 after a blank line
     path = tmp_path / "r.txt"
-    path.write_text(f"a\tb\t1.0\n\n{line}\n")
-    with pytest.raises(ValueError, match=f"r.txt:3: .*{why}"):
+    path.write_text(f'{{"sent1": "a", "sent2": "b", "score": 1.0}}\n\n{line}\n')
+    with pytest.raises(ValueError, match=why):
         load_sts_records(path)
 
 

@@ -81,6 +81,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="sup_hard"):
             train(tiny_config(objective="sup_hard"), pair_corpus())
 
+    def test_empty_corpus(self):
+        with pytest.raises(ValueError, match="empty corpus"):
+            train(tiny_config(), [])
+
+    def test_batch_larger_than_corpus(self):
+        with pytest.raises(ValueError, match="batch_size larger than corpus"):
+            train(tiny_config(batch_size=17), pair_corpus(16))
+
     @pytest.mark.parametrize("spoil, message", [
         (lambda c: c[5].pop("negative"), r"record 5: .*'negative'.*no such key"),
         (lambda c: c[5].update(negative=7), r"record 5: .*'negative'.*got 7$"),
