@@ -81,6 +81,20 @@ def _read_lines(path: str) -> list[str]:
         return [line.rstrip("\n") for line in fh if line.strip()]
 
 
+def _read_gold(path: str) -> list[int]:
+    """One integer id per non-blank line; a line that is not one is named by path:line."""
+    from .corpus import numbered_lines
+
+    gold = []
+    for lineno, line in numbered_lines(path):
+        try:
+            gold.append(int(line))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: gold id must be an integer, "
+                             f"got {line!r}") from None
+    return gold
+
+
 def _cmd_train(args) -> int:
     from dataclasses import replace
 
@@ -185,7 +199,7 @@ def _cmd_index(args) -> int:
         return 0
     index = load_index(args.index)
     matrix = _load_embeddings(args.query_embeddings)
-    gold = [int(x) for x in _read_lines(args.gold)]
+    gold = _read_gold(args.gold)
     metrics = evaluate_search(index, matrix.vectors, gold, nprobe=args.nprobe)
     print(json.dumps(asdict(metrics), sort_keys=True))
     return 0

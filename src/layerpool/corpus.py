@@ -22,18 +22,30 @@ from .autodiff import Rng
 SYNTH_CORPUS_SEED = 230817
 
 
-def load_jsonl(path) -> list:
-    """The JSON value of each non-blank line; invalid JSON is named by path:line."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+def numbered_lines(path) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line. Lines are decoded
+    one at a time, so a line that is not UTF-8 is named by path:line."""
+    lines = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+            if line:
+                lines.append((lineno, line))
+    return lines
+
+
+def load_jsonl(path) -> list:
+    """The JSON value of each non-blank line; a line that is not UTF-8 or not
+    JSON is named by path:line."""
+    records = []
+    for lineno, line in numbered_lines(path):
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
     return records
 
 

@@ -76,9 +76,26 @@ def embed_corpus(checkpoint: Checkpoint, texts: list[str],
     return EmbeddingMatrix(vectors=vecs)
 
 
-def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(m, k) squared L2 distances ||x||² − 2x·cᵀ + ||c||², with no (m, k, d) array."""
-    return (x * x).sum(1)[:, None] - 2.0 * (x @ c.T) + (c * c).sum(1)
+def _sq_dists(x: np.ndarray, c: np.ndarray, xx: np.ndarray | None = None) -> np.ndarray:
+    """(m, k) squared L2 distances ||x||² − 2x·cᵀ + ||c||², with no (m, k, d) array;
+    `xx` is (x * x).sum(1) when the caller already has it."""
+    if xx is None:
+        xx = (x * x).sum(1)
+    # built in the one GEMM output: −2g + a + b has the bits of a − 2g + b,
+    # since a − b is a + (−b) in IEEE arithmetic and addition commutes
+    d = x @ c.T
+    d *= -2.0
+    d += xx[:, None]
+    d += (c * c).sum(1)
+    return d
+
+
+def _group(assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows by cluster, each cluster's rows ascending, and the (k + 1) offsets:
+    cluster c is order[offsets[c]:offsets[c + 1]]. The stable sort runs on the
+    smallest integer type that holds k, which numpy sorts by radix."""
+    order = np.argsort(assign.astype(np.min_scalar_type(k)), kind="stable")
+    return order, np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=k))))
 
 
 def kmeans_fit(x: np.ndarray, k: int, rng: Rng, max_iters: int = 25) -> np.ndarray:
@@ -94,29 +111,41 @@ def kmeans_fit(x: np.ndarray, k: int, rng: Rng, max_iters: int = 25) -> np.ndarr
         raise ValueError("max_iters must be >= 1")
     gen = rng.child("kmeans").generator()
 
+    diff = np.empty_like(x)  # the layout `x - c` would get, so each row sums alike
+
+    def sq_dist_to(c: np.ndarray) -> np.ndarray:
+        np.subtract(x, c, out=diff)
+        np.multiply(diff, diff, out=diff)
+        return diff.sum(axis=1)
+
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[gen.integers(m)]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    d2 = sq_dist_to(centroids[0])
     for i in range(1, k):
         total = d2.sum()
         if total == 0.0:
             centroids[i] = x[gen.integers(m)]
         else:
             centroids[i] = x[gen.choice(m, p=d2 / total)]
-        d2 = np.minimum(d2, ((x - centroids[i]) ** 2).sum(axis=1))
+        np.minimum(d2, sq_dist_to(centroids[i]), out=d2)
 
+    xx = (x * x).sum(1)
     assign = np.full(m, -1)
     for _ in range(max_iters):
-        dists = _sq_dists(x, centroids)
+        dists = _sq_dists(x, centroids, xx)
         new_assign = dists.argmin(axis=1)
+        order, offsets = _group(new_assign, k)
         for c in range(k):
-            members = new_assign == c
-            if members.any():
-                centroids[c] = x[members].mean(axis=0)
+            # x[rows] holds the rows a boolean mask would pick, in the same order
+            rows = order[offsets[c]:offsets[c + 1]]
+            if len(rows):
+                centroids[c] = x[rows].mean(axis=0)
             else:
                 farthest = dists[np.arange(m), new_assign].argmax()
                 centroids[c] = x[farthest]
                 new_assign[farthest] = c
+                # the later clusters no longer hold the moved row
+                order, offsets = _group(new_assign, k)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -163,11 +192,8 @@ def build_index(matrix: EmbeddingMatrix, nlist: int, rng: Rng,
     centroids = kmeans_fit(matrix.vectors, nlist, rng, max_iters).astype(np.float32)
     assign = _sq_dists(matrix.vectors.astype(np.float64),
                        centroids.astype(np.float64)).argmin(axis=1)
-    # stable: each list keeps its rows in ascending row order
-    order = np.argsort(assign, kind="stable")
-    sizes = np.bincount(assign, minlength=nlist)
-    return IvfIndex(centroids, matrix.ids[order], matrix.vectors[order],
-                    np.concatenate(([0], np.cumsum(sizes))))
+    order, offsets = _group(assign, nlist)  # each list keeps its rows ascending
+    return IvfIndex(centroids, matrix.ids[order], matrix.vectors[order], offsets)
 
 
 def _unit_query(q, dim: int, top_k: int) -> np.ndarray:

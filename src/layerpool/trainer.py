@@ -176,9 +176,12 @@ def train(config: TrainConfig, corpus: list[dict],
     tokenizer = ckpt.tokenizer()
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     trace: list[tuple[int, float]] = []
+    order_epoch = None
     for step in range(ckpt.step, total_steps):
         epoch, slot = divmod(step, steps_per_epoch)
-        order = rng.child("shuffle", epoch).generator().permutation(len(corpus))
+        if epoch != order_epoch:
+            order_epoch = epoch
+            order = rng.child("shuffle", epoch).generator().permutation(len(corpus))
         indices = order[slot * M : (slot + 1) * M]
         batch = [corpus[i] for i in indices]
 

@@ -209,6 +209,14 @@ class TestDispatch:
         assert "'negative'" in err[0] and "got 7" in err[0]
         assert not (tmp_path / "run").exists()
 
+    def test_corpus_that_is_not_utf8_is_named_by_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"\xff\xfe" + '{"anchor": "a"}\n'.encode("utf-16-le"))
+        assert dispatch(["train", "--config", str(_write_config(tmp_path))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {corpus}:1: not UTF-8")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("key, name", [("corpus", "absent.jsonl"),
                                            ("frozen_features", "absent.lapf")],
                              ids=["corpus", "frozen"])
@@ -462,6 +470,18 @@ class TestDispatch:
                          "--nprobe", "1"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "query" in err[0]
+
+    def test_index_eval_names_a_bad_gold_line(self, tmp_path, capsys):
+        emb, gold = tmp_path / "emb.npy", tmp_path / "gold.txt"
+        np.save(emb, np.eye(4, dtype=np.float32))
+        gold.write_text("0\n\nx\n1\n2\n")
+        assert dispatch(["index", "build", "--embeddings", str(emb), "--nlist", "1",
+                         "--out", str(tmp_path / "idx")]) == 0
+        assert dispatch(["index", "eval", "--index", str(tmp_path / "idx"),
+                         "--query-embeddings", str(emb), "--gold", str(gold),
+                         "--nprobe", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {gold}:3: gold id must be an integer, got 'x'"]
 
     def test_train_determinism_bit_for_bit(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

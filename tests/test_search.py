@@ -112,7 +112,108 @@ class TestEmbeddingMatrix:
         assert m.vectors[0].tobytes() == np.array([0.6, 0.8], np.float32).tobytes()
 
 
+def reference_kmeans(x, k, rng, max_iters=25):
+    """k-means as first written, one boolean mask per cluster and a fresh
+    distance array per term: `kmeans_fit` must give its centroids bit for bit.
+    Also returns the most clusters found empty in one Lloyd pass."""
+    x = np.asarray(x, dtype=np.float64)
+    m = x.shape[0]
+    gen = rng.child("kmeans").generator()
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[gen.integers(m)]
+    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total == 0.0:
+            centroids[i] = x[gen.integers(m)]
+        else:
+            centroids[i] = x[gen.choice(m, p=d2 / total)]
+        d2 = np.minimum(d2, ((x - centroids[i]) ** 2).sum(axis=1))
+    most_empty = 0
+    assign = np.full(m, -1)
+    for _ in range(max_iters):
+        dists = ((x * x).sum(1)[:, None] - 2.0 * (x @ centroids.T)
+                 + (centroids * centroids).sum(1))
+        new_assign = dists.argmin(axis=1)
+        empty = 0
+        for c in range(k):
+            members = new_assign == c
+            if members.any():
+                centroids[c] = x[members].mean(axis=0)
+            else:
+                empty += 1
+                farthest = dists[np.arange(m), new_assign].argmax()
+                centroids[c] = x[farthest]
+                new_assign[farthest] = c
+        most_empty = max(most_empty, empty)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return centroids, most_empty
+
+
+def oracle_rows(seed, m, d, distinct=None):
+    """m normal rows, or m draws from `distinct` normal rows."""
+    gen = Rng(seed).generator()
+    x = gen.normal(size=(distinct or m, d))
+    return x[gen.integers(distinct, size=m)] if distinct else x
+
+
 class TestKmeans:
+    @pytest.mark.parametrize("m, d, k, distinct, iters", [
+        (40, 3, 1, None, 25),
+        (40, 3, 40, None, 25),
+        # 3 distinct rows and k = 12: k-means++ never picks a row at distance
+        # 0 while the total is positive, so after 3 picks the total is 0, the
+        # duplicated centroids tie and the first Lloyd pass finds 9 clusters empty
+        (12, 2, 12, 3, 25),
+        # one row three times: the second pass finds cluster 0 empty and
+        # re-seeds it with a row of cluster 1, whose mean must then leave it out
+        (3, 2, 3, 1, 6),
+        (300, 2, 260, None, 25),  # k > 255: the sort key is uint16
+    ], ids=["k=1", "k=m", "duplicate-rows", "equal-rows", "k>255"])
+    def test_matches_the_reference_bit_for_bit(self, m, d, k, distinct, iters):
+        x = oracle_rows(m + k, m, d, distinct)
+        expected, most_empty = reference_kmeans(x, k, Rng(7), iters)
+        assert kmeans_fit(x, k, Rng(7), iters).tobytes() == expected.tobytes()
+        if distinct:
+            assert most_empty >= 2
+
+    def test_random_shapes_match_the_reference_bit_for_bit(self):
+        passes_with_empties = 0
+        for seed in range(80):
+            gen = Rng(seed).generator()
+            m, d = int(gen.integers(1, 60)), int(gen.integers(1, 12))
+            k, iters = int(gen.integers(1, m + 1)), int(gen.integers(1, 8))
+            x = oracle_rows(seed, m, d, int(gen.integers(1, m + 1)) if seed % 3 == 0 else None)
+            if seed % 5 == 0:
+                x = np.asfortranarray(x)  # any layout, as callers may pass
+            expected, most_empty = reference_kmeans(x, k, Rng(seed), iters)
+            assert kmeans_fit(x, k, Rng(seed), iters).tobytes() == expected.tobytes(), seed
+            passes_with_empties += most_empty > 0
+        assert passes_with_empties > 0
+
+    @pytest.mark.parametrize("m, d, k", [(1, 1, 1), (57, 5, 9), (2000, 16, 32)])
+    def test_distances_have_the_reference_bits(self, m, d, k):
+        x, c = oracle_rows(m, m, d), oracle_rows(k, k, d)
+        expected = (x * x).sum(1)[:, None] - 2.0 * (x @ c.T) + (c * c).sum(1)
+        assert _sq_dists(x, c, (x * x).sum(1)).tobytes() == expected.tobytes()
+
+    def test_benchmark_shaped_build_matches_the_reference(self):
+        # planted clusters on the unit sphere, as the served index holds
+        gen = Rng(3).generator()
+        x = gen.normal(size=(16, 16))[gen.integers(16, size=2000)]
+        matrix = EmbeddingMatrix(vectors=x + 0.3 * gen.normal(size=x.shape))
+        expected, _ = reference_kmeans(matrix.vectors, 32, Rng(5), 10)
+        index = build_index(matrix, 32, Rng(5), 10)
+        c = expected.astype(np.float32)
+        assert index.centroids.tobytes() == c.tobytes()
+        v, c = matrix.vectors.astype(np.float64), c.astype(np.float64)
+        assign = ((v * v).sum(1)[:, None] - 2.0 * (v @ c.T) + (c * c).sum(1)).argmin(axis=1)
+        order = np.argsort(assign, kind="stable")
+        assert np.array_equal(index.ids, order)
+        assert index.offsets.tolist() == [0, *np.cumsum(np.bincount(assign, minlength=32))]
+
     def test_max_iters_below_one(self):
         with pytest.raises(ValueError, match="max_iters"):
             kmeans_fit(Rng(1).generator().normal(size=(6, 3)), 2, Rng(0), max_iters=0)

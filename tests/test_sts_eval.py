@@ -322,6 +322,13 @@ def test_bad_sts_record_names_its_line(tmp_path, line, why):
         load_sts_records(path)
 
 
+def test_sts_file_that_is_not_utf8_is_named_by_line(tmp_path):
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(b"\xff\xfe" + '{"sent1": "a"}\n'.encode("utf-16-le"))
+    with pytest.raises(ValueError, match=r"r.jsonl:1: not UTF-8"):
+        load_sts_records(path)
+
+
 def test_frozen_features_checkpoint_refuses_text_in_one_place(tmp_path):
     gen = Rng(0).generator()
     features = gen.normal(size=(8, 2, 2, 4)).astype(np.float32)
