@@ -77,8 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
+    """The stripped non-blank lines; a line that is not UTF-8 is named by path:line."""
+    from .corpus import numbered_lines
+
+    return [line for _, line in numbered_lines(path)]
 
 
 def _read_gold(path: str) -> list[int]:

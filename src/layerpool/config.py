@@ -123,10 +123,12 @@ def train_config_from_doc(doc) -> TrainConfig:
 def load_config(path) -> RunConfig:
     """The RunConfig of a JSON file; the files it names are checked when read."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return validate_config(doc)
 
 

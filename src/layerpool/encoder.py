@@ -83,27 +83,25 @@ def _uniform_init(gen: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 def init_encoder_params(config: EncoderConfig, vocab_size: int,
-                        rng: Rng) -> dict[str, Tensor]:
-    """Seeded symmetric-uniform fan-in initialization of all encoder tensors;
+                        rng: Rng) -> dict[str, np.ndarray]:
+    """Seeded symmetric-uniform fan-in initialization of all encoder arrays;
     the token table has one row per id of a `vocab_size` vocabulary."""
     d, f = config.hidden_dim, config.ffn_dim
     gen = rng.child("encoder_init").generator()
-    params: dict[str, Tensor] = {
-        "token_emb": Tensor(_uniform_init(gen, (vocab_size, d), d), requires_grad=True),
-        "pos_emb": Tensor(_uniform_init(gen, (config.max_seq_len, d), d), requires_grad=True),
-    }
+    params = {"token_emb": _uniform_init(gen, (vocab_size, d), d),
+              "pos_emb": _uniform_init(gen, (config.max_seq_len, d), d)}
     for i in range(config.num_layers):
         p = f"layer{i}."
-        params[p + "ln1_g"] = Tensor(np.ones(d), requires_grad=True)
-        params[p + "ln1_b"] = Tensor(np.zeros(d), requires_grad=True)
+        params[p + "ln1_g"] = np.ones(d)
+        params[p + "ln1_b"] = np.zeros(d)
         for name in ("attn_q", "attn_k", "attn_v", "attn_o"):
-            params[p + name] = Tensor(_uniform_init(gen, (d, d), d), requires_grad=True)
-        params[p + "ln2_g"] = Tensor(np.ones(d), requires_grad=True)
-        params[p + "ln2_b"] = Tensor(np.zeros(d), requires_grad=True)
-        params[p + "ffn_w1"] = Tensor(_uniform_init(gen, (d, f), d), requires_grad=True)
-        params[p + "ffn_b1"] = Tensor(np.zeros(f), requires_grad=True)
-        params[p + "ffn_w2"] = Tensor(_uniform_init(gen, (f, d), f), requires_grad=True)
-        params[p + "ffn_b2"] = Tensor(np.zeros(d), requires_grad=True)
+            params[p + name] = _uniform_init(gen, (d, d), d)
+        params[p + "ln2_g"] = np.ones(d)
+        params[p + "ln2_b"] = np.zeros(d)
+        params[p + "ffn_w1"] = _uniform_init(gen, (d, f), d)
+        params[p + "ffn_b1"] = np.zeros(f)
+        params[p + "ffn_w2"] = _uniform_init(gen, (f, d), f)
+        params[p + "ffn_b2"] = np.zeros(d)
     return params
 
 
@@ -119,10 +117,9 @@ class Encoder:
 
         The lists are padded with PAD_ID to the longest one; attention never
         reads a PAD key and the AVG stream averages only non-PAD positions
-        after CLS. Given ``rngs``, the pass trains: list b draws its dropout
-        masks from ``rngs[b]``, so a row does not depend on its batch. Without
-        them the parameters are read as constants, so the pass records no
-        tape and the result requires no grad.
+        after CLS. Given ``rngs``, dropout is on: list b draws its masks from
+        ``rngs[b]``, so a row does not depend on its batch. The pass records
+        a tape exactly when the parameters require grad.
         """
         cfg = self.config
         token_lists = list(token_lists)
@@ -152,8 +149,7 @@ class Encoder:
         content_mask = content[:, :, None].astype(np.float64)
         inv_count = 1.0 / content.sum(axis=1, keepdims=True)
 
-        p = self.params if rngs is not None else {
-            k: Tensor(v.data) for k, v in self.params.items()}
+        p = self.params
         x = p["token_emb"][ids] + p["pos_emb"][:T]
         x = self._dropout(x, rngs, lengths, "emb")
 

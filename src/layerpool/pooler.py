@@ -8,12 +8,14 @@ back to the model dimension.
 
 Every function takes layer stacks of shape (..., N, 2, d) (see
 `layerpool.encoder`) and keeps their leading shape: one stack and a batch
-of stacks go through the same code.
+of stacks go through the same code. Parameters are read by name from the
+same {name: Tensor} mapping the encoder reads: a tape is recorded exactly
+when they require grad, which only a training run's do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,40 +48,23 @@ _QKV_STREAMS = {
 ATTENTION_STRATEGIES = frozenset(_QKV_STREAMS)
 
 
-@dataclass
-class PoolerParams:
-    """Learnable attention matrices and the tanh projection."""
+def init_pooler_params(hidden_dim: int, rng: Rng) -> dict[str, np.ndarray]:
+    """Seeded attention matrices W_q, W_k, W_v (d, d) and the tanh projection
+    (d, 2d) weight and (d,) bias, under their checkpoint names."""
+    d = hidden_dim
+    gen = rng.child("pooler_init").generator()
 
-    w_q: Tensor  # (d, d)
-    w_k: Tensor  # (d, d)
-    w_v: Tensor  # (d, d)
-    mlp_weight: Tensor  # (d, 2d)
-    mlp_bias: Tensor  # (d,)
+    def u(shape, fan_in):
+        bound = 1.0 / np.sqrt(fan_in)
+        return gen.uniform(-bound, bound, size=shape)
 
-    @classmethod
-    def init(cls, hidden_dim: int, rng: Rng) -> "PoolerParams":
-        d = hidden_dim
-        gen = rng.child("pooler_init").generator()
-
-        def u(shape, fan_in):
-            bound = 1.0 / np.sqrt(fan_in)
-            return Tensor(gen.uniform(-bound, bound, size=shape), requires_grad=True)
-
-        return cls(
-            w_q=u((d, d), d),
-            w_k=u((d, d), d),
-            w_v=u((d, d), d),
-            mlp_weight=u((d, 2 * d), 2 * d),
-            mlp_bias=Tensor(np.zeros(d), requires_grad=True),
-        )
-
-    def named(self) -> dict[str, Tensor]:
-        return {f"pooler.{f.name}": getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_named(cls, named: dict[str, Tensor]) -> "PoolerParams":
-        """The pooler tensors of a named parameter set, shared, not copied."""
-        return cls(**{f.name: named[f"pooler.{f.name}"] for f in fields(cls)})
+    return {
+        "pooler.w_q": u((d, d), d),
+        "pooler.w_k": u((d, d), d),
+        "pooler.w_v": u((d, d), d),
+        "pooler.mlp_weight": u((d, 2 * d), 2 * d),
+        "pooler.mlp_bias": np.zeros(d),
+    }
 
 
 @dataclass
@@ -110,7 +95,7 @@ def _qkv_streams(stacks: Tensor, strategy: PoolStrategy) -> list[Tensor]:
     return [stacks[..., s, :] for s in _QKV_STREAMS[strategy]]
 
 
-def attention_matrix(stacks: Tensor, params: PoolerParams,
+def attention_matrix(stacks: Tensor, params: dict[str, Tensor],
                      strategy: PoolStrategy, norm_mode: str = "softmax"):
     """Differentiable (..., N, N) row-normalized layer-attention matrices.
 
@@ -121,8 +106,8 @@ def attention_matrix(stacks: Tensor, params: PoolerParams,
     if norm_mode not in ("softmax", "ratio"):
         raise ValueError(f"unknown norm_mode {norm_mode!r}")
     queries, keys, _ = _qkv_streams(stacks, strategy)
-    q = queries @ params.w_q.T  # (..., N, d)
-    k = keys @ params.w_k.T
+    q = queries @ params["pooler.w_q"].T  # (..., N, d)
+    k = keys @ params["pooler.w_k"].T
     scores = q @ k.T  # (..., N, N)
     if norm_mode == "softmax":
         return scores.softmax(axis=-1), np.zeros(scores.shape[:-1], dtype=bool)
@@ -137,36 +122,36 @@ def attention_matrix(stacks: Tensor, params: PoolerParams,
     return matrix, fallback[..., 0]
 
 
-def attention_scores(stacks: Tensor, params: PoolerParams,
+def attention_scores(stacks: Tensor, params: dict[str, Tensor],
                      strategy: PoolStrategy = PoolStrategy.ATTN_CLS_AVG_CONCAT,
                      norm_mode: str = "softmax") -> AttentionReport:
     matrix, fallback = attention_matrix(stacks, params, strategy, norm_mode)
     return AttentionReport(weights=matrix.data.copy(), fallback=fallback)
 
 
-def pool_layerwise(stacks: Tensor, params: PoolerParams,
+def pool_layerwise(stacks: Tensor, params: dict[str, Tensor],
                    strategy: PoolStrategy = PoolStrategy.ATTN_CLS_AVG_CONCAT,
                    norm_mode: str = "softmax") -> Tensor:
     """Attention-weighted mix of the value stream, averaged over query layers."""
     matrix, _ = attention_matrix(stacks, params, strategy, norm_mode)
     _, _, values = _qkv_streams(stacks, strategy)
-    v = values @ params.w_v.T  # (..., N, d)
+    v = values @ params["pooler.w_v"].T  # (..., N, d)
     mixed = matrix @ v  # row i = sum_j A[i, j] * (W_v v_j)
     return mixed.mean(axis=-2)
 
 
-def project(stacks: Tensor, h_layers: Tensor, params: PoolerParams) -> Tensor:
+def project(stacks: Tensor, h_layers: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Concatenate last-layer CLS with the pooled vectors and apply tanh MLP."""
-    expected = stacks.shape[:-3] + params.mlp_bias.shape
+    expected = stacks.shape[:-3] + params["pooler.mlp_bias"].shape
     if h_layers.shape != expected:
         raise ValueError(
             f"pooled vector has shape {h_layers.shape}, expected {expected}"
         )
     h_cl = Tensor.concat([stacks[..., -1, 0, :], h_layers], axis=-1)  # (..., 2d)
-    return (h_cl @ params.mlp_weight.T + params.mlp_bias).tanh()
+    return (h_cl @ params["pooler.mlp_weight"].T + params["pooler.mlp_bias"]).tanh()
 
 
-def pool(stacks: Tensor, params: PoolerParams,
+def pool(stacks: Tensor, params: dict[str, Tensor],
          strategy: PoolStrategy = PoolStrategy.ATTN_CLS_AVG_CONCAT,
          norm_mode: str = "softmax") -> Tensor:
     """Sentence embeddings per the selected strategy, one per layer stack.

@@ -61,19 +61,16 @@ def embed_corpus(checkpoint: Checkpoint, texts: list[str],
                  inference_pooling: str = "detached") -> EmbeddingMatrix:
     """Unit-normalized sentence embeddings with dropout off.
 
-    ``detached`` takes the last layer's CLS vector and never touches pooler
-    parameters; ``trained-pooler`` runs the checkpoint's pooling strategy.
+    ``detached`` pools with ``cls_last``, the last layer's CLS vector, which
+    reads no pooler parameter; ``trained-pooler`` runs the checkpoint's
+    pooling strategy.
     """
     if inference_pooling not in ("detached", "trained-pooler"):
         raise ValueError(f"unknown inference_pooling {inference_pooling!r}")
-    stacks = checkpoint.stacks(texts)
-    if inference_pooling == "detached":
-        vecs = stacks.data[:, -1, 0]
-    else:
-        vecs = pool(stacks, checkpoint.pooler_params(),
-                    PoolStrategy(checkpoint.config.strategy),
-                    checkpoint.config.norm_mode).data
-    return EmbeddingMatrix(vectors=vecs)
+    strategy = (PoolStrategy.CLS_LAST if inference_pooling == "detached"
+                else checkpoint.config.strategy)
+    return EmbeddingMatrix(vectors=pool(checkpoint.stacks(texts), checkpoint.constants(),
+                                        strategy, checkpoint.config.norm_mode).data)
 
 
 def _sq_dists(x: np.ndarray, c: np.ndarray, xx: np.ndarray | None = None) -> np.ndarray:

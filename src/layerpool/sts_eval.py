@@ -75,12 +75,12 @@ def _pairs_for(checkpoint: Checkpoint, records: list[StsRecord]) -> Tensor:
     return stacks.reshape(len(records), 2, *stacks.shape[1:])
 
 
-def evaluate_stacks(pairs: Tensor, golds, pooler, strategy, norm_mode="softmax") -> float:
+def evaluate_stacks(pairs: Tensor, golds, params, strategy, norm_mode="softmax") -> float:
     """Spearman of per-pair cosine similarities against gold scores.
 
     `pairs` is a (P, 2, N, 2, d) batch holding the two stacks of each pair.
     """
-    embeddings = pool(pairs, pooler, strategy, norm_mode).data  # (P, 2, D)
+    embeddings = pool(pairs, params, strategy, norm_mode).data  # (P, 2, D)
     return spearman(cosine_sim(embeddings[:, 0], embeddings[:, 1]), golds)
 
 
@@ -90,7 +90,7 @@ def evaluate(checkpoint: Checkpoint, strategy, records: list[StsRecord]) -> floa
     if not records:
         raise ValueError("no STS records")
     return evaluate_stacks(_pairs_for(checkpoint, records), [r.gold for r in records],
-                           checkpoint.pooler_params(), PoolStrategy(strategy),
+                           checkpoint.constants(), PoolStrategy(strategy),
                            checkpoint.config.norm_mode)
 
 
@@ -125,7 +125,7 @@ def layer_sweep(checkpoint: Checkpoint, records: list[StsRecord]) -> SweepResult
 
 def attention_report(checkpoint: Checkpoint, texts: list[str]) -> list[AttentionReport]:
     """Layer-attention weight matrices for each text."""
-    report = attention_scores(checkpoint.stacks(texts), checkpoint.pooler_params(),
+    report = attention_scores(checkpoint.stacks(texts), checkpoint.constants(),
                               PoolStrategy(checkpoint.config.strategy),
                               checkpoint.config.norm_mode)
     return [AttentionReport(w, f) for w, f in zip(report.weights, report.fallback)]

@@ -18,7 +18,7 @@ from .config import TrainConfig, train_config_doc, train_config_from_doc
 from .corpus import check_records
 from .encoder import Encoder, FrozenFeatures, Tokenizer, init_encoder_params, load_frozen
 from .objectives import VIEWS, loss_sup_basic, loss_sup_hard, loss_unsup, record_keys
-from .pooler import PoolerParams, PoolStrategy, pool
+from .pooler import PoolStrategy, init_pooler_params, pool
 
 CHECKPOINT_FORMAT = "layerpool-checkpoint"
 CHECKPOINT_VERSION = 5
@@ -27,14 +27,15 @@ CHECKPOINT_VERSION = 5
 @dataclass
 class Checkpoint:
     config: TrainConfig
-    params: dict[str, Tensor]          # encoder (unless frozen) + pooler tensors
-    adam_m: dict[str, np.ndarray]      # one per tensor that trains, shaped as it
+    params: dict[str, np.ndarray]      # encoder (unless frozen) + pooler arrays
+    adam_m: dict[str, np.ndarray]      # one per array that trains, shaped as it
     adam_v: dict[str, np.ndarray]
     step: int
     vocab: dict[str, int]
 
-    def pooler_params(self) -> PoolerParams:
-        return PoolerParams.from_named(self.params)
+    def constants(self) -> dict[str, Tensor]:
+        """The parameters as constant Tensors: inference over them records no tape."""
+        return {name: Tensor(array) for name, array in self.params.items()}
 
     def tokenizer(self) -> Tokenizer:
         return Tokenizer(self.vocab)
@@ -43,22 +44,22 @@ class Checkpoint:
         if self.config.frozen_features is not None:
             raise ValueError("checkpoint has no encoder (trained on frozen features), "
                              "so it cannot embed text")
-        return Encoder(self.config.encoder, self.params)
+        return Encoder(self.config.encoder, self.constants())
 
     def stacks(self, texts) -> Tensor:
         """(len(texts), N, 2, d) layer stacks with dropout off."""
         return self.encoder().encode_texts(self.tokenizer(), texts)
 
 
-def init_params(config: TrainConfig, vocab_size: int, rng: Rng) -> dict[str, Tensor]:
-    """Seeded encoder and pooler tensors of an encoder run; the token table
+def init_params(config: TrainConfig, vocab_size: int, rng: Rng) -> dict[str, np.ndarray]:
+    """Seeded encoder and pooler arrays of an encoder run; the token table
     has `vocab_size` rows."""
     params = init_encoder_params(config.encoder, vocab_size, rng)
-    params.update(PoolerParams.init(config.encoder.hidden_dim, rng).named())
+    params.update(init_pooler_params(config.encoder.hidden_dim, rng))
     return params
 
 
-def _batch_loss(config, encoder, tokenizer, frozen, batch, indices, pooler, rng_step):
+def _batch_loss(config, encoder, tokenizer, frozen, batch, indices, params, rng_step):
     """One step's loss. Every view of the batch goes through one encoder pass
     (or one frozen `stack`) and one `pool` call; the (V*M, d) embeddings are
     then sliced into the V views that the objective's loss takes."""
@@ -74,7 +75,7 @@ def _batch_loss(config, encoder, tokenizer, frozen, batch, indices, pooler, rng_
         rngs = [rng_step.child(tag, b) for _, tag in views for b in range(M)]
         stacks = encoder.encode([tokenizer.encode(r[key], encoder.config.max_seq_len)
                                  for key, _ in views for r in batch], rngs)
-    h = pool(stacks, pooler, PoolStrategy(config.strategy), config.norm_mode)
+    h = pool(stacks, params, PoolStrategy(config.strategy), config.norm_mode)
     # the losses are looked up at call time, so a wrapper patched over them is seen
     loss = {"sup_basic": loss_sup_basic, "unsup": loss_unsup,
             "sup_hard": loss_sup_hard}[config.objective]
@@ -84,22 +85,22 @@ def _batch_loss(config, encoder, tokenizer, frozen, batch, indices, pooler, rng_
 def _initial_checkpoint(config: TrainConfig, corpus: list[dict],
                         init_from: Checkpoint | None,
                         frozen: FrozenFeatures | None) -> Checkpoint:
-    """The step-0 checkpoint of a fresh or warm-started run: seeded tensors,
-    zero Adam state for exactly the tensors that train, and the vocabulary
+    """The step-0 checkpoint of a fresh or warm-started run: seeded arrays,
+    zero Adam state for exactly the arrays that train, and the vocabulary
     (empty for a run over `frozen` features, which tokenizes nothing)."""
     rng = Rng(config.seed)
     if frozen is not None:
         if init_from is not None:
             raise ValueError("init_from warm-starts an encoder, which a frozen_features run "
                              "does not have")
-        params, vocab = PoolerParams.init(frozen.hidden_dim, rng).named(), {}
+        params, vocab = init_pooler_params(frozen.hidden_dim, rng), {}
     elif init_from is not None:
         # encoder() also refuses a checkpoint trained on frozen features
         if init_from.encoder().config != config.encoder:
             raise ValueError("init_from encoder architecture differs from the new config")
-        params = {name: tensor for name, tensor in init_from.params.items()
+        params = {name: array for name, array in init_from.params.items()
                   if not name.startswith("pooler.")}
-        params.update(PoolerParams.init(config.encoder.hidden_dim, rng).named())
+        params.update(init_pooler_params(config.encoder.hidden_dim, rng))
         vocab = dict(init_from.vocab)
     else:
         tokenizer = Tokenizer.from_texts(rec[key] for rec in corpus
@@ -108,7 +109,7 @@ def _initial_checkpoint(config: TrainConfig, corpus: list[dict],
     fixed = ("pooler.mlp_weight", "pooler.mlp_bias") if config.freeze_mlp else ()
 
     def zeros():
-        return {name: np.zeros_like(t.data) for name, t in params.items() if name not in fixed}
+        return {name: np.zeros_like(a) for name, a in params.items() if name not in fixed}
 
     return Checkpoint(config, params, zeros(), zeros(), 0, vocab)
 
@@ -126,10 +127,10 @@ def train(config: TrainConfig, corpus: list[dict],
     the token table has one row per vocabulary id, and a frozen-features run
     takes N and d from the frozen file, not from `config.encoder`.
 
-    Every run continues a checkpoint and updates exactly the tensors that
+    Every run continues a checkpoint and updates exactly the arrays that
     have Adam state in it. `resume_from` continues an interrupted run
     (config, optimizer state, and step counter all come from the checkpoint)
-    and is left as given: the result holds new Tensors and Adam dicts, and
+    and is left as given: the result holds new parameter and Adam dicts, and
     updates rebind arrays rather than write into them, so resuming one
     checkpoint twice repeats the trace. Otherwise the run starts from step
     0, and `init_from` warm-starts a new encoder run from a pretrained
@@ -148,8 +149,8 @@ def train(config: TrainConfig, corpus: list[dict],
                   f"objective {config.objective!r}")
     frozen = None if config.frozen_features is None else load_frozen(config.frozen_features)
     ckpt = resume_from or _initial_checkpoint(config, corpus, init_from, frozen)
-    # the run's own Tensors and Adam dicts over the checkpoint's arrays
-    params = {name: Tensor(t.data, requires_grad=True) for name, t in ckpt.params.items()}
+    # the run's own trainable Tensors and Adam dicts over the checkpoint's arrays
+    params = {name: Tensor(a, requires_grad=True) for name, a in ckpt.params.items()}
     adam_m, adam_v = dict(ckpt.adam_m), dict(ckpt.adam_v)
 
     if frozen is not None:
@@ -187,8 +188,8 @@ def train(config: TrainConfig, corpus: list[dict],
 
         for name in params:
             params[name].grad = None
-        loss = _batch_loss(config, encoder, tokenizer, frozen, batch, indices,
-                           PoolerParams.from_named(params), rng.child("step", step))
+        loss = _batch_loss(config, encoder, tokenizer, frozen, batch, indices, params,
+                           rng.child("step", step))
         if not np.isfinite(loss.data):
             # stop before backward and the update, so parameters stay finite
             raise ValueError(f"non-finite loss {loss.item()} at step {step}")
@@ -207,7 +208,8 @@ def train(config: TrainConfig, corpus: list[dict],
                 config.learning_rate * m_hat / (np.sqrt(v_hat) + eps))
         trace.append((step, loss.item()))
 
-    return Checkpoint(config, params, adam_m, adam_v, total_steps, ckpt.vocab), trace
+    return Checkpoint(config, {name: t.data for name, t in params.items()}, adam_m, adam_v,
+                      total_steps, ckpt.vocab), trace
 
 
 def write_loss_trace(trace, path) -> None:
@@ -217,19 +219,18 @@ def write_loss_trace(trace, path) -> None:
 # ---- checkpoint persistence -----------------------------------------------
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Tensors are stored in float64 (not the f32 of embedding files) so a
+    """Arrays are stored in float64 (not the f32 of embedding files) so a
     resumed run reproduces the uninterrupted trajectory exactly."""
-    tensors = {"param": {k: v.data for k, v in ckpt.params.items()},
-               "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
+    groups = {"param": ckpt.params, "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
     meta = {"step": ckpt.step, "config": train_config_doc(ckpt.config), "vocab": ckpt.vocab}
     write_dir(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, meta, {
         f"{group}.{k}": np.asarray(v, dtype="<f8")
-        for group, named in tensors.items() for k, v in named.items()})
+        for group, named in groups.items() for k, v in named.items()})
 
 
 def load_checkpoint(path) -> Checkpoint:
     meta, arrays = read_dir(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
-    tensors = {"param": {}, "adam_m": {}, "adam_v": {}}
+    groups = {"param": {}, "adam_m": {}, "adam_v": {}}
     try:
         config = train_config_from_doc(meta.pop("config"))
         step, vocab = meta.pop("step"), meta.pop("vocab")
@@ -238,10 +239,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError("needs only config, step count and integer vocab ids")
         for name, array in arrays.items():
             group, _, key = name.partition(".")
-            if group not in tensors or array.dtype != "<f8":
+            if group not in groups or array.dtype != "<f8":
                 raise ValueError(f"unexpected array {name!r} of dtype {array.dtype}")
-            tensors[group][key] = array
-        params, adam_m, adam_v = tensors["param"], tensors["adam_m"], tensors["adam_v"]
+            groups[group][key] = array
+        params, adam_m, adam_v = groups["param"], groups["adam_m"], groups["adam_v"]
         if adam_m.keys() != adam_v.keys() or any(
                 name not in params or not params[name].shape == m.shape == adam_v[name].shape
                 for name, m in adam_m.items()):
@@ -249,5 +250,4 @@ def load_checkpoint(path) -> Checkpoint:
                              "as the param of its name")
     except (KeyError, ValueError) as exc:
         raise ArtifactCorruptError(f"malformed checkpoint header in {path}: {exc!r}") from exc
-    params = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
     return Checkpoint(config, params, adam_m, adam_v, step, vocab)

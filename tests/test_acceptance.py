@@ -11,12 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from layer_stacks import layer_stack, pair_batch
+from layer_stacks import layer_stack, pair_batch, trainable
 from layerpool.autodiff import Rng, Tensor, grad_check
 from layerpool.corpus import make_synthetic_sts, make_synthetic_triplets
 from layerpool.encoder import EncoderConfig
 from layerpool.objectives import loss_sup_basic, loss_sup_hard, loss_unsup
-from layerpool.pooler import PoolerParams, PoolStrategy, attention_matrix, pool
+from layerpool.pooler import PoolStrategy, attention_matrix, init_pooler_params, pool
 from layerpool.search import (
     EmbeddingMatrix,
     brute_force_query,
@@ -65,25 +65,18 @@ def _random_stacks(gen, lead, n, d) -> Tensor:
     return layer_stack(x[..., 0, :, :], x[..., 1, :, :])
 
 
-def _pooler_from(tensors) -> PoolerParams:
-    w_q, w_k, w_v, mlp_w, mlp_b = tensors
-    return PoolerParams(w_q=w_q, w_k=w_k, w_v=w_v,
-                        mlp_weight=mlp_w, mlp_bias=mlp_b)
-
-
 def test_criterion_1_gradient_suite():
     """Analytic vs central-difference gradients for each objective + pooler."""
     n_layers, d, m = 4, 8, 4
     gen = np.random.default_rng(11)
     start = time.perf_counter()
 
-    init = PoolerParams.init(d, Rng(5))
-    seeds = [init.w_q.data, init.w_k.data, init.w_v.data,
-             init.mlp_weight.data, init.mlp_bias.data]
+    init = init_pooler_params(d, Rng(5))
+    seeds = list(init.values())
     strategy = PoolStrategy.ATTN_CLS_AVG_CONCAT
 
     def embed(stacks, params):
-        return pool(stacks, _pooler_from(params), strategy)
+        return pool(stacks, dict(zip(init, params)), strategy)
 
     anchors = _random_stacks(gen, (m,), n_layers, d)
     positives = _random_stacks(gen, (m,), n_layers, d)
@@ -208,7 +201,7 @@ def test_criterion_3_attention_normalization():
         n = int(gen.integers(1, 6))
         d = int(gen.integers(2, 9))
         if d not in params_by_d:
-            params_by_d[d] = PoolerParams.init(d, Rng(d))
+            params_by_d[d] = trainable(init_pooler_params(d, Rng(d)))
         stack = _random_stacks(gen, (), n, d)
         strategy = [PoolStrategy.ATTN_CLS, PoolStrategy.ATTN_AVG,
                     PoolStrategy.ATTN_CLS_AVG][i % 3]
@@ -311,7 +304,7 @@ def test_criterion_5_directional_experiment(tmp_path):
         start = time.perf_counter()
         ckpt, _ = train(cfg, corpus, max_steps=POOLER_STEPS)
         assert time.perf_counter() - start < 300.0  # <= 5 min per run
-        return evaluate_stacks(eval_pairs, golds, ckpt.pooler_params(),
+        return evaluate_stacks(eval_pairs, golds, ckpt.constants(),
                                strategy, cfg.norm_mode)
 
     wins = 0
@@ -346,9 +339,9 @@ def test_criterion_6_detachment_equivalence():
     before = embed_corpus(ckpt, texts, inference_pooling="detached")
 
     gen = np.random.default_rng(99)
-    for name, tensor in ckpt.params.items():
+    for name, array in ckpt.params.items():
         if name.startswith("pooler."):
-            tensor.data = gen.normal(size=tensor.data.shape)
+            ckpt.params[name] = gen.normal(size=array.shape)
     after = embed_corpus(ckpt, texts, inference_pooling="detached")
     bitwise = (before.vectors.tobytes() == after.vectors.tobytes())
 

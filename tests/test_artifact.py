@@ -49,7 +49,7 @@ def tiny_index(seed):
 
 def checkpoint_state(ckpt):
     """Everything a checkpoint holds, as comparable bytes and JSON values."""
-    arrays = {f"param.{k}": v.data for k, v in ckpt.params.items()}
+    arrays = {f"param.{k}": v for k, v in ckpt.params.items()}
     arrays.update({f"adam_m.{k}": v for k, v in ckpt.adam_m.items()})
     arrays.update({f"adam_v.{k}": v for k, v in ckpt.adam_v.items()})
     return ({k: (v.dtype.str, v.shape, v.tobytes()) for k, v in arrays.items()},

@@ -134,7 +134,13 @@ class TestValidateConfig:
     def test_load_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError, match="JSON"):
+        with pytest.raises(ConfigError, match=re.escape(f"config {path} is not valid JSON")):
+            load_config(path)
+
+    def test_load_names_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe" + '{"objective": "unsup"}'.encode("utf-16-le"))
+        with pytest.raises(ConfigError, match=re.escape(f"config {path} is not UTF-8")):
             load_config(path)
 
 
@@ -316,6 +322,32 @@ class TestDispatch:
                          "--texts", str(texts), "--out-dir", str(out_dir)]) == 0
         assert sorted(os.listdir(out_dir)) == ["attention_0000.csv",
                                                "attention_0001.csv"]
+
+    @pytest.mark.parametrize("command, out_flag", [("embed", "--out"),
+                                                   ("inspect-attention", "--out-dir")])
+    def test_texts_that_are_not_utf8_are_named_by_line(self, tmp_path, capsys, command,
+                                                       out_flag):
+        dispatch(["train", "--config", str(_write_config(tmp_path))])
+        texts, out = tmp_path / "texts.txt", tmp_path / "out"
+        texts.write_bytes(b"\xff\xfe" + "c0w1 c0w2\n".encode("utf-16-le"))
+        capsys.readouterr()
+        assert dispatch([command, "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                         "--texts", str(texts), out_flag, str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {texts}:1: not UTF-8")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pooling", ["detached", "trained-pooler"])
+    def test_embed_reads_one_text_per_stripped_line(self, tmp_path, capsys, pooling):
+        dispatch(["train", "--config", str(_write_config(tmp_path))])
+        clean, messy = tmp_path / "clean.txt", tmp_path / "messy.txt"
+        clean.write_text("c0w1 c0w2\nc1w1\tc1w2\n")
+        messy.write_bytes(b"\r\n  c0w1 c0w2\r\n\n\tc1w1\tc1w2 \r\n")
+        for texts in (clean, messy):
+            assert dispatch(["embed", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                             "--texts", str(texts), "--pooling", pooling,
+                             "--out", str(texts.with_suffix(".npy"))]) == 0
+        assert (tmp_path / "clean.npy").read_bytes() == (tmp_path / "messy.npy").read_bytes()
 
     @pytest.mark.parametrize("flag", ["--seed", "--epochs"])
     def test_resume_rejects_seed_and_epochs(self, tmp_path, flag):

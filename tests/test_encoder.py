@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from layer_stacks import trainable
 from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError
-from layerpool.autodiff import Rng
+from layerpool.autodiff import Rng, Tensor
 from layerpool.encoder import (
     CLS_ID,
     INFERENCE_CHUNK,
@@ -26,7 +27,7 @@ def small_config():
 
 @pytest.fixture
 def encoder(small_config):
-    return Encoder(small_config, init_encoder_params(small_config, 12, Rng(0)))
+    return Encoder(small_config, trainable(init_encoder_params(small_config, 12, Rng(0))))
 
 
 class TestConfig:
@@ -122,8 +123,7 @@ class TestEncode:
         # recompute h^a by re-running and averaging token rows by hand:
         # encode returns per-layer means over content positions, so a
         # sentence of one token must have h_a equal to that token's row.
-        params = init_encoder_params(small_config, 12, Rng(1))
-        enc = Encoder(small_config, params)
+        enc = Encoder(small_config, trainable(init_encoder_params(small_config, 12, Rng(1))))
         stack = enc.encode([[CLS_ID, 7]])
         stack2 = enc.encode([[CLS_ID, 7, PAD_ID]])
         assert np.allclose(stack.data[0, :, 1], stack2.data[0, :, 1], atol=1e-12)
@@ -141,7 +141,7 @@ class TestBatchedEncode:
     def long_encoder(self):
         config = EncoderConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
                                max_seq_len=41, dropout_p=0.1)
-        return Encoder(config, init_encoder_params(config, 30, Rng(6)))
+        return Encoder(config, trainable(init_encoder_params(config, 30, Rng(6))))
 
     def test_rows_match_singleton_encodes(self, long_encoder):
         # 1-40 words, so rows are padded across numpy's 8-accumulator summation
@@ -185,7 +185,10 @@ class TestBatchedEncode:
                  for lo in range(0, len(texts), INFERENCE_CHUNK)]
         assert np.array_equal(whole.data, np.concatenate(parts))
 
-    def test_inference_records_no_tape(self, encoder):
+    def test_inference_records_no_tape(self, small_config):
+        # constant parameters, as Checkpoint.encoder() passes them
+        arrays = init_encoder_params(small_config, 12, Rng(0))
+        encoder = Encoder(small_config, {k: Tensor(v) for k, v in arrays.items()})
         out = encoder.encode([[CLS_ID, 3, 4], [CLS_ID, 5]])
         assert out.shape == (2, 2, 2, 8)
         assert not out.requires_grad and out._parents == () and out._bw is None
@@ -201,18 +204,18 @@ class TestInitParams:
     def test_same_seed_identical(self, small_config):
         a = init_encoder_params(small_config, 12, Rng(4))
         b = init_encoder_params(small_config, 12, Rng(4))
-        assert all(np.array_equal(a[k].data, b[k].data) for k in a)
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_different_seed_differs(self, small_config):
         a = init_encoder_params(small_config, 12, Rng(4))
         b = init_encoder_params(small_config, 12, Rng(5))
-        assert any(not np.array_equal(a[k].data, b[k].data) for k in a)
+        assert any(not np.array_equal(a[k], b[k]) for k in a)
 
     def test_within_init_bound(self, small_config):
         params = init_encoder_params(small_config, 12, Rng(0))
-        for k, t in params.items():
-            assert np.all(np.isfinite(t.data))
-            assert np.all(np.abs(t.data) <= 1.0)
+        for a in params.values():
+            assert np.all(np.isfinite(a))
+            assert np.all(np.abs(a) <= 1.0)
 
 
 class TestFrozenFeatures:

@@ -717,14 +717,14 @@ class TestEmbedCorpus:
     def test_detached_invariant_to_pooler(self, checkpoint):
         texts = ["word1 word2", "word3 word4"]
         before = embed_corpus(checkpoint, texts, "detached").vectors.copy()
-        saved = {k: v.data.copy() for k, v in checkpoint.params.items()}
+        saved = {k: v.copy() for k, v in checkpoint.params.items()}
         gen = Rng(99).generator()
         for k in checkpoint.params:
             if k.startswith("pooler."):
-                checkpoint.params[k].data = gen.normal(size=saved[k].shape)
+                checkpoint.params[k] = gen.normal(size=saved[k].shape)
         after = embed_corpus(checkpoint, texts, "detached").vectors
         for k, v in saved.items():
-            checkpoint.params[k].data = v
+            checkpoint.params[k] = v
         assert np.array_equal(before, after)
 
     def test_trained_pooler_differs_from_detached(self, checkpoint):
@@ -752,7 +752,7 @@ class TestEmbedCorpus:
         if mode == "detached":
             pooled = stacks.data[:, -1, 0]
         else:
-            pooled = pool(stacks, checkpoint.pooler_params(),
+            pooled = pool(stacks, checkpoint.constants(),
                           PoolStrategy(checkpoint.config.strategy),
                           checkpoint.config.norm_mode).data
         expected = (pooled / np.linalg.norm(pooled, axis=1)[:, None]).astype(np.float32)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layer_stacks import layer_stack, pair_batch
+from layer_stacks import layer_stack, pair_batch, trainable
 from layerpool.autodiff import Rng
 from layerpool.encoder import EncoderConfig, FrozenFeatures, save_frozen
-from layerpool.pooler import PoolerParams, PoolStrategy
+from layerpool.pooler import PoolStrategy, init_pooler_params
 from layerpool.search import embed_corpus
 from layerpool.sts_eval import (
     StsRecord,
@@ -135,8 +135,8 @@ class TestEvaluateStacks:
             cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
             pairs.append((const_stack(a), const_stack(b)))
             golds.append(2.5 + 2.5 * cos)  # monotone map into [0, 5]
-        score = evaluate_stacks(pair_batch(pairs), golds, PoolerParams.init(4, Rng(0)),
-                                PoolStrategy.AVG_LAST)
+        params = trainable(init_pooler_params(4, Rng(0)))
+        score = evaluate_stacks(pair_batch(pairs), golds, params, PoolStrategy.AVG_LAST)
         assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_duplicating_records_preserves_score(self):
@@ -144,7 +144,7 @@ class TestEvaluateStacks:
         pairs = [(const_stack(gen.normal(size=3)), const_stack(gen.normal(size=3)))
                  for _ in range(6)]
         golds = list(gen.uniform(0, 5, size=6))
-        params = PoolerParams.init(3, Rng(0))
+        params = trainable(init_pooler_params(3, Rng(0)))
         a = evaluate_stacks(pair_batch(pairs), golds, params, PoolStrategy.AVG_LAST)
         b = evaluate_stacks(pair_batch(pairs * 2), golds * 2, params, PoolStrategy.AVG_LAST)
         assert a == pytest.approx(b, abs=1e-12)
@@ -154,7 +154,7 @@ class TestEvaluateStacks:
         pairs = [(const_stack(gen.normal(size=3)), const_stack(gen.normal(size=3)))
                  for _ in range(8)]
         golds = list(gen.uniform(0, 5, size=8))
-        params = PoolerParams.init(3, Rng(0))
+        params = trainable(init_pooler_params(3, Rng(0)))
         a = evaluate_stacks(pair_batch(pairs), golds, params, PoolStrategy.AVG_LAST)
         perm = list(gen.permutation(8))
         b = evaluate_stacks(pair_batch([pairs[i] for i in perm]), [golds[i] for i in perm],
@@ -166,8 +166,8 @@ class TestEvaluateStacks:
         pairs = [(const_stack(gen.normal(size=3)), const_stack(gen.normal(size=3)))
                  for _ in range(4)]
         with pytest.raises(ValueError, match="variance"):
-            evaluate_stacks(pair_batch(pairs), [3.0] * 4, PoolerParams.init(3, Rng(0)),
-                            PoolStrategy.AVG_LAST)
+            evaluate_stacks(pair_batch(pairs), [3.0] * 4,
+                            trainable(init_pooler_params(3, Rng(0))), PoolStrategy.AVG_LAST)
 
 
 class TestLayerSweepStacks:
@@ -284,7 +284,7 @@ class TestAttentionReport:
 
         vec_c, vec_a = np.ones(4), np.full(4, 2.0)
         stack = layer_stack([vec_c] * 3, [vec_a] * 3)
-        rep = attention_scores(stack, PoolerParams.init(4, Rng(0)),
+        rep = attention_scores(stack, trainable(init_pooler_params(4, Rng(0))),
                                PoolStrategy.ATTN_CLS_AVG, "softmax")
         assert np.allclose(rep.weights, 1.0 / 3.0, atol=1e-12)
 

@@ -1,7 +1,9 @@
+import ast
 import copy
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from layerpool import trainer
 from layerpool.encoder import (Encoder, EncoderConfig, FrozenFeatures, Tokenizer, load_frozen,
                                save_frozen)
 from layerpool.objectives import OBJECTIVES, record_keys
+from layerpool.pooler import ATTENTION_STRATEGIES, PoolStrategy, attention_matrix, pool
 from layerpool.trainer import (
     Checkpoint,
     TrainConfig,
@@ -63,17 +66,17 @@ class TestInitParams:
         a = init_params(cfg, TINY_VOCAB, Rng(3))
         b = init_params(tiny_config(), TINY_VOCAB, Rng(3))
         assert set(a) == set(b)
-        assert all(np.array_equal(a[k].data, b[k].data) for k in a)
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_different_seed_differs(self):
         a = init_params(tiny_config(), TINY_VOCAB, Rng(3))
         b = init_params(tiny_config(), TINY_VOCAB, Rng(4))
-        assert any(not np.array_equal(a[k].data, b[k].data) for k in a)
+        assert any(not np.array_equal(a[k], b[k]) for k in a)
 
     def test_finite_and_bounded(self):
         params = init_params(tiny_config(), TINY_VOCAB, Rng(0))
-        for t in params.values():
-            assert np.all(np.isfinite(t.data)) and np.all(np.abs(t.data) <= 1.0)
+        for a in params.values():
+            assert np.all(np.isfinite(a)) and np.all(np.abs(a) <= 1.0)
 
 
 class TestTrain:
@@ -170,10 +173,8 @@ class TestTrain:
         cfg = tiny_config(freeze_mlp=True)
         before = init_params(tiny_config(freeze_mlp=True), TINY_VOCAB, Rng(cfg.seed))
         ckpt, _ = train(cfg, pair_corpus())
-        assert np.array_equal(ckpt.params["pooler.mlp_weight"].data,
-                              before["pooler.mlp_weight"].data)
-        assert np.array_equal(ckpt.params["pooler.mlp_bias"].data,
-                              before["pooler.mlp_bias"].data)
+        assert np.array_equal(ckpt.params["pooler.mlp_weight"], before["pooler.mlp_weight"])
+        assert np.array_equal(ckpt.params["pooler.mlp_bias"], before["pooler.mlp_bias"])
 
     def test_cls_last_leaves_pooler_untouched(self):
         cfg = tiny_config(strategy="cls_last")
@@ -181,7 +182,7 @@ class TestTrain:
         ckpt, _ = train(cfg, pair_corpus())
         for name in before:
             if name.startswith("pooler."):
-                assert np.array_equal(ckpt.params[name].data, before[name].data)
+                assert np.array_equal(ckpt.params[name], before[name])
             else:
                 pass  # encoder params do move
 
@@ -305,9 +306,24 @@ class TestCheckpoint:
         assert loaded.step == ckpt.step
         assert set(loaded.params) == set(ckpt.params)
         for k in ckpt.params:
-            assert np.array_equal(loaded.params[k].data, ckpt.params[k].data)
+            assert np.array_equal(loaded.params[k], ckpt.params[k])
         for k in ckpt.adam_m:
             assert np.array_equal(loaded.adam_m[k], ckpt.adam_m[k])
+        for params in (ckpt.params, loaded.params):
+            assert all(type(a) is np.ndarray for a in params.values())
+
+    @pytest.mark.parametrize("strategy", list(PoolStrategy), ids=lambda s: s.value)
+    def test_inference_records_no_tape(self, strategy):
+        ckpt, _ = train(tiny_config(), pair_corpus(), max_steps=1)
+        texts = ["w1 w2", "w3"]
+        stacks = ckpt.stacks(texts)
+        results = [ckpt.encoder().encode([ckpt.tokenizer().encode(t, 8) for t in texts]),
+                   pool(stacks, ckpt.constants(), strategy, ckpt.config.norm_mode)]
+        if strategy in ATTENTION_STRATEGIES:
+            results.append(attention_matrix(stacks, ckpt.constants(), strategy,
+                                            ckpt.config.norm_mode)[0])
+        for t in results:
+            assert not t.requires_grad and t._parents == () and t._bw is None
 
     def test_version_mismatch(self, tmp_path):
         ckpt, _ = train(tiny_config(), pair_corpus())
@@ -375,21 +391,21 @@ class TestCheckpoint:
     def test_resume_past_max_steps_keeps_step(self):
         corpus = pair_corpus()
         ckpt, _ = train(tiny_config(epochs=2), corpus, max_steps=6)
-        before = {name: t.data.copy() for name, t in ckpt.params.items()}
+        before = {name: a.copy() for name, a in ckpt.params.items()}
         resumed, trace = train(ckpt.config, corpus, resume_from=ckpt, max_steps=3)
         assert trace == [] and resumed.step == 6
-        assert all(np.array_equal(resumed.params[k].data, v) for k, v in before.items())
+        assert all(np.array_equal(resumed.params[k], v) for k, v in before.items())
 
     def test_resume_leaves_the_checkpoint_as_given(self):
         corpus = pair_corpus()
         ckpt, _ = train(tiny_config(epochs=2), corpus, max_steps=4)
-        params = {name: t.data.copy() for name, t in ckpt.params.items()}
+        params = {name: a.copy() for name, a in ckpt.params.items()}
         adam = [{name: a.copy() for name, a in d.items()} for d in (ckpt.adam_m, ckpt.adam_v)]
         _, first = train(ckpt.config, corpus, resume_from=ckpt, max_steps=6)
         _, second = train(ckpt.config, corpus, resume_from=ckpt, max_steps=6)
         assert len(first) == 2 and first == second
         assert ckpt.step == 4
-        assert all(np.array_equal(ckpt.params[k].data, v) for k, v in params.items())
+        assert all(np.array_equal(ckpt.params[k], v) for k, v in params.items())
         for before, after in zip(adam, (ckpt.adam_m, ckpt.adam_v)):
             assert before.keys() == after.keys()
             assert all(np.array_equal(after[k], v) for k, v in before.items())
@@ -415,8 +431,7 @@ class TestWarmStart:
         warm, _ = train(tiny_config(seed=1), corpus, init_from=pretrained,
                         max_steps=0)
         for name in warm.params:
-            same = np.array_equal(warm.params[name].data,
-                                  pretrained.params[name].data)
+            same = np.array_equal(warm.params[name], pretrained.params[name])
             if name.startswith("pooler."):
                 assert not same, name  # fresh pooler under the new seed
             else:
@@ -536,3 +551,26 @@ def test_golden_trace_encoder():
                       encoder=EncoderConfig(**TINY_ENCODER))
     _, trace = train(cfg, make_synthetic_triplets(num_pairs=24))
     _assert_trace(trace, GOLDEN_ENCODER_TRACE)
+
+
+def test_only_train_makes_trainable_tensors():
+    # parameters at rest are arrays; train() wraps them for one run, and
+    # grad_check is the gradient oracle the tests use. Any requires_grad
+    # argument but a literal False counts, named by its innermost function.
+    makers = set()
+    for path in sorted(Path(trainer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):  # breadth first: a parent before its children
+            for child in ast.iter_child_nodes(node):
+                owner[child] = node.name if isinstance(node, ast.FunctionDef) else owner.get(
+                    node, "<module>")
+        for node in ast.walk(tree):
+            positional = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id == "Tensor" and len(node.args) > 1)
+            keyword = (isinstance(node, ast.keyword) and node.arg == "requires_grad"
+                       and not (isinstance(node.value, ast.Constant)
+                                and node.value.value is False))
+            if positional or keyword:
+                makers.add(f"{path.stem}.{owner[node]}")
+    assert makers == {"trainer.train", "autodiff.grad_check"}
