@@ -1,4 +1,5 @@
-"""Every file layerpool writes, and the directory format of checkpoints and indexes.
+"""Every file layerpool writes, the one `.npy` reader and writer, and the
+directory format of checkpoints and indexes.
 
 Files and directories are built as hidden siblings and renamed into place,
 so a process that dies mid-write leaves the previous version or, between a
@@ -22,6 +23,7 @@ import shutil
 import numpy as np
 
 HEADER = "header.json"
+_NPY_MAGIC = np.lib.format.magic(1, 0)  # np.save's format unless a header exceeds 64 KiB
 _SUFFIX = {"<f8": "f64", "<f4": "f32", "<u4": "u32"}
 _NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.]*")
 
@@ -75,6 +77,14 @@ def write_csv(path, rows) -> None:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     write_file(path, [buf.getvalue().encode()])
+
+
+def write_npy(path, array) -> None:
+    """Replace `path` with a format 1.0 `.npy` file, streaming `array` after the header."""
+    array = np.asarray(array, order="C")
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
+    write_file(path, [header.getvalue(), array])
 
 
 def _header(path: str):
@@ -137,21 +147,54 @@ def _valid_entry(e) -> bool:
             and all(type(n) is int and n >= 0 for n in e["shape"]))
 
 
+def _read_rest(fh, shape, dtype: np.dtype, name) -> np.ndarray:
+    """The rest of `fh` as a new `shape` `dtype` array, its length checked first."""
+    expected = math.prod(shape) * dtype.itemsize
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != expected:
+        raise ArtifactCorruptError(f"{name} holds {size} bytes of array data, "
+                                   f"its header implies {expected}")
+    array = np.empty(shape, dtype)
+    if fh.readinto(array) != expected:
+        raise ArtifactCorruptError(f"{name} shrank while it was read")
+    return array
+
+
 def _read_array(path: str, entry: dict) -> np.ndarray:
-    file, dtype = entry["file"], np.dtype(entry["dtype"])
-    expected = math.prod(entry["shape"]) * dtype.itemsize
+    file = entry["file"]
     try:
         with open(os.path.join(path, file), "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size != expected:
-                raise ArtifactCorruptError(f"{file} is {size} bytes, header implies {expected}")
-            array = np.empty(entry["shape"], dtype)
-            got = fh.readinto(array)
+            array = _read_rest(fh, entry["shape"], np.dtype(entry["dtype"]), file)
     except OSError as exc:
         raise ArtifactCorruptError(f"missing or unreadable {file}: {exc}") from exc
-    if got != expected or hashlib.sha256(memoryview(array)).hexdigest() != entry["sha256"]:
+    if hashlib.sha256(memoryview(array)).hexdigest() != entry["sha256"]:
         raise ArtifactCorruptError(f"{file}: sha256 does not match the header")
     return array
+
+
+def read_npy(path) -> np.ndarray:
+    """The bool, integer or float array of a format 1.0 `.npy` file. Any other
+    file (`.npz`) or dtype (object, structured) is `ArtifactVersionError`, a
+    truncated or malformed one `ArtifactCorruptError`. No hash, as `train`
+    re-reads its frozen features on every call."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(_NPY_MAGIC))
+        if magic != _NPY_MAGIC:
+            if _NPY_MAGIC.startswith(magic):
+                raise ArtifactCorruptError(f"{path}: .npy header truncated")
+            raise ArtifactVersionError(f"{path} is not a .npy file of format 1.0")
+        try:
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            if min(shape, default=0) < 0:
+                raise ValueError(f"negative dimension in shape {shape}")
+        except ValueError as exc:
+            raise ArtifactCorruptError(f"{path}: malformed .npy header: {exc}") from exc
+        if dtype.kind not in "biuf":
+            raise ArtifactVersionError(f"{path}: .npy of dtype {dtype}, expected a bool, "
+                                       "integer or float array")
+        # a Fortran-order file holds the C-order bytes of the transpose
+        array = _read_rest(fh, shape[::-1] if fortran_order else shape, dtype, path)
+    return array.T if fortran_order else array
 
 
 def read_dir(path, format: str, version: int) -> tuple[dict, dict[str, np.ndarray]]:

@@ -40,6 +40,12 @@ class Rng:
         return f"Rng(seed={self.seed}, path={self.path})"
 
 
+def uniform_init(gen: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    """Symmetric uniform in ±1/sqrt(fan_in): every encoder and pooler weight."""
+    bound = 1.0 / np.sqrt(max(1, fan_in))
+    return gen.uniform(-bound, bound, size=shape)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     while grad.ndim > len(shape):

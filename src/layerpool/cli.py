@@ -76,13 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_lines(path: str) -> list[str]:
-    """The stripped non-blank lines; a line that is not UTF-8 is named by path:line."""
-    from .corpus import numbered_lines
-
-    return [line for _, line in numbered_lines(path)]
-
-
 def _read_gold(path: str) -> list[int]:
     """One integer id per non-blank line; a line that is not one is named by path:line."""
     from .corpus import numbered_lines
@@ -114,12 +107,12 @@ def _cmd_train(args) -> int:
         output_dir=config.output_dir if args.output_dir is None else args.output_dir)
     ckpt, trace = train(config.train, load_jsonl(config.corpus), resume_from=resume,
                         init_from=init)
-    # only a run that trained creates the output directory
+    ckpt_dir = os.path.join(config.output_dir, config.checkpoint_dir)
+    save_checkpoint(ckpt, ckpt_dir)
+    # only a run whose checkpoint saved writes or creates anything else
     os.makedirs(config.output_dir, exist_ok=True)
     doc = json.dumps(effective_config_doc(config), indent=1, sort_keys=True) + "\n"
     write_file(os.path.join(config.output_dir, "effective_config.json"), [doc.encode()])
-    ckpt_dir = os.path.join(config.output_dir, config.checkpoint_dir)
-    save_checkpoint(ckpt, ckpt_dir)
     write_loss_trace(trace, os.path.join(config.output_dir, "loss.csv"))
     print(ckpt_dir)
     return 0
@@ -146,10 +139,12 @@ def _cmd_layer_sweep(args) -> int:
 
 
 def _cmd_inspect_attention(args) -> int:
+    from .corpus import numbered_lines
     from .sts_eval import attention_report
     from .trainer import load_checkpoint
 
-    reports = attention_report(load_checkpoint(args.checkpoint), _read_lines(args.texts))
+    reports = attention_report(load_checkpoint(args.checkpoint),
+                               [line for _, line in numbered_lines(args.texts)])
     # only a run that has its reports creates --out-dir
     os.makedirs(args.out_dir, exist_ok=True)
     for i, report in enumerate(reports):
@@ -158,28 +153,23 @@ def _cmd_inspect_attention(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    import io
-
-    import numpy as np
-
-    from .artifact import write_file
+    from .artifact import write_npy
+    from .corpus import numbered_lines
     from .search import embed_corpus
     from .trainer import load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
-    matrix = embed_corpus(ckpt, _read_lines(args.texts), inference_pooling=args.pooling)
-    buf = io.BytesIO()
-    np.save(buf, matrix.vectors)
-    write_file(args.out, [buf.getbuffer()])
+    matrix = embed_corpus(ckpt, [line for _, line in numbered_lines(args.texts)],
+                          inference_pooling=args.pooling)
+    write_npy(args.out, matrix.vectors)
     return 0
 
 
 def _load_embeddings(path):
-    import numpy as np
-
+    from .artifact import read_npy
     from .search import EmbeddingMatrix
 
-    return EmbeddingMatrix(vectors=np.load(path))
+    return EmbeddingMatrix(vectors=read_npy(path))
 
 
 def _cmd_index(args) -> int:
@@ -192,15 +182,12 @@ def _cmd_index(args) -> int:
         index = build_index(_load_embeddings(args.embeddings), args.nlist, Rng(args.seed))
         save_index(index, args.out)
         return 0
+    index, matrix = load_index(args.index), _load_embeddings(args.query_embeddings)
     if args.index_command == "search":
-        index = load_index(args.index)
-        matrix = _load_embeddings(args.query_embeddings)
         for row in matrix.vectors:
             hits = query(index, row, top_k=args.top_k, nprobe=args.nprobe)
             print(json.dumps([{"id": i, "similarity": s} for i, s in hits]))
         return 0
-    index = load_index(args.index)
-    matrix = _load_embeddings(args.query_embeddings)
     gold = _read_gold(args.gold)
     metrics = evaluate_search(index, matrix.vectors, gold, nprobe=args.nprobe)
     print(json.dumps(asdict(metrics), sort_keys=True))

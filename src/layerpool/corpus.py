@@ -106,19 +106,13 @@ def make_synthetic_sts(num_records: int = 200, num_clusters: int = 8,
     shared = [f"the{k}" for k in range(6)]
     records = []
     for i in range(num_records):
-        c = int(gen.integers(num_clusters))
-        if i % 2 == 0:
-            records.append({
-                "sent1": _sentence(gen, vocab[c], shared),
-                "sent2": _sentence(gen, vocab[c], shared),
-                "score": 5.0,
-            })
-        else:
+        c = other = int(gen.integers(num_clusters))
+        if i % 2:  # odd records pair two clusters, even ones stay in one
             other = int(gen.integers(num_clusters - 1))
             other = other + 1 if other >= c else other
-            records.append({
-                "sent1": _sentence(gen, vocab[c], shared),
-                "sent2": _sentence(gen, vocab[other], shared),
-                "score": 0.0,
-            })
+        records.append({
+            "sent1": _sentence(gen, vocab[c], shared),
+            "sent2": _sentence(gen, vocab[other], shared),
+            "score": 0.0 if i % 2 else 5.0,
+        })
     return records

@@ -11,15 +11,13 @@ i's CLS vector h^c and [..., i, 1] its mean-token vector h^a.
 
 from __future__ import annotations
 
-import os
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifact import ArtifactCorruptError, ArtifactVersionError, write_file
-from .autodiff import Rng, Tensor, dropout_mask
+from .artifact import ArtifactCorruptError, read_npy, write_npy
+from .autodiff import Rng, Tensor, dropout_mask, uniform_init
 
 CLS_ID = 0
 PAD_ID = 1
@@ -28,10 +26,6 @@ _NUM_RESERVED = 3
 
 # texts per forward pass of encode_texts, which only runs inference
 INFERENCE_CHUNK = 64
-
-FROZEN_MAGIC = b"LAPF"
-FROZEN_VERSION = 1
-_FROZEN_HEADER = 20  # magic + four u32
 
 
 @dataclass
@@ -77,30 +71,25 @@ class Tokenizer:
         return ([CLS_ID] + ids)[:max_seq_len]
 
 
-def _uniform_init(gen: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(max(1, fan_in))
-    return gen.uniform(-bound, bound, size=shape)
-
-
 def init_encoder_params(config: EncoderConfig, vocab_size: int,
                         rng: Rng) -> dict[str, np.ndarray]:
     """Seeded symmetric-uniform fan-in initialization of all encoder arrays;
     the token table has one row per id of a `vocab_size` vocabulary."""
     d, f = config.hidden_dim, config.ffn_dim
     gen = rng.child("encoder_init").generator()
-    params = {"token_emb": _uniform_init(gen, (vocab_size, d), d),
-              "pos_emb": _uniform_init(gen, (config.max_seq_len, d), d)}
+    params = {"token_emb": uniform_init(gen, (vocab_size, d), d),
+              "pos_emb": uniform_init(gen, (config.max_seq_len, d), d)}
     for i in range(config.num_layers):
         p = f"layer{i}."
         params[p + "ln1_g"] = np.ones(d)
         params[p + "ln1_b"] = np.zeros(d)
         for name in ("attn_q", "attn_k", "attn_v", "attn_o"):
-            params[p + name] = _uniform_init(gen, (d, d), d)
+            params[p + name] = uniform_init(gen, (d, d), d)
         params[p + "ln2_g"] = np.ones(d)
         params[p + "ln2_b"] = np.zeros(d)
-        params[p + "ffn_w1"] = _uniform_init(gen, (d, f), d)
+        params[p + "ffn_w1"] = uniform_init(gen, (d, f), d)
         params[p + "ffn_b1"] = np.zeros(f)
-        params[p + "ffn_w2"] = _uniform_init(gen, (f, d), f)
+        params[p + "ffn_w2"] = uniform_init(gen, (f, d), f)
         params[p + "ffn_b2"] = np.zeros(d)
     return params
 
@@ -244,26 +233,13 @@ class FrozenFeatures:
 
 
 def save_frozen(features: FrozenFeatures, path) -> None:
-    """Magic, then version, m, N and d as little-endian u32, then (m, N, 2, d) f32."""
-    data = np.ascontiguousarray(features.features, dtype="<f4")
-    header = FROZEN_MAGIC + struct.pack("<IIII", FROZEN_VERSION, data.shape[0],
-                                        features.num_layers, features.hidden_dim)
-    write_file(path, [header, data])
+    """The (m, N, 2, d) stacks as a `.npy` file of little-endian float32."""
+    write_npy(path, np.asarray(features.features, dtype="<f4"))
 
 
 def load_frozen(path) -> FrozenFeatures:
-    with open(path, "rb") as fh:
-        head = fh.read(_FROZEN_HEADER)
-        if len(head) < _FROZEN_HEADER:
-            raise ArtifactCorruptError(f"{path}: frozen-features header truncated")
-        version, m, n, d = struct.unpack("<4xIIII", head)
-        if head[:4] != FROZEN_MAGIC or version != FROZEN_VERSION:
-            raise ArtifactVersionError(f"{path}: magic {head[:4]!r} version {version}, "
-                                       f"expected {FROZEN_MAGIC!r} version {FROZEN_VERSION}")
-        size, expected = os.fstat(fh.fileno()).st_size, _FROZEN_HEADER + m * n * 2 * d * 4
-        if n == 0 or d == 0 or size != expected:
-            raise ArtifactCorruptError(f"{path}: {size} bytes, header (N={n}, d={d} > 0) "
-                                       f"implies {expected}")
-        data = np.empty((m, n, 2, d), dtype="<f4")
-        fh.readinto(data)
-    return FrozenFeatures(num_layers=n, hidden_dim=d, features=data)
+    data = read_npy(path)
+    if data.dtype.str != "<f4" or data.ndim != 4:
+        raise ArtifactCorruptError(f"{path}: frozen features are a little-endian float32 "
+                                   f"(m, N, 2, d) array, got {data.dtype} of shape {data.shape}")
+    return FrozenFeatures(num_layers=data.shape[1], hidden_dim=data.shape[3], features=data)

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .artifact import write_csv
-from .autodiff import Rng, Tensor
+from .autodiff import Rng, Tensor, uniform_init
 
 RATIO_EPS = 1e-2  # relative fallback threshold of ratio mode
 
@@ -53,16 +53,11 @@ def init_pooler_params(hidden_dim: int, rng: Rng) -> dict[str, np.ndarray]:
     (d, 2d) weight and (d,) bias, under their checkpoint names."""
     d = hidden_dim
     gen = rng.child("pooler_init").generator()
-
-    def u(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return gen.uniform(-bound, bound, size=shape)
-
     return {
-        "pooler.w_q": u((d, d), d),
-        "pooler.w_k": u((d, d), d),
-        "pooler.w_v": u((d, d), d),
-        "pooler.mlp_weight": u((d, 2 * d), 2 * d),
+        "pooler.w_q": uniform_init(gen, (d, d), d),
+        "pooler.w_k": uniform_init(gen, (d, d), d),
+        "pooler.w_v": uniform_init(gen, (d, d), d),
+        "pooler.mlp_weight": uniform_init(gen, (d, 2 * d), 2 * d),
         "pooler.mlp_bias": np.zeros(d),
     }
 

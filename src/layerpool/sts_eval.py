@@ -69,10 +69,12 @@ def spearman(xs, ys) -> float:
     return float(np.clip(rx @ ry / denom, -1.0, 1.0))
 
 
-def _pairs_for(checkpoint: Checkpoint, records: list[StsRecord]) -> Tensor:
-    """(P, 2, N, 2, d) layer stacks of each record's two sentences."""
+def _pairs_for(checkpoint: Checkpoint, records: list[StsRecord]) -> tuple[Tensor, list]:
+    """(P, 2, N, 2, d) layer stacks of each record's two sentences, and the P golds."""
+    if not records:
+        raise ValueError("no STS records")
     stacks = checkpoint.stacks([s for r in records for s in (r.sent1, r.sent2)])
-    return stacks.reshape(len(records), 2, *stacks.shape[1:])
+    return stacks.reshape(len(records), 2, *stacks.shape[1:]), [r.gold for r in records]
 
 
 def evaluate_stacks(pairs: Tensor, golds, params, strategy, norm_mode="softmax") -> float:
@@ -87,11 +89,8 @@ def evaluate_stacks(pairs: Tensor, golds, params, strategy, norm_mode="softmax")
 def evaluate(checkpoint: Checkpoint, strategy, records: list[StsRecord]) -> float:
     """Embed both sentences of each record with dropout off and pool them under
     the checkpoint's `norm_mode`; Spearman vs gold."""
-    if not records:
-        raise ValueError("no STS records")
-    return evaluate_stacks(_pairs_for(checkpoint, records), [r.gold for r in records],
-                           checkpoint.constants(), PoolStrategy(strategy),
-                           checkpoint.config.norm_mode)
+    return evaluate_stacks(*_pairs_for(checkpoint, records), checkpoint.constants(),
+                           PoolStrategy(strategy), checkpoint.config.norm_mode)
 
 
 @dataclass
@@ -118,9 +117,7 @@ def layer_sweep_stacks(pairs: Tensor, golds) -> SweepResult:
 
 def layer_sweep(checkpoint: Checkpoint, records: list[StsRecord]) -> SweepResult:
     """Spearman of each single layer's CLS and AVG vector taken alone."""
-    if not records:
-        raise ValueError("no STS records")
-    return layer_sweep_stacks(_pairs_for(checkpoint, records), [r.gold for r in records])
+    return layer_sweep_stacks(*_pairs_for(checkpoint, records))
 
 
 def attention_report(checkpoint: Checkpoint, texts: list[str]) -> list[AttentionReport]:

@@ -8,7 +8,7 @@ uninterrupted trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,8 +95,10 @@ def _initial_checkpoint(config: TrainConfig, corpus: list[dict],
                              "does not have")
         params, vocab = init_pooler_params(frozen.hidden_dim, rng), {}
     elif init_from is not None:
-        # encoder() also refuses a checkpoint trained on frozen features
-        if init_from.encoder().config != config.encoder:
+        # encoder() also refuses a checkpoint trained on frozen features;
+        # dropout_p changes no parameter and no inference output
+        pretrained = replace(init_from.encoder().config, dropout_p=config.encoder.dropout_p)
+        if pretrained != config.encoder:
             raise ValueError("init_from encoder architecture differs from the new config")
         params = {name: array for name, array in init_from.params.items()
                   if not name.startswith("pooler.")}
@@ -129,14 +131,13 @@ def train(config: TrainConfig, corpus: list[dict],
 
     Every run continues a checkpoint and updates exactly the arrays that
     have Adam state in it. `resume_from` continues an interrupted run
-    (config, optimizer state, and step counter all come from the checkpoint)
-    and is left as given: the result holds new parameter and Adam dicts, and
-    updates rebind arrays rather than write into them, so resuming one
-    checkpoint twice repeats the trace. Otherwise the run starts from step
-    0, and `init_from` warm-starts a new encoder run from a pretrained
-    checkpoint, also left as given: encoder weights and vocabulary carry
-    over, but the pooler, optimizer state, and schedule start fresh under
-    the new config. A `max_steps` at or below the
+    (config, optimizer state, and step counter all come from the checkpoint).
+    `init_from` warm-starts a new encoder run: encoder weights and vocabulary
+    carry over, and the pooler, optimizer state and schedule start fresh
+    under the new config, whose encoder may differ only in `dropout_p`.
+    Both are left as given: the result holds new parameter and Adam dicts,
+    and updates rebind arrays rather than write into them, so resuming one
+    checkpoint twice repeats the trace. A `max_steps` at or below the
     checkpoint's step runs nothing and keeps that step.
     """
     if resume_from is not None and init_from is not None:

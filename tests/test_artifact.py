@@ -1,11 +1,15 @@
-"""The artifact module: atomic files, and the checked directory format of
-checkpoints and indexes under truncation, corruption and interrupted writes."""
+"""The artifact module: atomic files, the checked `.npy` reader and writer,
+and the checked directory format of checkpoints and indexes under
+truncation, corruption and interrupted writes."""
 
 import contextlib
+import io
 import json
 import os
 import shutil
+import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -19,10 +23,13 @@ from layerpool.artifact import (
     ArtifactCorruptError,
     ArtifactVersionError,
     read_dir,
+    read_npy,
     write_dir,
     write_file,
+    write_npy,
 )
 from layerpool.autodiff import Rng
+from layerpool.cli import _load_embeddings
 from layerpool.config import train_config_doc
 from layerpool.encoder import EncoderConfig, FrozenFeatures, load_frozen, save_frozen
 from layerpool.search import EmbeddingMatrix, build_index, load_index, save_index
@@ -157,15 +164,103 @@ def test_write_dir_read_dir_round_trip(arrays, meta):
 
 
 def test_frozen_truncated_at_any_offset_is_typed(tmp_path):
+    # both readers of the one .npy format: frozen features and embeddings
     feats = FrozenFeatures(num_layers=2, hidden_dim=3,
                            features=np.arange(36, dtype=np.float32).reshape(3, 2, 2, 3))
+    vectors = np.arange(1, 13, dtype=np.float32).reshape(4, 3)
     save_frozen(feats, tmp_path / "f")
-    blob = (tmp_path / "f").read_bytes()
+    write_npy(tmp_path / "e", vectors)
     assert np.array_equal(load_frozen(tmp_path / "f").features, feats.features)
-    for cut in range(len(blob)):
-        (tmp_path / "f").write_bytes(blob[:cut])
-        with pytest.raises(TYPED):
-            load_frozen(tmp_path / "f")
+    assert _load_embeddings(tmp_path / "e").num_rows == 4
+    for name, load in (("f", load_frozen), ("e", _load_embeddings)):
+        blob = (tmp_path / name).read_bytes()
+        for cut in range(len(blob)):
+            (tmp_path / name).write_bytes(blob[:cut])
+            with pytest.raises(TYPED):
+                load(tmp_path / name)
+
+
+# ---- .npy files ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("array", [
+    np.arange(24, dtype="<f4").reshape(2, 3, 4),
+    np.arange(6, dtype=">i8").reshape(3, 2),
+    np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+    np.array([True, False]),
+    np.float64(2.5),
+    np.zeros((0, 5), dtype="<u4"),
+], ids=["f32-3d", "big-endian", "fortran", "bool", "0-d", "empty"])
+def test_npy_round_trip_matches_numpy(array, tmp_path):
+    write_npy(tmp_path / "a", array)
+    written = (tmp_path / "a").read_bytes()
+    buf = io.BytesIO()
+    np.save(buf, np.asarray(array, order="C"))
+    assert written == buf.getvalue()  # any numpy reads it
+    np.save(tmp_path / "b.npy", array)  # Fortran order kept, as numpy writes it
+    for path in (tmp_path / "a", tmp_path / "b.npy"):
+        got = read_npy(path)
+        assert got.dtype == np.asarray(array).dtype and np.array_equal(got, array)
+
+
+def test_write_npy_streams_the_array(tmp_path):
+    array = np.ones((1024, 1024), dtype=np.float32)  # 4 MiB
+    tracemalloc.start()
+    try:
+        write_npy(tmp_path / "a", array)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < array.nbytes // 8
+
+
+def _npy_with_header(header: str, data: bytes = b"") -> bytes:
+    text = header.encode("latin1")
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text + data
+
+
+@pytest.mark.parametrize("kind, blob", [
+    ("npz", None),
+    ("object", None),
+    ("structured", None),
+    ("complex", None),
+    ("lapf", b"LAPF" + struct.pack("<IIII", 1, 1, 1, 1) + bytes(8)),
+    ("text", b"1.0 2.0\n"),
+    ("version-2", None),
+    ("version-3", b"\x93NUMPY\x03\x00" + bytes(8)),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_npy_of_another_format_is_a_version_error(kind, blob, tmp_path):
+    path = tmp_path / "a"
+    if kind == "version-2":  # np.save writes it only for headers over 64 KiB
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, np.ones(3), version=(2, 0))
+    elif kind == "npz":
+        np.savez(tmp_path / "a.npz", x=np.ones(3))
+        path = tmp_path / "a.npz"
+    elif blob is None:
+        dtype = {"object": object, "structured": [("x", "<f4"), ("y", "<i4")],
+                 "complex": np.complex64}[kind]
+        np.save(tmp_path / "a.npy", np.zeros(3, dtype=dtype), allow_pickle=True)
+        path = tmp_path / "a.npy"
+    else:
+        path.write_bytes(blob)
+    with pytest.raises(ArtifactVersionError):
+        read_npy(path)
+
+
+@pytest.mark.parametrize("header, data", [
+    ("{'descr': '<f4', 'fortran_order': False, 'shape': (2,), }", bytes(12)),
+    ("{'descr': '<f4', 'fortran_order': False, 'shape': (2,), }", bytes(4)),
+    ("{'descr': '<f4', 'fortran_order': False, 'shape': (-1, -1), }", bytes(4)),
+    ("{'descr': '<f4', 'fortran_order': False, 'shape': (10**12, 10**12), }", b""),
+    ("{'descr': '<f4', 'fortran_order': False}", b""),
+    ("{'descr': 'zz', 'fortran_order': False, 'shape': (1,), }", bytes(4)),
+    ("not a dict", b""),
+], ids=["long", "short", "negative", "huge", "no-shape", "bad-dtype", "not-a-dict"])
+def test_malformed_npy_is_corrupt(header, data, tmp_path):
+    (tmp_path / "a").write_bytes(_npy_with_header(header, data))
+    with pytest.raises(ArtifactCorruptError):
+        read_npy(tmp_path / "a")
 
 
 # ---- interrupted writes --------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -459,6 +460,44 @@ class TestDispatch:
         assert dispatch(["train", "--config", str(cfg)]) == 1
         assert "refusing" in capsys.readouterr().err
         assert (tmp_path / "run" / "notes.txt").read_text() == "keep me"
+        assert os.listdir(tmp_path / "run") == ["notes.txt"]
+
+    @pytest.mark.parametrize("kind", ["empty", "npz", "object", "lapf"])
+    @pytest.mark.parametrize("use", ["frozen", "build", "search", "eval"])
+    def test_bad_array_file_is_one_error_line(self, tmp_path, capsys, kind, use):
+        # frozen features, --embeddings and --query-embeddings share one reader
+        emb, gold, index = tmp_path / "emb.npy", tmp_path / "gold.txt", tmp_path / "idx"
+        np.save(emb, np.eye(4, dtype=np.float32))
+        gold.write_text("0\n")
+        assert dispatch(["index", "build", "--embeddings", str(emb), "--nlist", "1",
+                         "--out", str(index)]) == 0
+        bad = tmp_path / {"npz": "bad.npz", "object": "bad.npy"}.get(kind, "bad")
+        if kind == "empty":
+            bad.write_bytes(b"")
+        elif kind == "npz":
+            np.savez(bad, x=np.eye(4))
+        elif kind == "object":
+            np.save(bad, np.array([[1.0, "a"]], dtype=object), allow_pickle=True)
+        else:  # a frozen-features file of the earlier single-file layout
+            stacks = np.ones((72, 2, 2, 8), dtype="<f4")
+            bad.write_bytes(b"LAPF" + struct.pack("<IIII", 1, 72, 2, 8) + stacks.tobytes())
+        argv = {"frozen": ["train", "--config",
+                           str(_write_config(tmp_path, frozen_features=str(bad)))],
+                "build": ["index", "build", "--embeddings", str(bad), "--nlist", "1",
+                          "--out", str(tmp_path / "idx2")],
+                "search": ["index", "search", "--index", str(index),
+                           "--query-embeddings", str(bad)],
+                "eval": ["index", "eval", "--index", str(index),
+                         "--query-embeddings", str(bad), "--gold", str(gold)]}[use]
+        before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        capsys.readouterr()
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0]
+        assert captured.out == ""
+        assert {p: p.read_bytes() if p.is_file() else None
+                for p in tmp_path.rglob("*")} == before
 
     def test_index_build_keeps_a_directory_of_files(self, tmp_path, capsys):
         emb = tmp_path / "emb.npy"

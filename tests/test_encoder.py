@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -225,7 +228,7 @@ class TestFrozenFeatures:
 
     def test_roundtrip(self, tmp_path):
         feats = self._features()
-        path = tmp_path / "f.lapf"
+        path = tmp_path / "f.npy"
         save_frozen(feats, path)
         loaded = load_frozen(path)
         assert loaded.num_layers == 2 and loaded.hidden_dim == 4
@@ -243,7 +246,7 @@ class TestFrozenFeatures:
             FrozenFeatures(num_layers=n, hidden_dim=d, features=np.zeros(shape, np.float32))
 
     def test_truncation_detected(self, tmp_path):
-        path = tmp_path / "f.lapf"
+        path = tmp_path / "f.npy"
         save_frozen(self._features(), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-1])
@@ -251,13 +254,47 @@ class TestFrozenFeatures:
             load_frozen(path)
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "f.lapf"
+        path = tmp_path / "f.npy"
         save_frozen(self._features(), path)
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
         with pytest.raises(ArtifactVersionError):
             load_frozen(path)
+
+    def test_file_is_the_npy_of_its_array(self, tmp_path):
+        feats = self._features()
+        save_frozen(feats, tmp_path / "f.npy")
+        assert np.array_equal(np.load(tmp_path / "f.npy"), feats.features)
+        # a dump of any encoder's layers trains as it is
+        stacks = np.random.default_rng(0).normal(size=(5, 3, 2, 7)).astype("<f4")
+        np.save(tmp_path / "dump.npy", stacks)
+        loaded = load_frozen(tmp_path / "dump.npy")
+        assert (loaded.num_layers, loaded.hidden_dim) == (3, 7)
+        assert np.array_equal(loaded.features, stacks)
+
+    def test_old_lapf_file_is_a_version_error(self, tmp_path):
+        # the single-file layout before .npy: magic, version, m, N, d, f32 stacks
+        data = self._features().features
+        path = tmp_path / "f.lapf"
+        path.write_bytes(b"LAPF" + struct.pack("<IIII", 1, 3, 2, 4) + data.tobytes())
+        with pytest.raises(ArtifactVersionError, match="not a .npy file"):
+            load_frozen(path)
+
+    @pytest.mark.parametrize("array, named", [
+        (np.zeros((3, 2, 2, 4)), "float64"),
+        (np.zeros((3, 2, 4), np.float32), "(3, 2, 4)"),
+        (np.zeros((3, 2, 2, 4), ">f4"), ">f4"),
+    ], ids=["float64", "3-d", "big-endian"])
+    def test_other_dtype_or_rank_is_typed(self, tmp_path, array, named):
+        np.save(tmp_path / "f.npy", array)
+        with pytest.raises(ArtifactCorruptError, match=re.escape(named)):
+            load_frozen(tmp_path / "f.npy")
+
+    def test_shape_rule_is_frozen_features_own(self, tmp_path):
+        np.save(tmp_path / "f.npy", np.zeros((3, 2, 1, 4), np.float32))
+        with pytest.raises(ValueError, match="frozen features of shape"):
+            load_frozen(tmp_path / "f.npy")
 
     def test_stack_layout(self):
         feats = self._features(m=2, n=2, d=4)

@@ -453,6 +453,25 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="architecture"):
             train(other, corpus, init_from=pretrained)
 
+    def test_init_from_a_dropout_free_pretrain(self):
+        # dropout_p shapes no parameter: a dropout-0 pretrain warm-starts an
+        # unsup run with dropout, and the run keeps its own dropout_p
+        pretrain = tiny_config(seed=7, encoder=EncoderConfig(**{**TINY_ENCODER,
+                                                                "dropout_p": 0.0}))
+        pretrained, _ = train(pretrain, pair_corpus())
+        cfg = tiny_config(objective="unsup", seed=1)
+        warm, trace = train(cfg, bare_corpus(), init_from=pretrained, max_steps=2)
+        assert warm.config.encoder.dropout_p == 0.1 and len(trace) == 2
+        assert np.isfinite([loss for _, loss in trace]).all()
+
+    @pytest.mark.parametrize("field, value", [("num_heads", 4), ("ffn_dim", 32)])
+    def test_init_from_refuses_another_architecture(self, field, value):
+        pretrained, _ = train(tiny_config(seed=7), pair_corpus())
+        other = tiny_config(encoder=EncoderConfig(**{**TINY_ENCODER, field: value}))
+        with pytest.raises(ValueError, match="^init_from encoder architecture differs "
+                                             "from the new config$"):
+            train(other, pair_corpus(), init_from=pretrained, max_steps=0)
+
     def test_init_from_excludes_resume(self):
         corpus = pair_corpus()
         pretrained, _ = train(tiny_config(seed=7), corpus)
@@ -574,3 +593,24 @@ def test_only_train_makes_trainable_tensors():
             if positional or keyword:
                 makers.add(f"{path.stem}.{owner[node]}")
     assert makers == {"trainer.train", "autodiff.grad_check"}
+
+
+def test_only_artifact_reads_and_writes_arrays():
+    # one reader and one writer per file format: raw-array and numpy-file I/O
+    # and byte-layout packing stay in artifact.py
+    banned = {"np.load", "np.save", "np.fromfile", "np.lib.format", "numpy.load",
+              "numpy.save", "numpy.fromfile", "numpy.lib.format"}
+    found = set()
+    for path in sorted(Path(trainer.__file__).parent.glob("*.py")):
+        if path.name == "artifact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in banned:
+                found.add(f"{path.name}: {ast.unparse(node)}")
+            elif isinstance(node, ast.Import):
+                found.update(f"{path.name}: import {a.name}" for a in node.names
+                             if a.name == "struct" or a.name.startswith("numpy.lib"))
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.module == "struct" or (node.module or "").startswith("numpy.lib")):
+                found.add(f"{path.name}: from {node.module} import")
+    assert found == set()
