@@ -24,7 +24,6 @@ import numpy as np
 
 HEADER = "header.json"
 _NPY_MAGIC = np.lib.format.magic(1, 0)  # np.save's format unless a header exceeds 64 KiB
-_SUFFIX = {"<f8": "f64", "<f4": "f32", "<u4": "u32"}
 _NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.]*")
 
 
@@ -79,12 +78,18 @@ def write_csv(path, rows) -> None:
     write_file(path, [buf.getvalue().encode()])
 
 
-def write_npy(path, array) -> None:
-    """Replace `path` with a format 1.0 `.npy` file, streaming `array` after the header."""
+def _npy_chunks(array) -> list:
+    """The bytes of a format 1.0 `.npy` file of `array`: numpy's header, then
+    the array itself, not a copy of it."""
     array = np.asarray(array, order="C")
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
-    write_file(path, [header.getvalue(), array])
+    return [header.getvalue(), array]
+
+
+def write_npy(path, array) -> None:
+    """Replace `path` with a format 1.0 `.npy` file, streaming `array` after the header."""
+    write_file(path, _npy_chunks(array))
 
 
 def _header(path: str):
@@ -103,8 +108,8 @@ def _replaceable(path: str, format: str) -> bool:
 
 
 def write_dir(path, format: str, version: int, meta: dict, arrays: dict) -> None:
-    """`header.json` (format, version, `meta`, and each array's file, dtype,
-    shape and sha256) plus one raw little-endian file per array of `arrays`.
+    """`header.json` (format, version, `meta`, and each array's name and the
+    sha256 of its file) plus one `<name>.npy` file per array of `arrays`.
     Replaces only an absent target, an empty directory or an artifact of the
     same format, so a mistyped path cannot delete a directory of other files."""
     path = os.path.abspath(path)
@@ -117,11 +122,11 @@ def write_dir(path, format: str, version: int, meta: dict, arrays: dict) -> None
     try:
         entries = []
         for name, array in arrays.items():
-            array = np.asarray(array, order="C")
-            entries.append({"name": name, "file": f"{name}.{_SUFFIX[array.dtype.str]}",
-                            "dtype": array.dtype.str, "shape": list(array.shape),
-                            "sha256": hashlib.sha256(memoryview(array)).hexdigest()})
-            _write(os.path.join(tmp, entries[-1]["file"]), [array])
+            chunks, digest = _npy_chunks(array), hashlib.sha256()
+            for chunk in chunks:
+                digest.update(chunk)
+            entries.append({"name": name, "sha256": digest.hexdigest()})
+            _write(os.path.join(tmp, f"{name}.npy"), chunks)
         header = {"format": format, "version": version, "meta": meta, "arrays": entries}
         # no trailing newline: every proper prefix of the header is invalid JSON
         _write(os.path.join(tmp, HEADER),
@@ -139,61 +144,48 @@ def write_dir(path, format: str, version: int, meta: dict, arrays: dict) -> None
 
 
 def _valid_entry(e) -> bool:
-    return (isinstance(e, dict) and set(e) == {"name", "file", "dtype", "shape", "sha256"}
+    return (isinstance(e, dict) and set(e) == {"name", "sha256"}
             and isinstance(e["name"], str) and bool(_NAME.fullmatch(e["name"]))
-            and isinstance(e["dtype"], str) and e["dtype"] in _SUFFIX
-            and e["file"] == f"{e['name']}.{_SUFFIX[e['dtype']]}"
-            and isinstance(e["shape"], list)
-            and all(type(n) is int and n >= 0 for n in e["shape"]))
+            and isinstance(e["sha256"], str))
 
 
-def _read_rest(fh, shape, dtype: np.dtype, name) -> np.ndarray:
-    """The rest of `fh` as a new `shape` `dtype` array, its length checked first."""
-    expected = math.prod(shape) * dtype.itemsize
-    size = os.fstat(fh.fileno()).st_size - fh.tell()
-    if size != expected:
-        raise ArtifactCorruptError(f"{name} holds {size} bytes of array data, "
-                                   f"its header implies {expected}")
-    array = np.empty(shape, dtype)
-    if fh.readinto(array) != expected:
-        raise ArtifactCorruptError(f"{name} shrank while it was read")
-    return array
-
-
-def _read_array(path: str, entry: dict) -> np.ndarray:
-    file = entry["file"]
-    try:
-        with open(os.path.join(path, file), "rb") as fh:
-            array = _read_rest(fh, entry["shape"], np.dtype(entry["dtype"]), file)
-    except OSError as exc:
-        raise ArtifactCorruptError(f"missing or unreadable {file}: {exc}") from exc
-    if hashlib.sha256(memoryview(array)).hexdigest() != entry["sha256"]:
-        raise ArtifactCorruptError(f"{file}: sha256 does not match the header")
-    return array
-
-
-def read_npy(path) -> np.ndarray:
-    """The bool, integer or float array of a format 1.0 `.npy` file. Any other
-    file (`.npz`) or dtype (object, structured) is `ArtifactVersionError`, a
-    truncated or malformed one `ArtifactCorruptError`. No hash, as `train`
-    re-reads its frozen features on every call."""
+def read_npy(path, sha256: str | None = None) -> np.ndarray:
+    """The bool, integer or float array of a format 1.0 `.npy` file, as a view
+    of the one buffer the file is read into. Any other file (`.npz`) or dtype
+    (object, structured) is `ArtifactVersionError`; a truncated or malformed
+    one, or one whose sha256 is not the hex digest `sha256`, is
+    `ArtifactCorruptError`. Directory members pass their digest; frozen
+    features and embeddings do not, as `train` re-reads its frozen features
+    on every call."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_NPY_MAGIC))
-        if magic != _NPY_MAGIC:
-            if _NPY_MAGIC.startswith(magic):
-                raise ArtifactCorruptError(f"{path}: .npy header truncated")
-            raise ArtifactVersionError(f"{path} is not a .npy file of format 1.0")
-        try:
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-            if min(shape, default=0) < 0:
-                raise ValueError(f"negative dimension in shape {shape}")
-        except ValueError as exc:
-            raise ArtifactCorruptError(f"{path}: malformed .npy header: {exc}") from exc
-        if dtype.kind not in "biuf":
-            raise ArtifactVersionError(f"{path}: .npy of dtype {dtype}, expected a bool, "
-                                       "integer or float array")
-        # a Fortran-order file holds the C-order bytes of the transpose
-        array = _read_rest(fh, shape[::-1] if fortran_order else shape, dtype, path)
+        size = os.fstat(fh.fileno()).st_size
+        buf = np.empty(size, np.uint8)
+        if fh.readinto(buf) != size:
+            raise ArtifactCorruptError(f"{path} shrank while it was read")
+    if sha256 is not None and hashlib.sha256(buf).hexdigest() != sha256:
+        raise ArtifactCorruptError(f"{path}: sha256 does not match the header")
+    magic = buf[:len(_NPY_MAGIC)].tobytes()
+    if magic != _NPY_MAGIC:
+        if _NPY_MAGIC.startswith(magic):
+            raise ArtifactCorruptError(f"{path}: .npy header truncated")
+        raise ArtifactVersionError(f"{path} is not a .npy file of format 1.0")
+    # after the magic: a uint16 header length, then at most 65535 header bytes
+    header = io.BytesIO(buf[len(_NPY_MAGIC):len(_NPY_MAGIC) + 2 + 0xFFFF].tobytes())
+    try:
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(header)
+        if min(shape, default=0) < 0:
+            raise ValueError(f"negative dimension in shape {shape}")
+    except ValueError as exc:
+        raise ArtifactCorruptError(f"{path}: malformed .npy header: {exc}") from exc
+    if dtype.kind not in "biuf":
+        raise ArtifactVersionError(f"{path}: .npy of dtype {dtype}, expected a bool, "
+                                   "integer or float array")
+    data, expected = buf[len(_NPY_MAGIC) + header.tell():], math.prod(shape) * dtype.itemsize
+    if data.size != expected:
+        raise ArtifactCorruptError(f"{path} holds {data.size} bytes of array data, "
+                                   f"its header implies {expected}")
+    # a Fortran-order file holds the C-order bytes of the transpose
+    array = data.view(dtype).reshape(shape[::-1] if fortran_order else shape)
     return array.T if fortran_order else array
 
 
@@ -214,4 +206,8 @@ def read_dir(path, format: str, version: int) -> tuple[dict, dict[str, np.ndarra
             or not isinstance(header["meta"], dict) or not isinstance(entries, list)
             or not all(map(_valid_entry, entries))):
         raise ArtifactCorruptError(f"malformed {HEADER} in {path}")
-    return header["meta"], {e["name"]: _read_array(path, e) for e in entries}
+    try:
+        return header["meta"], {e["name"]: read_npy(os.path.join(path, f"{e['name']}.npy"),
+                                                    e["sha256"]) for e in entries}
+    except OSError as exc:
+        raise ArtifactCorruptError(f"missing or unreadable array file: {exc}") from exc

@@ -217,7 +217,7 @@ def dispatch(argv: list[str]) -> int:
         os.environ[var] = str(args.threads)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

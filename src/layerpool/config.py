@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
@@ -42,12 +43,13 @@ class TrainConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.norm_mode not in ("softmax", "ratio"):
             raise ValueError(f"unknown norm_mode {self.norm_mode!r}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -120,15 +122,32 @@ def train_config_from_doc(doc) -> TrainConfig:
     return _from_doc(TrainConfig, doc, "config", defaults=False)
 
 
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _not_json(literal):
+    raise ConfigError(f"{literal} is not a JSON value")
+
+
 def load_config(path) -> RunConfig:
-    """The RunConfig of a JSON file; the files it names are checked when read."""
+    """The RunConfig of a JSON file; the files it names are checked when read.
+    A repeated key and the non-JSON literals NaN, Infinity and -Infinity,
+    which `json` accepts by default, are errors."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys, parse_constant=_not_json)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
     return validate_config(doc)
 
 

@@ -59,8 +59,8 @@ def similarity_matrix(h_a: Tensor, h_b: Tensor) -> Tensor:
 
 def _info_nce(h: Tensor, candidates: Tensor, tau: float) -> Tensor:
     """Mean cross-entropy of anchor i picking candidate row i among all rows."""
-    if not tau > 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"temperature must be positive and finite, got {tau}")
     sims = similarity_matrix(h, candidates) * (1.0 / tau)  # (M, K)
     rows = np.arange(sims.shape[0])
     return (sims.logsumexp(axis=1) - sims[rows, rows]).mean()

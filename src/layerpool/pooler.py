@@ -79,9 +79,9 @@ class AttentionReport:
         if self.weights.shape != (n, n):
             raise ValueError(f"write_csv needs one (N, N) report, got {self.weights.shape}")
         write_csv(path, [["row"] + [f"layer{j + 1}" for j in range(n)],
-                         *([f"layer{i + 1}"] + [repr(x) for x in self.weights[i]]
+                         *([f"layer{i + 1}"] + [repr(float(x)) for x in self.weights[i]]
                            for i in range(n)),
-                         ["aggregate"] + [repr(x) for x in self.per_layer_weight]])
+                         ["aggregate"] + [repr(float(x)) for x in self.per_layer_weight]])
 
 
 def _qkv_streams(stacks: Tensor, strategy: PoolStrategy) -> list[Tensor]:

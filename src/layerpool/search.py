@@ -324,7 +324,7 @@ def evaluate_search(index: IvfIndex, queries: np.ndarray, gold_ids,
 
 
 INDEX_FORMAT = "layerpool-ivf-flat"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 _INDEX_ARRAYS = {"centroids": ("<f4", 2), "posting_ids": ("<u4", 1),
                  "posting_vectors": ("<f4", 2)}
 

@@ -21,7 +21,7 @@ from .objectives import VIEWS, loss_sup_basic, loss_sup_hard, loss_unsup, record
 from .pooler import PoolStrategy, init_pooler_params, pool
 
 CHECKPOINT_FORMAT = "layerpool-checkpoint"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 @dataclass
@@ -229,6 +229,25 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         for group, named in groups.items() for k, v in named.items()})
 
 
+def _check_params_fit(config: TrainConfig, params: dict, vocab: dict) -> None:
+    """Raise ValueError at the first param whose name or shape a fresh init
+    under `config` and `vocab` does not give, or at vocabulary ids that are
+    not the token table's rows after the reserved ones, each once."""
+    rows = Tokenizer(vocab).vocab_size
+    if sorted(vocab.values()) != list(range(rows - len(vocab), rows)):
+        raise ValueError(f"vocabulary ids must be {rows - len(vocab)} .. {rows - 1}, each once")
+    if config.frozen_features is None:
+        fresh = init_params(config, rows, Rng(0))
+    else:  # the pooler's width d is the frozen file's, which only the arrays record
+        w_q = params.get("pooler.w_q")
+        fresh = init_pooler_params(w_q.shape[0] if w_q is not None and w_q.ndim else 0, Rng(0))
+    for name in [*fresh, *(n for n in params if n not in fresh)]:
+        got, want = (named[name].shape if name in named else "absent"
+                     for named in (params, fresh))
+        if got != want:
+            raise ValueError(f"param {name!r} is {got}, its config and vocabulary give {want}")
+
+
 def load_checkpoint(path) -> Checkpoint:
     meta, arrays = read_dir(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     groups = {"param": {}, "adam_m": {}, "adam_v": {}}
@@ -249,6 +268,7 @@ def load_checkpoint(path) -> Checkpoint:
                 for name, m in adam_m.items()):
             raise ValueError("adam_m and adam_v must hold the same tensors, each shaped "
                              "as the param of its name")
+        _check_params_fit(config, params, vocab)
     except (KeyError, ValueError) as exc:
         raise ArtifactCorruptError(f"malformed checkpoint header in {path}: {exc!r}") from exc
     return Checkpoint(config, params, adam_m, adam_v, step, vocab)

@@ -3,9 +3,11 @@ and the checked directory format of checkpoints and indexes under
 truncation, corruption and interrupted writes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import struct
 import tempfile
@@ -54,12 +56,21 @@ def tiny_index(seed):
     return build_index(EmbeddingMatrix(gen.normal(size=(30, 4)).astype(np.float32)), 3, Rng(2))
 
 
+def checkpoint_arrays(ckpt):
+    return {f"{group}.{k}": v for group, named in (("param", ckpt.params),
+                                                    ("adam_m", ckpt.adam_m),
+                                                    ("adam_v", ckpt.adam_v))
+            for k, v in named.items()}
+
+
+def index_arrays(index):
+    return {"centroids": index.centroids, "posting_ids": index.ids,
+            "posting_vectors": index.vectors}
+
+
 def checkpoint_state(ckpt):
     """Everything a checkpoint holds, as comparable bytes and JSON values."""
-    arrays = {f"param.{k}": v for k, v in ckpt.params.items()}
-    arrays.update({f"adam_m.{k}": v for k, v in ckpt.adam_m.items()})
-    arrays.update({f"adam_v.{k}": v for k, v in ckpt.adam_v.items()})
-    return ({k: (v.dtype.str, v.shape, v.tobytes()) for k, v in arrays.items()},
+    return ({k: (v.dtype.str, v.shape, v.tobytes()) for k, v in checkpoint_arrays(ckpt).items()},
             ckpt.step, ckpt.vocab, train_config_doc(ckpt.config))
 
 
@@ -143,6 +154,37 @@ def test_save_load_round_trip_bit_for_bit(kind, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+MEMBERS = {"checkpoint": (lambda: tiny_checkpoint(4), save_checkpoint, checkpoint_arrays),
+           "index": (lambda: tiny_index(15), save_index, index_arrays)}
+
+
+@pytest.mark.parametrize("kind", sorted(MEMBERS))
+def test_every_member_is_a_plain_npy_file(kind, tmp_path):
+    make, save, arrays_of = MEMBERS[kind]
+    artifact_ = make()
+    save(artifact_, tmp_path / "a")
+    arrays = arrays_of(artifact_)
+    assert files_of(tmp_path / "a") == sorted(["header.json", *(f"{n}.npy" for n in arrays)])
+    for name, array in arrays.items():
+        got = np.load(tmp_path / "a" / f"{name}.npy", allow_pickle=False)
+        assert (got.dtype.str, got.shape) == (array.dtype.str, array.shape), name
+        assert got.tobytes() == array.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", sorted(MEMBERS))
+def test_valid_npy_member_of_other_bytes_fails_its_digest(kind, tmp_path):
+    make, save, arrays_of = MEMBERS[kind]
+    artifact_ = make()
+    save(artifact_, tmp_path / "a")
+    load = KINDS[kind][3]
+    for name, array in arrays_of(artifact_).items():
+        # same dtype and shape, so only the digest tells the files apart
+        with mutated_copy(tmp_path / "a",
+                          lambda c: np.save(c / f"{name}.npy", array + 1)) as copy:
+            with pytest.raises(ArtifactCorruptError, match=re.escape(f"{name}.npy: sha256")):
+                load(copy)
+
+
 @PROPERTY
 @given(arrays=st.dictionaries(
            st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True),
@@ -212,6 +254,21 @@ def test_write_npy_streams_the_array(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < array.nbytes // 8
+
+
+@pytest.mark.parametrize("digest", [False, True], ids=["plain", "digest"])
+def test_read_npy_reads_into_one_buffer(digest, tmp_path):
+    array = np.ones((1024, 1024), dtype=np.float32)  # 4 MiB
+    write_npy(tmp_path / "a", array)
+    sha256 = hashlib.sha256((tmp_path / "a").read_bytes()).hexdigest() if digest else None
+    tracemalloc.start()
+    try:
+        got = read_npy(tmp_path / "a", sha256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, array)
+    assert array.nbytes <= peak < array.nbytes * 9 // 8  # no second full-size copy
 
 
 def _npy_with_header(header: str, data: bytes = b"") -> bytes:
@@ -353,7 +410,7 @@ def test_save_removes_leftovers_of_killed_saves(kind, tmp_path):
     # killed between them the previous artifact as `.old-*`
     shutil.copytree(tmp_path / "target", tmp_path / ".target.old-89abcdef")
     (tmp_path / ".target.tmp-0123abcd").mkdir()
-    (tmp_path / ".target.tmp-0123abcd" / "centroids.f32").write_bytes(b"part")
+    (tmp_path / ".target.tmp-0123abcd" / "centroids.npy").write_bytes(b"part")
     (tmp_path / ".target.tmp-deadbeef").write_bytes(b"partial")
     for name in UNRELATED:
         (tmp_path / name).write_text("keep me")
@@ -475,6 +532,8 @@ CHECKPOINT_EDITS = {
     "list encoder": set_in(["meta", "config", "encoder"], []),
     "zero heads": set_in(["meta", "config", "encoder", "num_heads"], 0),
     "config not an object": set_in(["meta", "config"], "sup_basic"),
+    "infinite temperature": set_in(["meta", "config", "temperature"], float("inf")),
+    "nan learning_rate": set_in(["meta", "config", "learning_rate"], float("nan")),
     "negative step": set_in(["meta", "step"], -1),
     "float step": set_in(["meta", "step"], 2.0),
     "vocab list": set_in(["meta", "vocab"], [1, 2]),
@@ -492,6 +551,7 @@ CHECKPOINT_EDITS = {
     "file outside": set_in(["arrays", 0, "file"], "../outside.f64"),
     "name outside": set_in(["arrays", 0, "name"], "../outside"),
     "missing sha256": drop(["arrays", 0, "sha256"]),
+    "null sha256": set_in(["arrays", 0, "sha256"], None),
 }
 
 
@@ -509,8 +569,8 @@ def test_unknown_checkpoint_array_group_is_corrupt(tmp_path):
     path = tmp_path / "ck"
     save_checkpoint(tiny_checkpoint(1), path)
     first = json.loads((path / "header.json").read_text())["arrays"][0]
-    os.rename(path / first["file"], path / "other.x.f64")
-    edit_header(path, lambda h: h["arrays"][0].update(name="other.x", file="other.x.f64"))
+    os.rename(path / f"{first['name']}.npy", path / "other.x.npy")
+    edit_header(path, lambda h: h["arrays"][0].update(name="other.x"))
     with pytest.raises(ArtifactCorruptError, match="other.x"):
         load_checkpoint(path)
 

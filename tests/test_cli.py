@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, and config validation."""
 
+import csv
 import json
 import os
 import re
@@ -94,6 +95,8 @@ class TestValidateConfig:
     @pytest.mark.parametrize("key, value", [
         ("norm_mode", "sparsemax"), ("batch_size", 0), ("learning_rate", 0),
         ("learning_rate", -0.1), ("epochs", 0),
+        ("temperature", float("nan")), ("temperature", float("inf")),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
     ])
     def test_out_of_range_train_value_is_a_config_error(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -136,6 +139,20 @@ class TestValidateConfig:
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match=re.escape(f"config {path} is not valid JSON")):
+            load_config(path)
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"objective": "unsup", "corpus": "c", "seed": 1, "seed": 2}', "duplicate key 'seed'"),
+        ('{"objective": "unsup", "corpus": "c", "encoder": {"num_layers": 1, "num_layers": 2}}',
+         "duplicate key 'num_layers'"),
+        ('{"objective": "unsup", "corpus": "c", "temperature": NaN}', "NaN"),
+        ('{"objective": "unsup", "corpus": "c", "temperature": Infinity}', "Infinity"),
+        ('{"objective": "unsup", "corpus": "c", "learning_rate": -Infinity}', "-Infinity"),
+    ], ids=["duplicate", "nested-duplicate", "nan", "infinity", "minus-infinity"])
+    def test_load_refuses_what_json_forbids(self, tmp_path, text, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"config {path}: {named}")):
             load_config(path)
 
     def test_load_names_a_file_that_is_not_utf8(self, tmp_path):
@@ -323,6 +340,46 @@ class TestDispatch:
                          "--texts", str(texts), "--out-dir", str(out_dir)]) == 0
         assert sorted(os.listdir(out_dir)) == ["attention_0000.csv",
                                                "attention_0001.csv"]
+
+    def test_inspect_attention_csv_holds_the_report_bit_for_bit(self, tmp_path, capsys):
+        from layerpool.sts_eval import attention_report
+
+        dispatch(["train", "--config", str(_write_config(tmp_path))])
+        ckpt = tmp_path / "run" / "checkpoint"
+        texts, out_dir = tmp_path / "texts.txt", tmp_path / "reports"
+        texts.write_text("c0w1 c0w2\nc1w1 c1w2 c1w3\n")
+        assert dispatch(["inspect-attention", "--checkpoint", str(ckpt),
+                         "--texts", str(texts), "--out-dir", str(out_dir)]) == 0
+        reports = attention_report(load_checkpoint(ckpt), ["c0w1 c0w2", "c1w1 c1w2 c1w3"])
+        for i, report in enumerate(reports):
+            with open(out_dir / f"attention_{i:04d}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            cells = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
+            expected = np.vstack([report.weights, report.per_layer_weight])
+            assert cells.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("num_layers", 3, "'layer2.ln1_g' is absent"),
+        ("hidden_dim", 16, "'token_emb' is ({rows}, 8), its config and vocabulary give "
+                           "({rows}, 16)"),
+        ("ffn_dim", 32, "'layer0.ffn_w1' is (8, 16), its config and vocabulary give (8, 32)"),
+    ], ids=["num_layers", "hidden_dim", "ffn_dim"])
+    def test_checkpoint_config_that_does_not_fit_its_arrays(self, tmp_path, capsys, key,
+                                                            value, named):
+        # only the header's config is edited; arrays and hashes stay as saved
+        dispatch(["train", "--config", str(_write_config(tmp_path))])
+        ckpt = tmp_path / "run" / "checkpoint"
+        header = json.loads((ckpt / "header.json").read_text())
+        header["meta"]["config"]["encoder"][key] = value
+        (ckpt / "header.json").write_text(json.dumps(header))
+        sts = tmp_path / "sts.jsonl"
+        write_jsonl(make_synthetic_sts(8), sts)
+        capsys.readouterr()
+        assert dispatch(["eval-sts", "--checkpoint", str(ckpt), "--data", str(sts)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        rows = 3 + len(header["meta"]["vocab"])  # after the reserved CLS, PAD and UNK ids
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert named.format(rows=rows) in err[0]
 
     @pytest.mark.parametrize("command, out_flag", [("embed", "--out"),
                                                    ("inspect-attention", "--out-dir")])

@@ -142,6 +142,16 @@ class TestSupBasic:
             loss_sup_basic(h, hp, tau=0.0)
 
 
+@pytest.mark.parametrize("tau", [np.inf, np.nan])
+@pytest.mark.parametrize("loss, views", [(loss_sup_basic, 2), (loss_unsup, 2),
+                                         (loss_sup_hard, 3)])
+def test_tau_that_is_not_finite_is_refused(loss, views, tau):
+    # at tau = inf every logit is 0: the loss is ln K and no gradient flows
+    h = Tensor(Rng(3).generator().normal(size=(4, 5)))
+    with pytest.raises(ValueError, match="positive and finite"):
+        loss(*[h] * views, tau=tau)
+
+
 class TestUnsup:
     def test_identical_views_closed_form(self):
         # p = 0 dropout: views coincide; orthogonal embeddings give the

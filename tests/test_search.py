@@ -596,16 +596,16 @@ class TestPersistence:
         edit(header)
         (saved / "header.json").write_text(json.dumps(header))
 
-    @pytest.mark.parametrize("name, cut", [("centroids.f32", 1), ("posting_ids.u32", 4),
-                                           ("posting_vectors.f32", 1),
-                                           ("posting_vectors.f32", 5 * 4)])
+    @pytest.mark.parametrize("name, cut", [("centroids.npy", 1), ("posting_ids.npy", 4),
+                                           ("posting_vectors.npy", 1),
+                                           ("posting_vectors.npy", 5 * 4)])
     def test_truncated_file_rejected(self, saved, name, cut):
         victim = saved / name
         victim.write_bytes(victim.read_bytes()[:-cut])
         with pytest.raises(ArtifactCorruptError, match=name):
             load_index(saved)
 
-    @pytest.mark.parametrize("key, value", [("version", 1), ("version", 3),
+    @pytest.mark.parametrize("key, value", [("version", 1), ("version", 2), ("version", 4),
                                             ("version", None), ("format", "other")])
     def test_other_format_or_version_rejected(self, saved, key, value):
         self.edit_header(saved, lambda h: h.update({key: value}))
@@ -629,16 +629,15 @@ class TestPersistence:
             load_index(saved)
 
     def test_posting_sizes_must_match_files(self, saved):
-        # posting_sizes and the array shapes (m rows) agree with each other
-        # but not with the files
+        # posting_sizes and a valid .npy member of m + 1 rows agree with each
+        # other, but the member's bytes are not the ones the header hashed
         def grow_first_list(h):
             h["meta"]["posting_sizes"][0] += 1
-            for entry in h["arrays"]:
-                if entry["name"] != "centroids":
-                    entry["shape"][0] += 1
 
         self.edit_header(saved, grow_first_list)
-        with pytest.raises(ArtifactCorruptError, match="bytes"):
+        vectors = np.load(saved / "posting_vectors.npy", allow_pickle=False)
+        np.save(saved / "posting_vectors.npy", np.concatenate([vectors, vectors[:1]]))
+        with pytest.raises(ArtifactCorruptError, match="sha256"):
             load_index(saved)
 
     @staticmethod

@@ -48,7 +48,7 @@ def pair_corpus(n=16):
 def array_files(directory):
     """The array file names a saved checkpoint's header lists, in order."""
     header = json.loads((directory / "header.json").read_text())
-    return [entry["file"] for entry in header["arrays"]]
+    return [f"{entry['name']}.npy" for entry in header["arrays"]]
 
 
 def bare_corpus(n=16):
@@ -344,14 +344,14 @@ class TestCheckpoint:
 
     def test_version_1_rejected(self, tmp_path):
         # older checkpoints (versions 1 and 2) had no header.json, version 3
-        # stored a tokenizer mode and version 4 an encoder vocab_size; this is
-        # the version check itself
+        # stored a tokenizer mode, version 4 an encoder vocab_size and version
+        # 5 raw member files; this is the version check itself
         ckpt, _ = train(tiny_config(), pair_corpus(), max_steps=0)
         save_checkpoint(ckpt, tmp_path / "ck")
         header = json.loads((tmp_path / "ck" / "header.json").read_text())
         header["meta"]["tokenizer_mode"] = "whitespace"
         header["meta"]["config"]["encoder"]["vocab_size"] = 1000
-        for version in (1, 3, 4):
+        for version in (1, 3, 4, 5):
             header["version"] = version
             (tmp_path / "ck" / "header.json").write_text(json.dumps(header))
             with pytest.raises(ArtifactVersionError):
@@ -409,6 +409,52 @@ class TestCheckpoint:
         for before, after in zip(adam, (ckpt.adam_m, ckpt.adam_v)):
             assert before.keys() == after.keys()
             assert all(np.array_equal(after[k], v) for k, v in before.items())
+
+    @staticmethod
+    def edit_meta(path, edit):
+        header = json.loads((path / "header.json").read_text())
+        edit(header["meta"])
+        (path / "header.json").write_text(json.dumps(header))
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m: m["vocab"].update(w0=m["vocab"]["w1"]), "vocabulary ids"),
+        (lambda m: m["vocab"].update(w0=999), "vocabulary ids"),
+        (lambda m: m["vocab"].update(w0=0), "vocabulary ids"),
+        (lambda m: m["vocab"].update(extra=len(m["vocab"]) + 3), "'token_emb'"),
+        (lambda m: m["vocab"].pop("w0"), "vocabulary ids"),
+        (lambda m: m["config"].update(frozen_features="f.npy"), "'token_emb'"),
+    ], ids=["repeated-id", "id-past-table", "reserved-id", "one-more-word", "one-word-less",
+            "now-frozen"])
+    def test_header_that_does_not_fit_the_arrays_is_corrupt(self, tmp_path, edit, named):
+        # arrays and hashes untouched: only header.json's meta is edited
+        ckpt, _ = train(tiny_config(), pair_corpus(), max_steps=1)
+        save_checkpoint(ckpt, tmp_path / "ck")
+        self.edit_meta(tmp_path / "ck", edit)
+        with pytest.raises(ArtifactCorruptError, match=named):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_frozen_checkpoint_must_keep_its_pooler_width(self, tmp_path):
+        gen = Rng(0).generator()
+        save_frozen(FrozenFeatures(num_layers=2, hidden_dim=6,
+                                   features=gen.normal(size=(16, 2, 2, 6)).astype(np.float32)),
+                    tmp_path / "f.npy")
+        cfg = tiny_config(objective="unsup", frozen_features=str(tmp_path / "f.npy"))
+        ckpt, _ = train(cfg, bare_corpus(), max_steps=1)
+        save_checkpoint(ckpt, tmp_path / "ck")
+        assert load_checkpoint(tmp_path / "ck").params["pooler.w_q"].shape == (6, 6)
+        # one pooler array of another width, consistent with its Adam state
+        for named in (ckpt.params, ckpt.adam_m, ckpt.adam_v):
+            named["pooler.mlp_bias"] = np.zeros(7)
+        save_checkpoint(ckpt, tmp_path / "ck")
+        with pytest.raises(ArtifactCorruptError, match=re.escape("'pooler.mlp_bias' is (7,)")):
+            load_checkpoint(tmp_path / "ck")
+        # the same arrays read as an encoder run's
+        for named in (ckpt.params, ckpt.adam_m, ckpt.adam_v):
+            named["pooler.mlp_bias"] = np.zeros(6)
+        save_checkpoint(ckpt, tmp_path / "ck")
+        self.edit_meta(tmp_path / "ck", lambda m: m["config"].update(frozen_features=None))
+        with pytest.raises(ArtifactCorruptError, match="'token_emb' is absent"):
+            load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize("tamper", ["unpaired", "no_param", "shape"])
     def test_adam_state_must_match_params(self, tmp_path, tamper):
