@@ -1,5 +1,5 @@
-"""Every file layerpool writes, the one `.npy` reader and writer, and the
-directory format of checkpoints and indexes.
+"""Every file layerpool writes, the one `.npy` reader and writer, the one JSON
+parser, and the directory format of checkpoints and indexes.
 
 Files and directories are built as hidden siblings and renamed into place,
 so a process that dies mid-write leaves the previous version or, between a
@@ -92,9 +92,30 @@ def write_npy(path, array) -> None:
     write_file(path, _npy_chunks(array))
 
 
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _not_json(literal):
+    raise ValueError(f"{literal} is not a JSON value")
+
+
+def loads_json(text):
+    """The JSON value of `text` (str or bytes), as every reader of JSON parses it.
+    A repeated key, which `json` resolves to its last value, and the literals
+    NaN, Infinity and -Infinity, which `json` accepts, are a ValueError;
+    malformed text is its subclass `json.JSONDecodeError`."""
+    return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_not_json)
+
+
 def _header(path: str):
     with open(os.path.join(path, HEADER), "rb") as fh:
-        return json.loads(fh.read())
+        return loads_json(fh.read())
 
 
 def _replaceable(path: str, format: str) -> bool:

@@ -14,6 +14,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
+from .artifact import loads_json
 from .encoder import EncoderConfig
 from .objectives import DEFAULT_TEMPERATURE, OBJECTIVES
 from .pooler import PoolStrategy
@@ -122,31 +123,18 @@ def train_config_from_doc(doc) -> TrainConfig:
     return _from_doc(TrainConfig, doc, "config", defaults=False)
 
 
-def _unique_keys(pairs) -> dict:
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ConfigError(f"duplicate key {key!r}")
-        doc[key] = value
-    return doc
-
-
-def _not_json(literal):
-    raise ConfigError(f"{literal} is not a JSON value")
-
-
 def load_config(path) -> RunConfig:
     """The RunConfig of a JSON file; the files it names are checked when read.
     A repeated key and the non-JSON literals NaN, Infinity and -Infinity,
     which `json` accepts by default, are errors."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=_unique_keys, parse_constant=_not_json)
+            doc = loads_json(fh.read())
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    except ConfigError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     return validate_config(doc)
 

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .artifact import write_file
+from .artifact import loads_json, write_file
 from .autodiff import Rng
 
 # published seed of the synthetic paraphrase corpus
@@ -38,13 +38,13 @@ def numbered_lines(path) -> list[tuple[int, str]]:
 
 
 def load_jsonl(path) -> list:
-    """The JSON value of each non-blank line; a line that is not UTF-8 or not
-    JSON is named by path:line."""
+    """The JSON value of each non-blank line, parsed by `artifact.loads_json`; a
+    line that is not UTF-8 or not strict JSON is named by path:line."""
     records = []
     for lineno, line in numbered_lines(path):
         try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+            records.append(loads_json(line))
+        except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
     return records
 

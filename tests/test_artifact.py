@@ -595,6 +595,22 @@ def test_malformed_index_header_is_typed(edit, tmp_path):
         load_index(tmp_path / "idx")
 
 
+@pytest.mark.parametrize("pattern, repl, named", [
+    # plain `json` read this checkpoint as step 7
+    (r'"step": 1\b', '"step": 1, "step": 7', "duplicate key 'step'"),
+    (r'"learning_rate": [^,\n]+', '"learning_rate": NaN', "NaN is not a JSON value"),
+    (r'"temperature": [^,\n]+', '"temperature": Infinity', "Infinity is not a JSON value"),
+], ids=["duplicate", "nan", "infinity"])
+def test_checkpoint_header_outside_strict_json_is_corrupt(pattern, repl, named, tmp_path):
+    save_checkpoint(tiny_checkpoint(1), tmp_path / "ck")
+    header = tmp_path / "ck" / "header.json"
+    text, found = re.subn(pattern, repl, header.read_text())
+    assert found == 1
+    header.write_text(text)
+    with pytest.raises(ArtifactCorruptError, match=named):
+        load_checkpoint(tmp_path / "ck")
+
+
 @pytest.mark.parametrize("body", ["[]", "null", "", "\xff", '{"format": 1}'])
 def test_header_not_an_object_is_typed(body, tmp_path):
     save_index(tiny_index(14), tmp_path / "idx")

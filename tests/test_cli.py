@@ -241,6 +241,21 @@ class TestDispatch:
         assert len(err) == 1 and err[0].startswith(f"error: {corpus}:1: not UTF-8")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("line, named", [
+        ('{"anchor": "a", "positive": "b", "negative": "c", "anchor": "d"}',
+         "duplicate key 'anchor'"),
+        ('{"anchor": "a", "positive": "b", "negative": "c", "weight": Infinity}',
+         "Infinity is not a JSON value"),
+    ], ids=["duplicate", "infinity"])
+    def test_corpus_line_outside_strict_json_is_named_by_line(self, tmp_path, capsys,
+                                                               line, named):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"anchor": "a", "positive": "b", "negative": "c"}\n' + line + "\n")
+        assert dispatch(["train", "--config", str(_write_config(tmp_path))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {corpus}:2: invalid JSON: {named}"]
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("key, name", [("corpus", "absent.jsonl"),
                                            ("frozen_features", "absent.lapf")],
                              ids=["corpus", "frozen"])
@@ -328,6 +343,7 @@ class TestDispatch:
         assert metrics["mrr_at_10"] == 1.0
         assert 0.0 <= metrics["query_ms_p50"] <= metrics["query_ms_p99"]
         assert metrics["memory_usage_bytes"] > 0
+        assert metrics["candidates_per_query"] == 12.0 and metrics["imbalance_factor"] >= 1.0
 
     def test_inspect_attention_writes_reports(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

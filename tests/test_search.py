@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from layerpool import search
 from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError, write_dir
 from layerpool.autodiff import Rng
 from layerpool.encoder import INFERENCE_CHUNK, EncoderConfig
@@ -16,7 +19,9 @@ from layerpool.search import (
     INDEX_VERSION,
     EmbeddingMatrix,
     IvfIndex,
+    _screen_margin,
     _sq_dists,
+    _unit_query,
     brute_force_query,
     build_index,
     embed_corpus,
@@ -460,26 +465,29 @@ class TestScreen:
                           label="q")
             q[0] += not q.any()
         top_k = data.draw(st.integers(1, m + 3), label="top_k")
-        assert (brute_force_query(matrix, q, top_k)
-                == scan_reference(matrix.vectors, matrix.ids, q, top_k))
+        # every list, or none, is long enough to be scanned in place
+        in_place_rows = data.draw(st.sampled_from([0, 2**62]), label="SCAN_IN_PLACE_ROWS")
+        with mock.patch.object(search, "SCAN_IN_PLACE_ROWS", in_place_rows):
+            assert (brute_force_query(matrix, q, top_k)
+                    == scan_reference(matrix.vectors, matrix.ids, q, top_k))
 
-        # any assignment of rows to lists, empty lists included
-        nlist = data.draw(st.integers(1, 6), label="nlist")
-        assign = np.array(data.draw(st.lists(st.integers(0, nlist - 1), min_size=m,
-                                             max_size=m)), dtype=np.int64)
-        order = np.argsort(assign, kind="stable")
-        centroids = data.draw(hnp.arrays(np.float32, (nlist, d),
-                                         elements=st.floats(-1, 1, width=32)))
-        index = IvfIndex(centroids, matrix.ids[order], matrix.vectors[order],
-                         np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=nlist)))))
-        q_unit = q / np.linalg.norm(q)
-        probe_order = np.argsort(((centroids.astype(np.float64) - q_unit) ** 2).sum(axis=1),
-                                 kind="stable")
-        for nprobe in range(1, nlist + 1):
-            probes = probe_order[:nprobe]
-            scanned = [np.concatenate([lists[c] for c in probes])
-                       for lists in (index.posting_vectors, index.posting_ids)]
-            assert query(index, q, top_k, nprobe) == scan_reference(*scanned, q, top_k)
+            # any assignment of rows to lists, empty lists included
+            nlist = data.draw(st.integers(1, 6), label="nlist")
+            assign = np.array(data.draw(st.lists(st.integers(0, nlist - 1), min_size=m,
+                                                 max_size=m)), dtype=np.int64)
+            order = np.argsort(assign, kind="stable")
+            centroids = data.draw(hnp.arrays(np.float32, (nlist, d),
+                                             elements=st.floats(-1, 1, width=32)))
+            offsets = np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=nlist))))
+            index = IvfIndex(centroids, matrix.ids[order], matrix.vectors[order], offsets)
+            q_unit = q / np.linalg.norm(q)
+            probe_order = np.argsort(((centroids.astype(np.float64) - q_unit) ** 2).sum(axis=1),
+                                     kind="stable")
+            for nprobe in range(1, nlist + 1):
+                probes = probe_order[:nprobe]
+                scanned = [np.concatenate([lists[c] for c in probes])
+                           for lists in (index.posting_vectors, index.posting_ids)]
+                assert query(index, q, top_k, nprobe) == scan_reference(*scanned, q, top_k)
 
     def test_rows_a_float32_top_k_would_drop_are_found(self):
         gen = Rng(5).generator()
@@ -499,6 +507,62 @@ class TestScreen:
         assert dropped >= 5
 
 
+def gather_reference_query(index, q, top_k, nprobe):
+    """`query` as it was before long lists were scanned in place: the probed
+    rows gathered with one take, screened in float32, the survivors ranked."""
+    q = _unit_query(q, index.dim, top_k)
+    probes = np.argsort(((index.centroids - q) ** 2).sum(axis=1), kind="stable")[:nprobe]
+    starts, ends = index.offsets[probes], index.offsets[probes + 1]
+    sizes = ends - starts
+    rows = np.repeat(ends - np.cumsum(sizes), sizes)
+    rows += np.arange(len(rows))
+    vecs = index.vectors.take(rows, axis=0)
+    n = len(vecs)
+    if top_k < n:
+        s32 = vecs @ q.astype(np.float32)
+        s_k = float(np.partition(s32, n - top_k)[n - top_k])
+        keep = np.flatnonzero(s32 >= np.float64(s_k - 2.0 * _screen_margin(len(q))))
+        vecs, rows = vecs[keep], rows[keep]
+    row_ids = index.ids.take(rows)
+    sims = np.einsum("ij,j->i", vecs.astype(np.float64), q)
+    order = np.lexsort((row_ids, -sims))[:top_k]
+    return list(zip(row_ids[order].tolist(), sims[order].tolist()))
+
+
+@pytest.fixture(scope="module")
+def served():
+    """A planted 20k x 64 index of 64 lists, as the benchmark serves, and 500
+    queries near its rows."""
+    gen = Rng(17).generator()
+    x = gen.normal(size=(16, 64))[gen.integers(16, size=20000)]
+    matrix = EmbeddingMatrix(vectors=x + 3.0 * gen.normal(size=x.shape))
+    queries = matrix.vectors[gen.integers(20000, size=500)] + 0.1 * gen.normal(size=(500, 64))
+    return build_index(matrix, 64, Rng(4), max_iters=5), queries
+
+
+class TestServedIndex:
+    @pytest.mark.parametrize("nprobe", [1, 8, 64])
+    def test_queries_equal_the_gather_reference(self, served, nprobe):
+        index, queries = served
+        # the lists are long enough to be scanned in place
+        assert np.diff(index.offsets).min() >= search.SCAN_IN_PLACE_ROWS
+        for q in queries:
+            assert query(index, q, 10, nprobe) == gather_reference_query(index, q, 10, nprobe)
+
+    def test_query_copies_no_probed_list(self, served):
+        index, queries = served
+        query(index, queries[0], 10, 8)  # the float64 centroids are made once, here
+        probes = search._probes(index, _unit_query(queries[1], 64, 10), 8)
+        probed_bytes = 4 * 64 * int((index.offsets[probes + 1] - index.offsets[probes]).sum())
+        tracemalloc.start()
+        try:
+            query(index, queries[1], 10, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < probed_bytes / 4, (peak, probed_bytes)
+
+
 class TestEvaluateSearch:
     def _planted_index(self):
         # orthogonal unit rows: query row i retrieves exactly row i first
@@ -512,6 +576,25 @@ class TestEvaluateSearch:
         assert metrics.mrr_at_10 == 1.0
         assert 0.0 <= metrics.query_ms_p50 <= metrics.query_ms_p99
         assert metrics.memory_usage_bytes == index.memory_bytes()
+
+    @pytest.mark.parametrize("nprobe, candidates", [(1, 2.0), (2, 4.0)])
+    def test_candidates_and_imbalance(self, nprobe, candidates):
+        # lists of 3 rows and 1 row: nlist·Σsᵢ²/m² = 2·(9 + 1)/16
+        rows = np.array([[1, 0], [0.8, 0.6], [0.6, 0.8], [0, 1]], np.float32)
+        index = IvfIndex(np.array([[1, 0.2], [0, 1]], np.float32), np.arange(4, dtype=np.uint32),
+                         rows, np.array([0, 3, 4]))
+        # one query probes the long list first, the other the short one
+        metrics = evaluate_search(index, [[1.0, 0.1], [0.0, 1.0]], [0, 3], nprobe=nprobe)
+        assert metrics.candidates_per_query == candidates
+        assert metrics.imbalance_factor == 1.25
+        assert metrics.mrr_at_10 == 1.0
+
+    def test_empty_index_counts_no_candidates(self):
+        index = IvfIndex(np.eye(2, dtype=np.float32), np.zeros(0, np.uint32),
+                         np.zeros((0, 2), np.float32), np.zeros(3, np.int64))
+        metrics = evaluate_search(index, [[1.0, 0.0]], [0], nprobe=2)
+        assert (metrics.candidates_per_query, metrics.imbalance_factor) == (0.0, 1.0)
+        assert metrics.mrr_at_10 == 0.0 and metrics.missing_gold_ids == [0]
 
     def test_one_query_call_per_query(self, monkeypatch):
         # each query is timed around the very call that is scored

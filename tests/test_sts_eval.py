@@ -241,6 +241,11 @@ class TestEvaluateEndToEnd:
         with pytest.raises(ValueError, match="gold"):
             StsRecord("a", "b", 6.0)
 
+    def test_nan_gold_rejected(self):
+        # an STS file cannot hold NaN since it is not JSON, but a caller can pass it
+        with pytest.raises(ValueError, match="got nan"):
+            StsRecord("a", "b", float("nan"))
+
     @pytest.mark.parametrize("call", [lambda c: evaluate(c, "cls_last", []),
                                       lambda c: layer_sweep(c, [])],
                              ids=["evaluate", "layer_sweep"])
@@ -304,7 +309,13 @@ def test_load_sts_records(tmp_path):
     ('{"sent1": "a", "sent2": "b", "score": null}', r"r.txt record 1: .*score.*got None"),
     ('{"sent1": "a", "sent2": "b", "score": "high"}', r"r.txt record 1: .*got 'high'"),
     ('{"sent1": "a", "sent2": "b", "score": 6.0}', r"r.txt record 1: .*\[0, 5\], got 6.0"),
-    ('{"sent1": "a", "sent2": "b", "score": NaN}', r"r.txt record 1: .*got nan"),
+    # NaN, Infinity and a repeated key are not JSON: refused as the line is parsed
+    ('{"sent1": "a", "sent2": "b", "score": NaN}',
+     r"r.txt:3: invalid JSON: NaN is not a JSON value"),
+    ('{"sent1": "a", "sent2": "b", "score": -Infinity}',
+     r"r.txt:3: invalid JSON: -Infinity is not a JSON value"),
+    ('{"sent1": "a", "sent2": "b", "score": 9.0, "score": 1.0}',
+     r"r.txt:3: invalid JSON: duplicate key 'score'"),
     ('{"sent1": "a", "sent2": "b", "score": true}', r"r.txt record 1: .*got True"),
     ('{"sent1": "a", "sent2": "b", "score": "3.5"}', r"r.txt record 1: .*got '3.5'"),
     ('{"sent1": 5, "sent2": "b", "score": 1.0}', r"r.txt record 1: .*'sent1'.*got 5$"),
@@ -312,8 +323,8 @@ def test_load_sts_records(tmp_path):
     ('{"sent2": "b", "score": 1.0}', r"r.txt record 1: .*'sent1'.*no such key"),
     ('["a", "b", 1.0]', r"r.txt record 1 is a list, not an object"),
 ], ids=["bad-json", "missing-key", "null-score", "non-numeric", "out-of-range", "nan-score",
-        "bool-score", "string-score", "integer-text", "blank-text", "missing-text",
-        "json-array"])
+        "infinite-score", "duplicate-score", "bool-score", "string-score", "integer-text",
+        "blank-text", "missing-text", "json-array"])
 def test_bad_sts_record_names_its_line(tmp_path, line, why):
     # the bad record is the second, on line 3 after a blank line
     path = tmp_path / "r.txt"
