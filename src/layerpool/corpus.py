@@ -1,12 +1,12 @@
-"""Record files and the synthetic cluster-paraphrase generator.
+"""Record files and the synthetic cluster-paraphrase generators.
 
 Training corpora and STS sets are both JSONL files of records, read by
 `load_jsonl` and checked by `check_records`. Record shapes: pairs
 {"sent1","sent2"}, triplets {"anchor","positive","negative"}, bare {"text"};
-STS adds "score". The synthetic generator builds a topic-cluster world where
-sentences from the same cluster are paraphrases, used by the desk-scale
-directional experiment. Its default seed is fixed and published here so runs
-are reproducible.
+STS adds "score". The synthetic generators draw from one topic-cluster world
+where sentences from the same cluster are paraphrases, used by the desk-scale
+directional experiment. Their default seed is fixed and published here so
+runs are reproducible.
 """
 
 from __future__ import annotations
@@ -67,52 +67,51 @@ def write_jsonl(records: list[dict], path) -> None:
     write_file(path, ((json.dumps(rec, sort_keys=True) + "\n").encode() for rec in records))
 
 
-def _sentence(gen: np.random.Generator, cluster_words, shared_words,
-              min_len=4, max_len=9) -> str:
-    length = int(gen.integers(min_len, max_len + 1))
+# The synthetic world, declared once: every generator draws from these
+# words through `_sentence` and `_other_cluster`.
+NUM_CLUSTERS = 8
+_CLUSTER_WORDS = tuple(tuple(f"c{c}w{k}" for k in range(12)) for c in range(NUM_CLUSTERS))
+_SHARED_WORDS = tuple(f"the{k}" for k in range(6))
+_MIN_LEN, _MAX_LEN, _SHARED_P = 4, 9, 0.35
+
+
+def _sentence(gen: np.random.Generator, cluster: int) -> str:
+    """A sentence of `cluster`. Its draws, in order, fix the published corpus."""
     words = []
-    for _ in range(length):
-        if shared_words and gen.random() < 0.35:
-            words.append(shared_words[gen.integers(len(shared_words))])
-        else:
-            words.append(cluster_words[gen.integers(len(cluster_words))])
+    for _ in range(int(gen.integers(_MIN_LEN, _MAX_LEN + 1))):
+        pool = _SHARED_WORDS if gen.random() < _SHARED_P else _CLUSTER_WORDS[cluster]
+        words.append(pool[gen.integers(len(pool))])
     return " ".join(words)
 
 
-def make_synthetic_triplets(num_pairs: int = 2000, num_clusters: int = 8,
+def _other_cluster(gen: np.random.Generator, c: int) -> int:
+    """A cluster drawn uniformly from all but `c`."""
+    other = int(gen.integers(NUM_CLUSTERS - 1))
+    return other + 1 if other >= c else other
+
+
+def make_synthetic_triplets(num_pairs: int = 2000, *,
                             seed: int = SYNTH_CORPUS_SEED) -> list[dict]:
     """Paraphrase triplets: anchor/positive share a cluster, negative does not."""
     gen = Rng(seed).child("triplets").generator()
-    vocab = [[f"c{c}w{k}" for k in range(12)] for c in range(num_clusters)]
-    shared = [f"the{k}" for k in range(6)]
     triplets = []
     for i in range(num_pairs):
-        c = i % num_clusters
-        other = int(gen.integers(num_clusters - 1))
-        other = other + 1 if other >= c else other
-        triplets.append({
-            "anchor": _sentence(gen, vocab[c], shared),
-            "positive": _sentence(gen, vocab[c], shared),
-            "negative": _sentence(gen, vocab[other], shared),
-        })
+        c = i % NUM_CLUSTERS
+        other = _other_cluster(gen, c)
+        triplets.append({"anchor": _sentence(gen, c), "positive": _sentence(gen, c),
+                         "negative": _sentence(gen, other)})
     return triplets
 
 
-def make_synthetic_sts(num_records: int = 200, num_clusters: int = 8,
+def make_synthetic_sts(num_records: int = 200, *,
                        seed: int = SYNTH_CORPUS_SEED) -> list[dict]:
     """Held-out STS records: same-cluster pairs gold 5, cross-cluster gold 0."""
     gen = Rng(seed).child("sts").generator()
-    vocab = [[f"c{c}w{k}" for k in range(12)] for c in range(num_clusters)]
-    shared = [f"the{k}" for k in range(6)]
     records = []
     for i in range(num_records):
-        c = other = int(gen.integers(num_clusters))
-        if i % 2:  # odd records pair two clusters, even ones stay in one
-            other = int(gen.integers(num_clusters - 1))
-            other = other + 1 if other >= c else other
-        records.append({
-            "sent1": _sentence(gen, vocab[c], shared),
-            "sent2": _sentence(gen, vocab[other], shared),
-            "score": 0.0 if i % 2 else 5.0,
-        })
+        c = int(gen.integers(NUM_CLUSTERS))
+        # odd records pair two clusters, even ones stay in one
+        other = _other_cluster(gen, c) if i % 2 else c
+        records.append({"sent1": _sentence(gen, c), "sent2": _sentence(gen, other),
+                        "score": 0.0 if i % 2 else 5.0})
     return records

@@ -44,6 +44,8 @@ class EncoderConfig:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
+        if self.ffn_dim < 1:
+            raise ValueError("ffn_dim must be >= 1")
         if self.max_seq_len < 2:
             raise ValueError("max_seq_len must be >= 2 (CLS + one token)")
 

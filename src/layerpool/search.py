@@ -173,11 +173,6 @@ class IvfIndex:
         """Each list's ids, as views of `ids`."""
         return np.split(self.ids, self.offsets[1:-1])
 
-    @property
-    def posting_vectors(self) -> list[np.ndarray]:
-        """Each list's vectors, as views of `vectors`."""
-        return np.split(self.vectors, self.offsets[1:-1])
-
     @cached_property
     def centroids64(self) -> np.ndarray:
         """The centroids in float64, which holds every float32 exactly."""

@@ -108,12 +108,15 @@ def _initial_checkpoint(config: TrainConfig, corpus: list[dict],
         tokenizer = Tokenizer.from_texts(rec[key] for rec in corpus
                                          for key in record_keys(config.objective))
         params, vocab = init_params(config, tokenizer.vocab_size, rng), tokenizer.vocab
+    return Checkpoint(config, params, _zero_moments(config, params),
+                      _zero_moments(config, params), 0, vocab)
+
+
+def _zero_moments(config: TrainConfig, params: dict) -> dict[str, np.ndarray]:
+    """Fresh Adam moments for exactly the arrays that train under `config`:
+    every param but the pooler MLP's under `freeze_mlp`."""
     fixed = ("pooler.mlp_weight", "pooler.mlp_bias") if config.freeze_mlp else ()
-
-    def zeros():
-        return {name: np.zeros_like(a) for name, a in params.items() if name not in fixed}
-
-    return Checkpoint(config, params, zeros(), zeros(), 0, vocab)
+    return {name: np.zeros_like(a) for name, a in params.items() if name not in fixed}
 
 
 def train(config: TrainConfig, corpus: list[dict],
@@ -263,12 +266,12 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValueError(f"unexpected array {name!r} of dtype {array.dtype}")
             groups[group][key] = array
         params, adam_m, adam_v = groups["param"], groups["adam_m"], groups["adam_v"]
-        if adam_m.keys() != adam_v.keys() or any(
-                name not in params or not params[name].shape == m.shape == adam_v[name].shape
-                for name, m in adam_m.items()):
-            raise ValueError("adam_m and adam_v must hold the same tensors, each shaped "
-                             "as the param of its name")
         _check_params_fit(config, params, vocab)
+        trains = {name: a.shape for name, a in _zero_moments(config, params).items()}
+        if any({name: a.shape for name, a in moments.items()} != trains
+               for moments in (adam_m, adam_v)):
+            raise ValueError("adam_m and adam_v must each hold one array per param that "
+                             "trains under the config, shaped as it")
     except (KeyError, ValueError) as exc:
         raise ArtifactCorruptError(f"malformed checkpoint header in {path}: {exc!r}") from exc
     return Checkpoint(config, params, adam_m, adam_v, step, vocab)

@@ -76,7 +76,7 @@ def checkpoint_state(ckpt):
 
 def index_state(index):
     return (index.centroids.tobytes(), [p.tobytes() for p in index.posting_ids],
-            [v.tobytes() for v in index.posting_vectors])
+            [v.tobytes() for v in np.split(index.vectors, index.offsets[1:-1])])
 
 
 KINDS = {

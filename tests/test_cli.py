@@ -120,7 +120,8 @@ class TestValidateConfig:
     @pytest.mark.parametrize("encoder, named", [
         ({"hidden_dim": 0}, "hidden_dim"), ({"dropout_p": 1.5}, "dropout_p"),
         ({"dropout_p": 1.0}, "dropout_p"), ({"dropout_p": -0.1}, "dropout_p"),
-        ({"num_layers": 0}, "num_layers"),
+        ({"num_layers": 0}, "num_layers"), ({"ffn_dim": 0}, "ffn_dim"),
+        ({"ffn_dim": -4}, "ffn_dim"),
     ])
     def test_out_of_range_encoder_value_is_a_config_error(self, encoder, named):
         # caught when the config loads, not as a traceback from the first step

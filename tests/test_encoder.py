@@ -46,6 +46,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="num_layers"):
             EncoderConfig(num_layers=0)
 
+    @pytest.mark.parametrize("ffn_dim", [0, -4])
+    def test_at_least_one_ffn_unit(self, ffn_dim):
+        with pytest.raises(ValueError, match="ffn_dim"):
+            EncoderConfig(ffn_dim=ffn_dim)
+
 
 class TestTokenizer:
     def test_whitespace_mapping(self):

@@ -295,7 +295,7 @@ class TestBuildIndex:
     def test_posting_lists_are_views_of_one_buffer(self):
         index = build_index(random_matrix(50, 6, seed=5), 5, Rng(0))
         for lists, whole in ((index.posting_ids, index.ids),
-                             (index.posting_vectors, index.vectors)):
+                             (np.split(index.vectors, index.offsets[1:-1]), index.vectors)):
             assert all(p.base is whole for p in lists)
             assert np.array_equal(np.concatenate(lists), whole)
         assert [len(p) for p in index.posting_ids] == np.diff(index.offsets).tolist()
@@ -485,8 +485,8 @@ class TestScreen:
                                      kind="stable")
             for nprobe in range(1, nlist + 1):
                 probes = probe_order[:nprobe]
-                scanned = [np.concatenate([lists[c] for c in probes])
-                           for lists in (index.posting_vectors, index.posting_ids)]
+                scanned = [np.concatenate([lists[c] for c in probes]) for lists in
+                           (np.split(index.vectors, index.offsets[1:-1]), index.posting_ids)]
                 assert query(index, q, top_k, nprobe) == scan_reference(*scanned, q, top_k)
 
     def test_rows_a_float32_top_k_would_drop_are_found(self):

@@ -169,10 +169,14 @@ class TestTrain:
         _, trace = train(tiny_config(batch_size=5), pair_corpus(13))
         assert len(trace) == 2  # 13 // 5
 
-    def test_freeze_mlp(self):
+    def test_freeze_mlp(self, tmp_path):
         cfg = tiny_config(freeze_mlp=True)
         before = init_params(tiny_config(freeze_mlp=True), TINY_VOCAB, Rng(cfg.seed))
-        ckpt, _ = train(cfg, pair_corpus())
+        ckpt, _ = train(cfg, pair_corpus(), max_steps=2)
+        # its checkpoint, which holds no MLP moments, loads and resumes frozen
+        save_checkpoint(ckpt, tmp_path / "ck")
+        ckpt, trace = train(cfg, pair_corpus(), resume_from=load_checkpoint(tmp_path / "ck"))
+        assert len(trace) == 2 and "pooler.mlp_weight" not in ckpt.adam_m
         assert np.array_equal(ckpt.params["pooler.mlp_weight"], before["pooler.mlp_weight"])
         assert np.array_equal(ckpt.params["pooler.mlp_bias"], before["pooler.mlp_bias"])
 
@@ -456,16 +460,21 @@ class TestCheckpoint:
         with pytest.raises(ArtifactCorruptError, match="'token_emb' is absent"):
             load_checkpoint(tmp_path / "ck")
 
-    @pytest.mark.parametrize("tamper", ["unpaired", "no_param", "shape"])
+    @pytest.mark.parametrize("tamper", ["unpaired", "no_param", "shape", "untrained",
+                                        "now_freeze_mlp"])
     def test_adam_state_must_match_params(self, tmp_path, tamper):
         ckpt, _ = train(tiny_config(), pair_corpus(), max_steps=1)
         if tamper == "unpaired":
             del ckpt.adam_v["pos_emb"]
         elif tamper == "no_param":
             ckpt.adam_m["nope"] = ckpt.adam_v["nope"] = np.zeros(8)
-        else:
+        elif tamper == "shape":
             ckpt.adam_v["pos_emb"] = ckpt.adam_v["pos_emb"][:-1]
+        elif tamper == "untrained":  # a resumed run would never update pooler.w_q
+            del ckpt.adam_m["pooler.w_q"], ckpt.adam_v["pooler.w_q"]
         save_checkpoint(ckpt, tmp_path / "ck")
+        if tamper == "now_freeze_mlp":  # a resumed run would train the frozen MLP
+            self.edit_meta(tmp_path / "ck", lambda m: m["config"].update(freeze_mlp=True))
         with pytest.raises(ArtifactCorruptError, match="adam_m and adam_v"):
             load_checkpoint(tmp_path / "ck")
 
