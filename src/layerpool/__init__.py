@@ -14,8 +14,7 @@ _EXPORTS = {
     "autodiff": "Rng Tensor cosine_sim dropout_mask grad_check",
     "encoder": "Encoder EncoderConfig FrozenFeatures Tokenizer load_frozen save_frozen",
     "objectives": "loss_sup_basic loss_sup_hard loss_unsup similarity_matrix",
-    "pooler": "AttentionReport PoolStrategy attention_scores init_pooler_params pool "
-              "pool_layerwise project",
+    "pooler": "AttentionReport PoolStrategy attention_matrix init_pooler_params pool",
     "search": "EmbeddingMatrix IvfIndex SearchMetrics build_index embed_corpus "
               "evaluate_search kmeans_fit query",
     "sts_eval": "StsRecord SweepResult attention_report evaluate layer_sweep spearman",

@@ -109,8 +109,9 @@ def _cmd_train(args) -> int:
                         init_from=init)
     ckpt_dir = os.path.join(config.output_dir, config.checkpoint_dir)
     save_checkpoint(ckpt, ckpt_dir)
-    # only a run whose checkpoint saved writes or creates anything else
-    os.makedirs(config.output_dir, exist_ok=True)
+    # only a run whose checkpoint saved writes or creates anything else; an
+    # empty output_dir is the working directory, as os.path.join takes it
+    os.makedirs(config.output_dir or ".", exist_ok=True)
     doc = json.dumps(effective_config_doc(config), indent=1, sort_keys=True) + "\n"
     write_file(os.path.join(config.output_dir, "effective_config.json"), [doc.encode()])
     write_loss_trace(trace, os.path.join(config.output_dir, "loss.csv"))

@@ -84,12 +84,6 @@ class AttentionReport:
                          ["aggregate"] + [repr(float(x)) for x in self.per_layer_weight]])
 
 
-def _qkv_streams(stacks: Tensor, strategy: PoolStrategy) -> list[Tensor]:
-    if strategy not in _QKV_STREAMS:
-        raise ValueError(f"{strategy.value} is not an attention strategy")
-    return [stacks[..., s, :] for s in _QKV_STREAMS[strategy]]
-
-
 def attention_matrix(stacks: Tensor, params: dict[str, Tensor],
                      strategy: PoolStrategy, norm_mode: str = "softmax"):
     """Differentiable (..., N, N) row-normalized layer-attention matrices.
@@ -100,9 +94,11 @@ def attention_matrix(stacks: Tensor, params: dict[str, Tensor],
     """
     if norm_mode not in ("softmax", "ratio"):
         raise ValueError(f"unknown norm_mode {norm_mode!r}")
-    queries, keys, _ = _qkv_streams(stacks, strategy)
-    q = queries @ params["pooler.w_q"].T  # (..., N, d)
-    k = keys @ params["pooler.w_k"].T
+    if strategy not in _QKV_STREAMS:
+        raise ValueError(f"{strategy.value} is not an attention strategy")
+    query, key, _ = _QKV_STREAMS[strategy]
+    q = stacks[..., query, :] @ params["pooler.w_q"].T  # (..., N, d)
+    k = stacks[..., key, :] @ params["pooler.w_k"].T
     scores = q @ k.T  # (..., N, N)
     if norm_mode == "softmax":
         return scores.softmax(axis=-1), np.zeros(scores.shape[:-1], dtype=bool)
@@ -115,35 +111,6 @@ def attention_matrix(stacks: Tensor, params: dict[str, Tensor],
     fb = fallback.astype(np.float64)
     matrix = scores / (sums + fb) * (1.0 - fb) + fb / scores.shape[-1]
     return matrix, fallback[..., 0]
-
-
-def attention_scores(stacks: Tensor, params: dict[str, Tensor],
-                     strategy: PoolStrategy = PoolStrategy.ATTN_CLS_AVG_CONCAT,
-                     norm_mode: str = "softmax") -> AttentionReport:
-    matrix, fallback = attention_matrix(stacks, params, strategy, norm_mode)
-    return AttentionReport(weights=matrix.data.copy(), fallback=fallback)
-
-
-def pool_layerwise(stacks: Tensor, params: dict[str, Tensor],
-                   strategy: PoolStrategy = PoolStrategy.ATTN_CLS_AVG_CONCAT,
-                   norm_mode: str = "softmax") -> Tensor:
-    """Attention-weighted mix of the value stream, averaged over query layers."""
-    matrix, _ = attention_matrix(stacks, params, strategy, norm_mode)
-    _, _, values = _qkv_streams(stacks, strategy)
-    v = values @ params["pooler.w_v"].T  # (..., N, d)
-    mixed = matrix @ v  # row i = sum_j A[i, j] * (W_v v_j)
-    return mixed.mean(axis=-2)
-
-
-def project(stacks: Tensor, h_layers: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Concatenate last-layer CLS with the pooled vectors and apply tanh MLP."""
-    expected = stacks.shape[:-3] + params["pooler.mlp_bias"].shape
-    if h_layers.shape != expected:
-        raise ValueError(
-            f"pooled vector has shape {h_layers.shape}, expected {expected}"
-        )
-    h_cl = Tensor.concat([stacks[..., -1, 0, :], h_layers], axis=-1)  # (..., 2d)
-    return (h_cl @ params["pooler.mlp_weight"].T + params["pooler.mlp_bias"]).tanh()
 
 
 def pool(stacks: Tensor, params: dict[str, Tensor],
@@ -166,7 +133,10 @@ def pool(stacks: Tensor, params: dict[str, Tensor],
         return Tensor.concat([stacks[..., -1, 1, :], avg_fl], axis=-1)
     if strategy == PoolStrategy.CONCAT_CLS_AVG:
         return Tensor.concat([stacks[..., -1, 0, :], stacks[..., -1, 1, :]], axis=-1)
-    h_layers = pool_layerwise(stacks, params, strategy, norm_mode)
-    if strategy == PoolStrategy.ATTN_CLS_AVG_CONCAT:
-        return project(stacks, h_layers, params)
-    return h_layers
+    matrix, _ = attention_matrix(stacks, params, strategy, norm_mode)
+    v = stacks[..., _QKV_STREAMS[strategy][2], :] @ params["pooler.w_v"].T  # (..., N, d)
+    pooled = (matrix @ v).mean(axis=-2)  # mean over i of sum_j A[i, j] * (W_v v_j)
+    if strategy != PoolStrategy.ATTN_CLS_AVG_CONCAT:
+        return pooled
+    h_cl = Tensor.concat([stacks[..., -1, 0, :], pooled], axis=-1)  # (..., 2d)
+    return (h_cl @ params["pooler.mlp_weight"].T + params["pooler.mlp_bias"]).tanh()

@@ -13,7 +13,7 @@ import numpy as np
 from .artifact import write_csv
 from .autodiff import Tensor, cosine_sim
 from .corpus import check_records, load_jsonl
-from .pooler import AttentionReport, PoolStrategy, attention_scores, pool
+from .pooler import AttentionReport, PoolStrategy, attention_matrix, pool
 from .trainer import Checkpoint
 
 
@@ -122,7 +122,7 @@ def layer_sweep(checkpoint: Checkpoint, records: list[StsRecord]) -> SweepResult
 
 def attention_report(checkpoint: Checkpoint, texts: list[str]) -> list[AttentionReport]:
     """Layer-attention weight matrices for each text."""
-    report = attention_scores(checkpoint.stacks(texts), checkpoint.constants(),
-                              PoolStrategy(checkpoint.config.strategy),
-                              checkpoint.config.norm_mode)
-    return [AttentionReport(w, f) for w, f in zip(report.weights, report.fallback)]
+    matrix, fallback = attention_matrix(checkpoint.stacks(texts), checkpoint.constants(),
+                                        PoolStrategy(checkpoint.config.strategy),
+                                        checkpoint.config.norm_mode)
+    return [AttentionReport(w, f) for w, f in zip(matrix.data, fallback)]

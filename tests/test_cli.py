@@ -214,6 +214,20 @@ class TestDispatch:
         trained = train_config_doc(load_checkpoint(run / "checkpoint").config)
         assert {key: echoed[key] for key in trained} == trained
 
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_empty_output_dir_is_the_working_directory(self, tmp_path, monkeypatch,
+                                                       capsys, how):
+        monkeypatch.chdir(tmp_path)
+        if how == "config":
+            argv = ["train", "--config", str(_write_config(tmp_path, output_dir=""))]
+        else:
+            argv = ["train", "--config", str(_write_config(tmp_path)), "--output-dir", ""]
+        assert dispatch(argv) == 0
+        assert (tmp_path / "checkpoint" / "header.json").exists()
+        assert (tmp_path / "effective_config.json").exists()
+        assert (tmp_path / "loss.csv").exists()
+        assert not (tmp_path / "run").exists()
+
     def test_objective_corpus_mismatch_exits_1(self, tmp_path, capsys):
         pair_path = tmp_path / "pairs.jsonl"
         write_jsonl([{"sent1": "a b", "sent2": "a c"} for _ in range(8)], pair_path)

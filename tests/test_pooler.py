@@ -7,12 +7,11 @@ from layerpool.objectives import loss_sup_hard
 from layerpool.pooler import (
     ATTENTION_STRATEGIES,
     RATIO_EPS,
+    AttentionReport,
     PoolStrategy,
-    attention_scores,
+    attention_matrix,
     init_pooler_params,
     pool,
-    pool_layerwise,
-    project,
 )
 
 
@@ -38,39 +37,39 @@ class TestAttentionScores:
     def test_single_layer_is_one(self):
         stack = random_stack(1, 4, seed=3)
         for mode in ("softmax", "ratio"):
-            rep = attention_scores(stack, trainable(init_pooler_params(4, Rng(1))),
-                                   PoolStrategy.ATTN_CLS_AVG, mode)
-            assert rep.weights.shape == (1, 1)
-            assert rep.weights[0, 0] == pytest.approx(1.0, abs=1e-12)
+            matrix, _ = attention_matrix(stack, trainable(init_pooler_params(4, Rng(1))),
+                                         PoolStrategy.ATTN_CLS_AVG, mode)
+            assert matrix.shape == (1, 1)
+            assert matrix.data[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_layers_uniform(self):
         gen = Rng(9).generator()
         c, a = gen.normal(size=4), gen.normal(size=4)
         stack = layer_stack([c] * 3, [a] * 3)
-        rep = attention_scores(stack, trainable(init_pooler_params(4, Rng(2))),
-                               PoolStrategy.ATTN_CLS_AVG, "softmax")
-        assert np.allclose(rep.weights, 1.0 / 3.0, atol=1e-12)
+        matrix, _ = attention_matrix(stack, trainable(init_pooler_params(4, Rng(2))),
+                                     PoolStrategy.ATTN_CLS_AVG, "softmax")
+        assert np.allclose(matrix.data, 1.0 / 3.0, atol=1e-12)
 
     def test_hand_derived_ratio(self, derived_stack):
-        rep = attention_scores(derived_stack, identity_params(2),
-                               PoolStrategy.ATTN_CLS_AVG, "ratio")
-        assert np.allclose(rep.weights, [[0.25, 0.75], [0.25, 0.75]], atol=1e-12)
-        assert not rep.fallback.any()
+        matrix, fallback = attention_matrix(derived_stack, identity_params(2),
+                                            PoolStrategy.ATTN_CLS_AVG, "ratio")
+        assert np.allclose(matrix.data, [[0.25, 0.75], [0.25, 0.75]], atol=1e-12)
+        assert not fallback.any()
 
     def test_rows_sum_to_one_softmax(self):
         params = trainable(init_pooler_params(5, Rng(0)))
         for seed in range(20):
-            rep = attention_scores(random_stack(4, 5, seed), params,
-                                   PoolStrategy.ATTN_CLS_AVG, "softmax")
-            assert np.allclose(rep.weights.sum(axis=1), 1.0, atol=1e-9)
+            matrix, _ = attention_matrix(random_stack(4, 5, seed), params,
+                                         PoolStrategy.ATTN_CLS_AVG, "softmax")
+            assert np.allclose(matrix.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_ratio_fallback_flags_degenerate_row(self):
         # zero h^c makes every raw score zero -> uniform fallback, flagged
         stack = layer_stack(np.zeros((2, 2)), [[1.0, 0.0], [3.0, 0.0]])
-        rep = attention_scores(stack, identity_params(2),
-                               PoolStrategy.ATTN_CLS_AVG, "ratio")
-        assert rep.fallback.tolist() == [True, True]
-        assert np.allclose(rep.weights, 0.5, atol=1e-12)
+        matrix, fallback = attention_matrix(stack, identity_params(2),
+                                            PoolStrategy.ATTN_CLS_AVG, "ratio")
+        assert fallback.tolist() == [True, True]
+        assert np.allclose(matrix.data, 0.5, atol=1e-12)
 
     @pytest.mark.parametrize("strategy", [PoolStrategy.ATTN_CLS, PoolStrategy.ATTN_AVG,
                                           PoolStrategy.ATTN_CLS_AVG])
@@ -79,35 +78,36 @@ class TestAttentionScores:
         gen = Rng(17).generator()
         stacks = Tensor(gen.standard_normal((2000, 4, 2, 8)))
         params = trainable(init_pooler_params(8, Rng(4)))
-        rep = attention_scores(stacks, params, strategy, "ratio")
-        kept = rep.weights[~rep.fallback]
+        matrix, fallback = attention_matrix(stacks, params, strategy, "ratio")
+        kept = matrix.data[~fallback]
         assert np.abs(kept).max() < 1.0 / RATIO_EPS
         assert np.allclose(kept.sum(axis=-1), 1.0, atol=1e-9)
-        assert np.allclose(rep.weights[rep.fallback], 0.25, atol=0)
-        assert 0 < rep.fallback.sum() < rep.fallback.size
+        assert np.allclose(matrix.data[fallback], 0.25, atol=0)
+        assert 0 < fallback.sum() < fallback.size
 
     def test_softmax_shift_invariance(self):
         # adding a constant to a row of raw scores leaves softmax weights alone:
         # realized by scaling nothing -- verified against a manual shift
         stack = random_stack(3, 4, seed=5)
         params = trainable(init_pooler_params(4, Rng(7)))
-        rep = attention_scores(stack, params, PoolStrategy.ATTN_CLS_AVG, "softmax")
+        matrix, _ = attention_matrix(stack, params, PoolStrategy.ATTN_CLS_AVG, "softmax")
         q = stack.data[:, 0] @ params["pooler.w_q"].data.T
         k = stack.data[:, 1] @ params["pooler.w_k"].data.T
         raw = q @ k.T + 11.0  # shift every row
         shifted = np.exp(raw - raw.max(axis=1, keepdims=True))
         shifted /= shifted.sum(axis=1, keepdims=True)
-        assert np.allclose(rep.weights, shifted, atol=1e-9)
+        assert np.allclose(matrix.data, shifted, atol=1e-9)
 
     def test_unknown_norm_mode(self):
         with pytest.raises(ValueError, match="norm_mode"):
-            attention_scores(random_stack(2, 4), trainable(init_pooler_params(4, Rng(0))),
+            attention_matrix(random_stack(2, 4), trainable(init_pooler_params(4, Rng(0))),
                              PoolStrategy.ATTN_CLS_AVG, "sigmoid")
 
     def test_csv_roundtrip(self, tmp_path):
-        rep = attention_scores(random_stack(3, 4, seed=1),
-                               trainable(init_pooler_params(4, Rng(0))),
-                               PoolStrategy.ATTN_CLS_AVG)
+        matrix, fallback = attention_matrix(random_stack(3, 4, seed=1),
+                                            trainable(init_pooler_params(4, Rng(0))),
+                                            PoolStrategy.ATTN_CLS_AVG)
+        rep = AttentionReport(weights=matrix.data, fallback=fallback)
         path = tmp_path / "a.csv"
         rep.write_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -116,8 +116,9 @@ class TestAttentionScores:
 
     def test_csv_refuses_a_batch_of_reports(self, tmp_path):
         stacks = Tensor(np.stack([random_stack(2, 4, seed=s).data for s in range(3)]))
-        rep = attention_scores(stacks, trainable(init_pooler_params(4, Rng(0))),
-                               PoolStrategy.ATTN_CLS_AVG)
+        matrix, fallback = attention_matrix(stacks, trainable(init_pooler_params(4, Rng(0))),
+                                            PoolStrategy.ATTN_CLS_AVG)
+        rep = AttentionReport(weights=matrix.data, fallback=fallback)
         assert rep.weights.shape == (3, 2, 2)
         with pytest.raises(ValueError, match=r"\(N, N\)"):
             rep.write_csv(tmp_path / "a.csv")
@@ -127,58 +128,62 @@ class TestAttentionScores:
 class TestPoolLayerwise:
     def test_single_layer_passthrough(self):
         stack = random_stack(1, 3, seed=2)
-        out = pool_layerwise(stack, identity_params(3), PoolStrategy.ATTN_CLS_AVG)
+        out = pool(stack, identity_params(3), PoolStrategy.ATTN_CLS_AVG)
         assert np.allclose(out.data, stack.data[0, 1], atol=1e-12)
 
     def test_identical_layers_fixed_point(self):
         gen = Rng(4).generator()
         c, a = gen.normal(size=3), gen.normal(size=3)
         stack = layer_stack([c] * 4, [a] * 4)
-        out = pool_layerwise(stack, identity_params(3), PoolStrategy.ATTN_CLS_AVG)
+        out = pool(stack, identity_params(3), PoolStrategy.ATTN_CLS_AVG)
         assert np.allclose(out.data, a, atol=1e-12)
 
     def test_hand_derived(self, derived_stack):
-        out = pool_layerwise(derived_stack, identity_params(2),
-                             PoolStrategy.ATTN_CLS_AVG, "ratio")
+        out = pool(derived_stack, identity_params(2), PoolStrategy.ATTN_CLS_AVG, "ratio")
         assert np.allclose(out.data, [2.5, 0.0], atol=1e-12)
 
     def test_layer_relabeling_invariance(self):
         stack = random_stack(4, 5, seed=8)
         params = trainable(init_pooler_params(5, Rng(3)))
-        out = pool_layerwise(stack, params, PoolStrategy.ATTN_CLS_AVG)
+        out = pool(stack, params, PoolStrategy.ATTN_CLS_AVG)
         perm = [2, 0, 3, 1]
         permuted = Tensor(stack.data[perm])
-        out_p = pool_layerwise(permuted, params, PoolStrategy.ATTN_CLS_AVG)
+        out_p = pool(permuted, params, PoolStrategy.ATTN_CLS_AVG)
         assert np.allclose(out.data, out_p.data, atol=1e-12)
 
 
 class TestProject:
+    # the headline strategy on stacks whose attention output is known
+
     def test_zero_map(self):
         stack = random_stack(2, 3, seed=1)
-        params = identity_params(3)
-        h = project(stack, Tensor(np.ones(3)), params)
+        h = pool(stack, identity_params(3), PoolStrategy.ATTN_CLS_AVG_CONCAT)
         assert np.array_equal(h.data, np.zeros(3))
 
     def test_output_dim_and_range(self):
         for n in (1, 2, 5):
-            stack = random_stack(n, 4, seed=n)
-            params = trainable(init_pooler_params(4, Rng(0)))
-            h = project(stack, Tensor(np.ones(4) * 3.0), params)
+            # equal AVG vectors 3·1 are a fixed point of attention under W_v = I
+            cls = random_stack(n, 4, seed=n).data[:, 0]
+            stack = layer_stack(cls, np.full((n, 4), 3.0))
+            params = identity_params(4)
+            init = init_pooler_params(4, Rng(0))
+            for name in ("pooler.mlp_weight", "pooler.mlp_bias"):
+                params[name] = Tensor(init[name], requires_grad=True)
+            h = pool(stack, params, PoolStrategy.ATTN_CLS_AVG_CONCAT)
+            expected = np.tanh(init["pooler.mlp_weight"] @ np.concatenate([cls[-1], [3.0] * 4])
+                               + init["pooler.mlp_bias"])
             assert h.data.shape == (4,)
+            assert np.allclose(h.data, expected, atol=1e-12)
             assert np.all(np.abs(h.data) < 1.0)
 
     def test_hand_derived_tanh(self):
-        stack = layer_stack([[1.0]], [[0.0]])
+        # N = 1: attention weight 1, so the pooled vector is the AVG row 2
+        stack = layer_stack([[1.0]], [[2.0]])
         params = {"pooler.w_q": Tensor(np.eye(1)), "pooler.w_k": Tensor(np.eye(1)),
                   "pooler.w_v": Tensor(np.eye(1)), "pooler.mlp_weight": Tensor([[1.0, 1.0]]),
                   "pooler.mlp_bias": Tensor([0.0])}
-        h = project(stack, Tensor([2.0]), params)
+        h = pool(stack, params, PoolStrategy.ATTN_CLS_AVG_CONCAT)
         assert h.data[0] == pytest.approx(np.tanh(3.0), abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        stack = random_stack(2, 3)
-        with pytest.raises(ValueError, match="shape"):
-            project(stack, Tensor(np.ones(5)), identity_params(3))
 
 
 class TestPool:
@@ -213,8 +218,9 @@ class TestPool:
         params["pooler.mlp_weight"] = Tensor(Rng(5).generator().normal(size=(2, 4)),
                                              requires_grad=True)
         via_pool = pool(derived_stack, params, PoolStrategy.ATTN_CLS_AVG_CONCAT, "ratio")
-        via_steps = project(derived_stack, Tensor([2.5, 0.0]), params)
-        assert np.allclose(via_pool.data, via_steps.data, atol=1e-12)
+        # last CLS [1, 0] beside TestPoolLayerwise's hand-derived [2.5, 0]
+        via_steps = np.tanh(params["pooler.mlp_weight"].data @ [1.0, 0.0, 2.5, 0.0])
+        assert np.allclose(via_pool.data, via_steps, atol=1e-12)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -305,3 +311,60 @@ def test_ratio_mode_batch_pinned():
     assert abs(loss.item() - RATIO_LOSS) <= 1e-12
     for name, tensor in params.items():
         assert np.abs(tensor.grad - np.array(RATIO_GRADS[name])).max() <= 1e-12, name
+
+
+# (query, key, value) stream of each attention strategy: 0 = CLS, 1 = AVG
+ORACLE_STREAMS = {"attn_cls": (0, 0, 0), "attn_avg": (1, 1, 1),
+                  "attn_cls_avg": (0, 1, 1), "attn_cls_avg_concat": (0, 1, 1)}
+
+
+def oracle_pool(stack: np.ndarray, params: dict, strategy: str, norm_mode: str):
+    """The attention pooling formula for one (N, 2, d) stack, one layer at a
+    time: (embedding, per-query-layer fallback flags)."""
+    w_q, w_k, w_v = (params[f"pooler.w_{s}"] for s in "qkv")
+    qs, ks, vs = ORACLE_STREAMS[strategy]
+    n = stack.shape[0]
+    q = [w_q @ stack[i, qs] for i in range(n)]
+    k = [w_k @ stack[j, ks] for j in range(n)]
+    v = [w_v @ stack[j, vs] for j in range(n)]
+    pooled = np.zeros(stack.shape[-1])
+    fallback = []
+    for i in range(n):
+        scores = np.array([q[i] @ k[j] for j in range(n)])
+        if norm_mode == "softmax":
+            e = np.exp(scores - scores.max())
+            weights, fell_back = e / e.sum(), False
+        else:
+            fell_back = abs(scores.sum()) <= RATIO_EPS * np.abs(scores).sum()
+            weights = np.full(n, 1.0 / n) if fell_back else scores / scores.sum()
+        fallback.append(fell_back)
+        pooled += sum(weights[j] * v[j] for j in range(n)) / n
+    if strategy == "attn_cls_avg_concat":
+        h_cl = np.concatenate([stack[-1, 0], pooled])
+        pooled = np.tanh(params["pooler.mlp_weight"] @ h_cl + params["pooler.mlp_bias"])
+    return pooled, fallback
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["one", "batch", "pairs"])
+@pytest.mark.parametrize("norm_mode", ["softmax", "ratio"])
+@pytest.mark.parametrize("strategy", sorted(s.value for s in ATTENTION_STRATEGIES))
+def test_pool_matches_formula_oracle(strategy, norm_mode, lead):
+    gen = Rng(31).generator()
+    stacks = gen.normal(size=(*lead, 3, 2, 4))
+    flat = stacks.reshape(-1, 3, 2, 4)
+    flat[0, 0] = 0.0  # layer 1 zero: its query rows score 0 and fall back
+    if len(flat) > 1:
+        flat[1, :, 0] = 0.0  # every CLS vector zero
+        flat[-1, :, 1] = 0.0  # every AVG vector zero
+    base = init_pooler_params(4, Rng(6))
+    base["pooler.mlp_bias"] = gen.normal(size=4)
+    out = pool(Tensor(stacks), {k: Tensor(v) for k, v in base.items()},
+               PoolStrategy(strategy), norm_mode).data
+    assert out.shape == (*lead, 4)
+    fell_back = []
+    for idx in np.ndindex(lead):
+        expected, fallback = oracle_pool(stacks[idx], base, strategy, norm_mode)
+        assert _within_1e12(out[idx], expected), idx
+        fell_back += fallback
+    if norm_mode == "ratio":
+        assert any(fell_back) and not all(fell_back)

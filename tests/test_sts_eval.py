@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from layer_stacks import layer_stack, pair_batch, trainable
 from layerpool.autodiff import Rng
 from layerpool.encoder import EncoderConfig, FrozenFeatures, save_frozen
-from layerpool.pooler import PoolStrategy, init_pooler_params
+from layerpool.pooler import PoolStrategy, attention_matrix, init_pooler_params
 from layerpool.search import embed_corpus
 from layerpool.sts_eval import (
     StsRecord,
@@ -284,14 +284,36 @@ class TestAttentionReport:
         with pytest.raises(ValueError, match="not an attention strategy"):
             attention_report(ckpt, ["tok1"])
 
-    def test_identical_layers_uniform_on_fresh_init(self):
-        from layerpool.pooler import attention_scores
+    def test_ratio_mode_splits_weights_and_fallback_per_text(self):
+        import dataclasses
 
+        corpus = [{"text": f"tok{i} tok{(i * 3) % 11}"} for i in range(12)]
+        cfg = TrainConfig(objective="unsup", strategy="attn_cls_avg_concat", batch_size=4,
+                          epochs=1, seed=0, norm_mode="ratio",
+                          encoder=EncoderConfig(num_layers=3, hidden_dim=8, num_heads=2,
+                                                ffn_dim=16, max_seq_len=8, dropout_p=0.1))
+        ckpt, _ = train(cfg, corpus)
+        falls, keeps = "tok1 tok2 tok3", "tok4 tok9 tok5 tok7 tok10"
+        # W_k projects out the sum of `falls`'s AVG vectors, so each of its
+        # rows of raw scores q_i·W_k h_j sums to ~0 and falls back
+        total = ckpt.stacks([falls]).data[0, :, 1].sum(axis=0)
+        w_k = np.eye(8) - np.outer(total, total) / (total @ total)
+        ckpt = dataclasses.replace(ckpt, params={**ckpt.params, "pooler.w_k": w_k})
+        reports = attention_report(ckpt, [falls, keeps])
+        for text, rep in zip([falls, keeps], reports):
+            matrix, fallback = attention_matrix(ckpt.stacks([text]), ckpt.constants(),
+                                                PoolStrategy.ATTN_CLS_AVG_CONCAT, "ratio")
+            assert np.allclose(rep.weights, matrix.data[0], atol=1e-12)
+            assert np.array_equal(rep.fallback, fallback[0])
+        assert reports[0].fallback.all() and not reports[1].fallback.any()
+        assert np.array_equal(reports[0].weights, np.full((3, 3), 1.0 / 3.0))
+
+    def test_identical_layers_uniform_on_fresh_init(self):
         vec_c, vec_a = np.ones(4), np.full(4, 2.0)
         stack = layer_stack([vec_c] * 3, [vec_a] * 3)
-        rep = attention_scores(stack, trainable(init_pooler_params(4, Rng(0))),
-                               PoolStrategy.ATTN_CLS_AVG, "softmax")
-        assert np.allclose(rep.weights, 1.0 / 3.0, atol=1e-12)
+        matrix, _ = attention_matrix(stack, trainable(init_pooler_params(4, Rng(0))),
+                                     PoolStrategy.ATTN_CLS_AVG, "softmax")
+        assert np.allclose(matrix.data, 1.0 / 3.0, atol=1e-12)
 
 
 def test_load_sts_records(tmp_path):
