@@ -1,5 +1,5 @@
 """Every file layerpool writes, the one `.npy` reader and writer, the one JSON
-parser, and the directory format of checkpoints and indexes.
+encoder and parser, and the directory format of checkpoints and indexes.
 
 Files and directories are built as hidden siblings and renamed into place,
 so a process that dies mid-write leaves the previous version or, between a
@@ -113,6 +113,12 @@ def loads_json(text):
     return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_not_json)
 
 
+def dumps_json(value, indent=None) -> str:
+    """The JSON text of `value`, keys sorted, as every writer of JSON encodes it.
+    NaN and ±Infinity, which `loads_json` refuses, are a ValueError."""
+    return json.dumps(value, indent=indent, sort_keys=True, allow_nan=False)
+
+
 def _header(path: str):
     with open(os.path.join(path, HEADER), "rb") as fh:
         return loads_json(fh.read())
@@ -151,7 +157,7 @@ def write_dir(path, format: str, version: int, meta: dict, arrays: dict) -> None
         header = {"format": format, "version": version, "meta": meta, "arrays": entries}
         # no trailing newline: every proper prefix of the header is invalid JSON
         _write(os.path.join(tmp, HEADER),
-               [json.dumps(header, indent=1, sort_keys=True).encode()])
+               [dumps_json(header, indent=1).encode()])
         if os.path.lexists(path):
             old = _sibling(path, "old")
             os.rename(path, old)

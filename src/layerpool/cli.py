@@ -10,7 +10,6 @@ parallelism; default 1 keeps runs reproducible.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -93,7 +92,7 @@ def _read_gold(path: str) -> list[int]:
 def _cmd_train(args) -> int:
     from dataclasses import replace
 
-    from .artifact import write_file
+    from .artifact import dumps_json, write_file
     from .config import effective_config_doc, load_config
     from .corpus import load_jsonl
     from .trainer import load_checkpoint, save_checkpoint, train, write_loss_trace
@@ -112,7 +111,7 @@ def _cmd_train(args) -> int:
     # only a run whose checkpoint saved writes or creates anything else; an
     # empty output_dir is the working directory, as os.path.join takes it
     os.makedirs(config.output_dir or ".", exist_ok=True)
-    doc = json.dumps(effective_config_doc(config), indent=1, sort_keys=True) + "\n"
+    doc = dumps_json(effective_config_doc(config), indent=1) + "\n"
     write_file(os.path.join(config.output_dir, "effective_config.json"), [doc.encode()])
     write_loss_trace(trace, os.path.join(config.output_dir, "loss.csv"))
     print(ckpt_dir)
@@ -176,6 +175,7 @@ def _load_embeddings(path):
 def _cmd_index(args) -> int:
     from dataclasses import asdict
 
+    from .artifact import dumps_json
     from .autodiff import Rng
     from .search import build_index, evaluate_search, load_index, query, save_index
 
@@ -187,11 +187,11 @@ def _cmd_index(args) -> int:
     if args.index_command == "search":
         for row in matrix.vectors:
             hits = query(index, row, top_k=args.top_k, nprobe=args.nprobe)
-            print(json.dumps([{"id": i, "similarity": s} for i, s in hits]))
+            print(dumps_json([{"id": i, "similarity": s} for i, s in hits]))
         return 0
     gold = _read_gold(args.gold)
     metrics = evaluate_search(index, matrix.vectors, gold, nprobe=args.nprobe)
-    print(json.dumps(asdict(metrics), sort_keys=True))
+    print(dumps_json(asdict(metrics)))
     return 0
 
 

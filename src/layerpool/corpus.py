@@ -11,11 +11,10 @@ runs are reproducible.
 
 from __future__ import annotations
 
-import json
 
 import numpy as np
 
-from .artifact import loads_json, write_file
+from .artifact import dumps_json, loads_json, write_file
 from .autodiff import Rng
 
 # published seed of the synthetic paraphrase corpus
@@ -64,7 +63,7 @@ def check_records(records: list, keys, where: str, reader: str) -> None:
 
 
 def write_jsonl(records: list[dict], path) -> None:
-    write_file(path, ((json.dumps(rec, sort_keys=True) + "\n").encode() for rec in records))
+    write_file(path, ((dumps_json(rec) + "\n").encode() for rec in records))
 
 
 # The synthetic world, declared once: every generator draws from these

@@ -21,12 +21,12 @@ from .trainer import Checkpoint
 
 @dataclass
 class EmbeddingMatrix:
-    """float32 unit rows, one per sentence, and uint32 ids: the one place rows are
-    checked (2-D, finite, nonzero, one distinct id in [0, 2³²) each) and
-    normalized in float64."""
+    """float32 unit rows, one per sentence, and their uint32 ids: row i's id is
+    i. The one place rows are checked (2-D, finite, nonzero) and normalized in
+    float64."""
 
     vectors: np.ndarray = field(repr=False)
-    ids: np.ndarray | None = None
+    ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.vectors, dtype=np.float64)
@@ -37,17 +37,7 @@ class EmbeddingMatrix:
         if not norms.all():  # argmin: the first zero norm
             raise ValueError(f"embedding at row {int(norms.argmin())} is all zeros")
         self.vectors = (x / norms[:, None]).astype(np.float32)
-        if self.ids is None:
-            self.ids = np.arange(x.shape[0], dtype=np.uint32)
-            return
-        ids = np.asarray(self.ids)
-        if ids.shape != (x.shape[0],):
-            raise ValueError(f"ids must have shape ({x.shape[0]},), got {ids.shape}")
-        if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= 2**32):
-            raise ValueError("ids must be integers in [0, 2**32)")
-        self.ids = ids.astype(np.uint32)
-        if np.unique(self.ids).size != self.ids.size:
-            raise ValueError("ids must be distinct")
+        self.ids = np.arange(x.shape[0], dtype=np.uint32)
 
     @property
     def num_rows(self) -> int:
@@ -333,6 +323,8 @@ def evaluate_search(index: IvfIndex, queries: np.ndarray, gold_ids,
     Gold ids absent from the index contribute 0 and are flagged.
     """
     queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2:
+        raise ValueError(f"queries must be an (n, d) matrix, got shape {queries.shape}")
     gold_ids = [int(g) for g in gold_ids]
     if len(gold_ids) != queries.shape[0] or not gold_ids:
         raise ValueError("one gold id required per query, and at least one query")

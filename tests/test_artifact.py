@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -33,6 +34,7 @@ from layerpool.artifact import (
 from layerpool.autodiff import Rng
 from layerpool.cli import _load_embeddings
 from layerpool.config import train_config_doc
+from layerpool.corpus import write_jsonl
 from layerpool.encoder import EncoderConfig, FrozenFeatures, load_frozen, save_frozen
 from layerpool.search import EmbeddingMatrix, build_index, load_index, save_index
 from layerpool.trainer import TrainConfig, load_checkpoint, save_checkpoint, train
@@ -193,7 +195,7 @@ def test_valid_npy_member_of_other_bytes_fails_its_digest(kind, tmp_path):
            max_size=4),
        meta=st.dictionaries(st.text(max_size=5),
                             st.none() | st.booleans() | st.integers() | st.text(max_size=5)
-                            | st.floats(allow_nan=False), max_size=3))
+                            | st.floats(allow_nan=False, allow_infinity=False), max_size=3))
 def test_write_dir_read_dir_round_trip(arrays, meta):
     with tempfile.TemporaryDirectory() as tmp:
         write_dir(Path(tmp) / "d", "fmt", 7, meta, arrays)
@@ -203,6 +205,19 @@ def test_write_dir_read_dir_round_trip(arrays, meta):
     for name, a in arrays.items():
         assert (got[name].dtype.str, got[name].shape) == (a.dtype.str, a.shape)
         assert got[name].tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_json_writers_refuse_what_the_reader_refuses(value, tmp_path):
+    # `loads_json` refuses NaN and ±Infinity, so no writer may write them
+    write_dir(tmp_path / "d", "fmt", 1, {"t": 1.0}, {"x": np.zeros(2)})
+    write_jsonl([{"text": "a b", "score": 1.0}], tmp_path / "c.jsonl")
+    before = tree(tmp_path)
+    with pytest.raises(ValueError, match="JSON"):
+        write_dir(tmp_path / "d", "fmt", 1, {"t": value}, {"x": np.zeros(2)})
+    with pytest.raises(ValueError, match="JSON"):
+        write_jsonl([{"text": "a b", "score": value}], tmp_path / "c.jsonl")
+    assert tree(tmp_path) == before
 
 
 def test_frozen_truncated_at_any_offset_is_typed(tmp_path):

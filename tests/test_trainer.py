@@ -661,10 +661,11 @@ def test_only_train_makes_trainable_tensors():
 
 
 def test_only_artifact_reads_and_writes_arrays():
-    # one reader and one writer per file format: raw-array and numpy-file I/O
-    # and byte-layout packing stay in artifact.py
+    # one reader and one writer per file format: raw-array and numpy-file I/O,
+    # byte-layout packing and JSON encoding and parsing stay in artifact.py
     banned = {"np.load", "np.save", "np.fromfile", "np.lib.format", "numpy.load",
-              "numpy.save", "numpy.fromfile", "numpy.lib.format"}
+              "numpy.save", "numpy.fromfile", "numpy.lib.format",
+              "json.dumps", "json.dump", "json.loads", "json.load"}
     found = set()
     for path in sorted(Path(trainer.__file__).parent.glob("*.py")):
         if path.name == "artifact.py":
