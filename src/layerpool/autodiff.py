@@ -207,19 +207,29 @@ class Tensor:
     # ---- shape ------------------------------------------------------------
 
     def __getitem__(self, idx):
-        basic = all(i is None or i is Ellipsis or isinstance(i, (int, slice))
-                    for i in (idx if type(idx) is tuple else (idx,)))
+        # basic indices and a boolean mask name each position at most once, so
+        # their gradient is assigned; integer-array indices may repeat one
+        unique = (type(idx) is np.ndarray and idx.dtype == bool) or all(
+            i is None or i is Ellipsis or isinstance(i, (int, slice))
+            for i in (idx if type(idx) is tuple else (idx,)))
 
         def bw(g):
             full = np.zeros_like(self.data)
-            if basic:
-                full[idx] += g
+            if unique:
+                full[idx] = g
             else:
-                # integer-array indices may repeat a position
                 np.add.at(full, idx, g)
             self._accum(full)
 
         return Tensor(self.data[idx], parents=(self,), bw=bw)
+
+    def scatter(self, mask: np.ndarray) -> "Tensor":
+        """The rows of self written in order at the True positions of the
+        boolean ``mask``, zeros elsewhere: shape mask.shape + self.shape[1:],
+        the inverse of ``x[mask]``, whose gather is its backward."""
+        out = np.zeros(mask.shape + self.data.shape[1:])
+        out[mask] = self.data
+        return Tensor(out, parents=(self,), bw=lambda g: self._accum(g[mask]))
 
     def reshape(self, *shape):
         return Tensor(self.data.reshape(*shape), parents=(self,),

@@ -7,6 +7,11 @@ in which case only pooler parameters are trainable.
 
 A layer stack is one Tensor of shape (..., N, 2, d): [..., i, 0] is layer
 i's CLS vector h^c and [..., i, 1] its mean-token vector h^a.
+
+A batch runs packed: the n non-PAD tokens of its B lists are the rows of one
+(n, d) array, in list order, and every per-token op runs on those rows only.
+Each layer's attention core alone runs on the padded (B, T) slots, T the
+longest list, entered by one scatter and left by one boolean gather.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ PAD_ID = 1
 UNK_ID = 2
 _NUM_RESERVED = 3
 
-# texts per forward pass of encode_texts, which only runs inference
+# texts per forward pass of encode_texts, which only runs inference: a chunk's
+# per-token work grows with its tokens, its attention core with chunk x T^2
+# (T its longest text) and its AVG averaging matrix with chunk x tokens
 INFERENCE_CHUNK = 64
 
 
@@ -104,13 +111,19 @@ class Encoder:
         self.params = params
 
     def encode(self, token_lists, rngs: list[Rng] | None = None) -> Tensor:
-        """(B, N, 2, d) layer stacks of B token lists in one padded forward pass.
+        """(B, N, 2, d) layer stacks of B token lists in one packed forward pass.
 
-        The lists are padded with PAD_ID to the longest one; attention never
-        reads a PAD key and the AVG stream averages only non-PAD positions
-        after CLS. Given ``rngs``, dropout is on: list b draws its masks from
-        ``rngs[b]``, so a row does not depend on its batch. The pass records
-        a tape exactly when the parameters require grad.
+        Every per-token op (embedding sum, layer norms, projections, FFN,
+        dropout, residuals) runs on the ``(n, d)`` packed rows of the n
+        non-PAD tokens, in list order. Only each layer's attention core runs
+        padded: the rows are scattered to ``(B, T, ·)``, where T is the
+        longest list, and gathered back. A PAD token gets no row, but the
+        tokens after it keep their positions, and attention never reads a PAD
+        slot. CLS is each list's first row; AVG averages the rows after it.
+        Given ``rngs``, dropout is on: list b draws its ``(T_b, d)`` masks
+        from ``rngs[b]`` and its rows keep theirs, so a row does not depend
+        on its batch. The pass records a tape exactly when the parameters
+        require grad.
         """
         cfg = self.config
         token_lists = list(token_lists)
@@ -129,35 +142,37 @@ class Encoder:
         ids[np.arange(T) < lengths[:, None]] = flat
         if lengths.min() == 0 or np.any(ids[:, 0] != CLS_ID):
             raise ValueError("token sequence must start with CLS")
-        pad = ids == PAD_ID
-        # content positions for the AVG stream: non-pad, excluding CLS; a
-        # sequence without any averages its CLS position
-        content = ~pad
-        content[:, 0] = False
-        content[~content.any(axis=1), 0] = True
-        # a masked sum times 1/count adds the content rows in the same order
-        # as a per-sequence mean, so each row's AVG does not depend on padding
-        content_mask = content[:, :, None].astype(np.float64)
-        inv_count = 1.0 / content.sum(axis=1, keepdims=True)
+        # the (B, T) slots of the packed rows; row r is token pos[r] of list seq[r]
+        real = ids != PAD_ID
+        seq, pos = np.nonzero(real)
+        starts = np.flatnonzero(pos == 0)
+        # AVG is one (B, n) averaging matrix times the rows: a list averages
+        # its rows after CLS, or its CLS row if it has no other
+        content = pos > 0
+        content[starts[np.bincount(seq[content], minlength=B) == 0]] = True
+        avg = np.zeros((B, seq.size))
+        avg[seq[content], np.flatnonzero(content)] = 1.0
+        avg = Tensor(avg / avg.sum(axis=1, keepdims=True))
+        keep = flat != PAD_ID  # the dropout rows of the packed tokens
 
         p = self.params
-        x = p["token_emb"][ids] + p["pos_emb"][:T]
-        x = self._dropout(x, rngs, lengths, "emb")
+        x = p["token_emb"][ids[real]] + p["pos_emb"][pos]
+        x = self._dropout(x, rngs, lengths, keep, "emb")
 
-        # additive mask keeping every head's attention off padding keys, per row
-        key_mask = np.where(pad, -1e9, 0.0)[:, None, None, :]
+        # additive mask keeping every head's attention off PAD slots, per row
+        key_mask = Tensor(np.where(real, 0.0, -1e9)[:, None, None, :])
 
         layers = []
         for i in range(cfg.num_layers):
             pre = f"layer{i}."
             a_in = x.layer_norm(p[pre + "ln1_g"], p[pre + "ln1_b"])
-            attn = self._attention(a_in, p, pre, key_mask)
-            x = x + self._dropout(attn, rngs, lengths, f"attn{i}")
+            attn = self._attention(a_in, p, pre, real, key_mask)
+            x = x + self._dropout(attn, rngs, lengths, keep, f"attn{i}")
             f_in = x.layer_norm(p[pre + "ln2_g"], p[pre + "ln2_b"])
             hidden = (f_in @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"]).tanh()
             ffn = hidden @ p[pre + "ffn_w2"] + p[pre + "ffn_b2"]
-            x = x + self._dropout(ffn, rngs, lengths, f"ffn{i}")
-            layers += [x[:, 0], (x * content_mask).sum(axis=1) * inv_count]
+            x = x + self._dropout(ffn, rngs, lengths, keep, f"ffn{i}")
+            layers += [x[starts], avg @ x]
         return Tensor.concat(layers, axis=1).reshape(B, cfg.num_layers, 2, cfg.hidden_dim)
 
     def encode_texts(self, tokenizer: Tokenizer, texts) -> Tensor:
@@ -173,31 +188,33 @@ class Encoder:
             [self.encode(token_lists[lo:lo + INFERENCE_CHUNK]).data for lo in starts]))
 
     def _attention(self, x: Tensor, p: dict[str, Tensor], prefix: str,
-                   key_mask: np.ndarray) -> Tensor:
-        """All heads at once: q, k and v are split into (B, H, T, dh)."""
-        B, T, d = x.shape
+                   real: np.ndarray, key_mask: Tensor) -> Tensor:
+        """All heads at once on the padded slots: the packed rows' q, k and v
+        come from one matmul, are scattered to (B, T, 3d) and split into
+        (B, H, T, dh) each; the heads' output is gathered back to packed rows."""
+        B, T = real.shape
+        d = x.shape[-1]
         H = self.config.num_heads
         dh = d // H
-
-        def heads(name, *axes):
-            return (x @ p[prefix + name]).reshape(B, T, H, dh).transpose(*axes)
-
-        q = heads("attn_q", 0, 2, 1, 3)
-        k_t = heads("attn_k", 0, 2, 3, 1)  # (B, H, dh, T)
-        v = heads("attn_v", 0, 2, 1, 3)
-        weights = (q @ k_t * (1.0 / np.sqrt(dh)) + key_mask).softmax(axis=-1)
-        out = (weights @ v).transpose(0, 2, 1, 3).reshape(B, T, d)
+        w_qkv = Tensor.concat([p[prefix + "attn_q"], p[prefix + "attn_k"],
+                               p[prefix + "attn_v"]], axis=1)
+        qkv = (x @ w_qkv).scatter(real).reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
+        q, k, v = qkv[0], qkv[1], qkv[2]
+        weights = (q @ k.T * (1.0 / np.sqrt(dh)) + key_mask).softmax(axis=-1)
+        out = (weights @ v).transpose(0, 2, 1, 3)[real].reshape(-1, d)
         return out @ p[prefix + "attn_o"]
 
-    def _dropout(self, x: Tensor, rngs, lengths: np.ndarray, tag: str) -> Tensor:
-        """Sequence b's (T_b, d) mask from ``rngs[b]``, written into a padded array."""
+    def _dropout(self, x: Tensor, rngs, lengths: np.ndarray, keep: np.ndarray,
+                 tag: str) -> Tensor:
+        """Sequence b's (T_b, d) mask from ``rngs[b]``; the packed rows take
+        the rows of their tokens (``keep`` drops those of PAD tokens)."""
         if rngs is None or self.config.dropout_p == 0.0:
             return x
-        mask = np.zeros(x.shape)
-        for b, (rng, n) in enumerate(zip(rngs, lengths)):
-            mask[b, :n] = dropout_mask((int(n), x.shape[-1]), self.config.dropout_p,
-                                       rng.child("dropout", tag))
-        return x * Tensor(mask)
+        d = x.shape[-1]
+        mask = np.concatenate([dropout_mask((int(n), d), self.config.dropout_p,
+                                            rng.child("dropout", tag))
+                               for rng, n in zip(rngs, lengths)])
+        return x * Tensor(mask[keep])
 
 
 @dataclass

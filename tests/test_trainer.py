@@ -608,13 +608,14 @@ def _by_op(per_op: Counter) -> str:
 
 def test_encoder_step_tape_size(monkeypatch):
     # one default-encoder sup_hard step (M=16) builds this many Tensors with
-    # the three views in one forward pass, attention on a head axis and layer
-    # norm and softmax as single ops; a forward per view, a loop over heads or
-    # composite layer norm and softmax builds well over twice as many
+    # the three views in one packed forward pass, q, k and v from one matmul,
+    # attention on a head axis and layer norm and softmax as single ops; a
+    # forward per view, a loop over heads or composite layer norm and softmax
+    # builds well over twice as many
     cfg = TrainConfig(objective="sup_hard", strategy="attn_cls_avg_concat",
                       batch_size=16, epochs=2, seed=3)
     per_op = _tensors_per_step(monkeypatch, cfg, make_synthetic_triplets(num_pairs=16))
-    assert per_op.total() == 204, _by_op(per_op)
+    assert per_op.total() == 190, _by_op(per_op)
 
 
 def test_frozen_step_tape_size(tmp_path, monkeypatch):
