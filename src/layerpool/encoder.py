@@ -191,16 +191,18 @@ class Encoder:
                    real: np.ndarray, key_mask: Tensor) -> Tensor:
         """All heads at once on the padded slots: the packed rows' q, k and v
         come from one matmul, are scattered to (B, T, 3d) and split into
-        (B, H, T, dh) each; the heads' output is gathered back to packed rows."""
+        (B, H, T, dh) each; the heads' output is gathered back to packed rows.
+        The 1/sqrt(dh) score scale multiplies the q weights, not the
+        (B, H, T, T) scores (the same bits when dh is a power of 4)."""
         B, T = real.shape
         d = x.shape[-1]
         H = self.config.num_heads
         dh = d // H
-        w_qkv = Tensor.concat([p[prefix + "attn_q"], p[prefix + "attn_k"],
-                               p[prefix + "attn_v"]], axis=1)
+        w_qkv = Tensor.concat([p[prefix + "attn_q"] * (1.0 / np.sqrt(dh)),
+                               p[prefix + "attn_k"], p[prefix + "attn_v"]], axis=1)
         qkv = (x @ w_qkv).scatter(real).reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
         q, k, v = qkv[0], qkv[1], qkv[2]
-        weights = (q @ k.T * (1.0 / np.sqrt(dh)) + key_mask).softmax(axis=-1)
+        weights = (q @ k.T + key_mask).softmax(axis=-1)
         out = (weights @ v).transpose(0, 2, 1, 3)[real].reshape(-1, d)
         return out @ p[prefix + "attn_o"]
 

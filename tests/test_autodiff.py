@@ -11,6 +11,9 @@ from layerpool.autodiff import (
     grad_check,
 )
 
+# four slots of a (2, 3) layout, in the pattern of a packed batch
+SLOTS = np.array([[True, False, True], [False, True, True]])
+
 # ---- plain-array oracles the tape operations are checked against ------------
 
 
@@ -216,7 +219,11 @@ class TestTape:
         (lambda ts: ((2.0 / ts[0]) ** 2).sum(), [(3,)]),
         (lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(3, 4), (4,)]),
         (lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(2, 3, 4), (4,)]),
-    ], ids=["rsub", "rtruediv", "matmul-1d-rhs", "stacked-matmul-1d-rhs"])
+        (lambda ts: ((ts[0][SLOTS] @ ts[1]) ** 2).sum(), [(2, 3, 2), (2, 3)]),
+        (lambda ts: ((ts[0][np.array([2, 0, 2])] @ ts[1]) ** 2).sum(), [(3, 2), (2, 3)]),
+        (lambda ts: ((ts[0].scatter(SLOTS) @ ts[1]) ** 2).sum(), [(4, 2), (2, 3)]),
+    ], ids=["rsub", "rtruediv", "matmul-1d-rhs", "stacked-matmul-1d-rhs",
+            "getitem-bool-mask", "getitem-repeated-rows", "scatter"])
     def test_right_hand_operator_grads(self, f, shapes):
         gen = np.random.default_rng(5)
         # entries kept away from 0 so 2 / x stays well conditioned
@@ -312,3 +319,9 @@ class TestTape:
         x = Tensor(np.zeros(3), requires_grad=True)
         x[np.array([0, 0, 2])].sum().backward()
         assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
+
+    def test_scatter_inverts_a_mask_gather(self):
+        x = np.arange(12.0).reshape(2, 3, 2)
+        rows = Tensor(x)[SLOTS]
+        assert np.array_equal(rows.data, [[0, 1], [4, 5], [8, 9], [10, 11]])
+        assert np.array_equal(rows.scatter(SLOTS).data, x * SLOTS[:, :, None])

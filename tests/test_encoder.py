@@ -6,7 +6,7 @@ import pytest
 
 from layer_stacks import trainable
 from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError
-from layerpool.autodiff import Rng, Tensor
+from layerpool.autodiff import Rng, Tensor, dropout_mask
 from layerpool.encoder import (
     CLS_ID,
     INFERENCE_CHUNK,
@@ -20,6 +20,47 @@ from layerpool.encoder import (
     load_frozen,
     save_frozen,
 )
+
+
+def reference_stack(encoder, tokens, rng=None) -> np.ndarray:
+    """One token list's (N, 2, d) stack in plain numpy, head by head: every
+    position is computed, PAD ones included, attention ignores PAD keys and
+    AVG the PAD rows; given ``rng``, each layer's (T, d) dropout masks come
+    from ``rng.child("dropout", tag)``."""
+    cfg = encoder.config
+    p = {k: t.data for k, t in encoder.params.items()}
+    tokens = np.asarray(tokens)
+    real = tokens != PAD_ID
+    dh = cfg.hidden_dim // cfg.num_heads
+
+    def dropout(x, tag):
+        if rng is None:
+            return x
+        return x * dropout_mask(x.shape, cfg.dropout_p, rng.child("dropout", tag))
+
+    def layer_norm(x, g, b):
+        c = x - x.mean(axis=-1, keepdims=True)
+        return c / np.sqrt((c * c).mean(axis=-1, keepdims=True) + 1e-6) * g + b
+
+    content = real.copy()
+    content[0] = not content[1:].any()
+    x = dropout(p["token_emb"][tokens] + p["pos_emb"][:len(tokens)], "emb")
+    stack = []
+    for i in range(cfg.num_layers):
+        w = {k[len(f"layer{i}."):]: v for k, v in p.items() if k.startswith(f"layer{i}.")}
+        a = layer_norm(x, w["ln1_g"], w["ln1_b"])
+        heads = []
+        for h in range(cfg.num_heads):
+            q, k, v = ((a @ w[n])[:, h * dh:(h + 1) * dh] for n in ("attn_q", "attn_k", "attn_v"))
+            scores = np.where(real, q @ k.T / np.sqrt(dh), -np.inf)
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            heads.append(e / e.sum(axis=-1, keepdims=True) @ v)
+        x = x + dropout(np.concatenate(heads, axis=-1) @ w["attn_o"], f"attn{i}")
+        f = layer_norm(x, w["ln2_g"], w["ln2_b"])
+        x = x + dropout(np.tanh(f @ w["ffn_w1"] + w["ffn_b1"]) @ w["ffn_w2"] + w["ffn_b2"],
+                        f"ffn{i}")
+        stack.append([x[0], x[content].mean(axis=0)])
+    return np.array(stack)
 
 
 @pytest.fixture
@@ -158,6 +199,7 @@ class TestBatchedEncode:
         gen = np.random.default_rng(7)
         token_lists = [[CLS_ID] + list(gen.integers(3, 30, size=n))
                        for n in (1, 3, 7, 8, 9, 16, 23, 40)]
+        token_lists.append([CLS_ID, 5, 6, PAD_ID, 7, 8, PAD_ID, 9])
         rngs = [Rng(8).child("a", b) for b in range(len(token_lists))]
         weights = gen.normal(size=(len(token_lists), 2, 2, 8))
         params = long_encoder.params
@@ -192,6 +234,35 @@ class TestBatchedEncode:
         parts = [long_encoder.encode(token_lists[lo:lo + INFERENCE_CHUNK]).data
                  for lo in range(0, len(texts), INFERENCE_CHUNK)]
         assert np.array_equal(whole.data, np.concatenate(parts))
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_matches_a_per_sequence_reference(self, long_encoder, dropout):
+        # a PAD inside a list gets no row of its own, yet the tokens after it
+        # keep their positions and every token keeps its dropout row
+        token_lists = [[CLS_ID, 5, 6, PAD_ID, 7, 8], [CLS_ID], [CLS_ID, PAD_ID, 9],
+                       [CLS_ID, 3, 4, 5, 6, 7, 8, 9, 10, 11], [CLS_ID, 12, PAD_ID]]
+        rngs = [Rng(9).child(b) for b in range(len(token_lists))] if dropout else None
+        batch = long_encoder.encode(token_lists, rngs)
+        for b, tokens in enumerate(token_lists):
+            ref = reference_stack(long_encoder, tokens, rngs[b] if dropout else None)
+            assert np.max(np.abs(batch.data[b] - ref)) < 1e-12
+
+    def test_per_token_matmuls_see_only_real_tokens(self, long_encoder, monkeypatch):
+        # lists of 1, 3 and 9 tokens fill 3 x 9 = 27 padded slots; every
+        # projection and FFN matmul (a weight of d or ffn_dim rows on the
+        # right) must run on the 13 tokens only
+        cfg, matmul, seen = long_encoder.config, Tensor.__matmul__, []
+
+        def recording(a, b):
+            if np.ndim(b.data) == 2 and b.shape[0] in (cfg.hidden_dim, cfg.ffn_dim):
+                seen.append(a.shape[:-1])
+            return matmul(a, b)
+
+        monkeypatch.setattr(Tensor, "__matmul__", recording)
+        token_lists = [[CLS_ID], [CLS_ID, 3, 4], [CLS_ID] + list(range(3, 11))]
+        long_encoder.encode(token_lists, [Rng(2).child(b) for b in range(3)])
+        assert len(seen) >= 4 * cfg.num_layers
+        assert set(seen) == {(13,)}
 
     def test_inference_records_no_tape(self, small_config):
         # constant parameters, as Checkpoint.encoder() passes them
