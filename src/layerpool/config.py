@@ -34,7 +34,6 @@ class TrainConfig:
     epochs: int = 1
     seed: int = 0
     frozen_features: str | None = None
-    freeze_mlp: bool = False
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def __post_init__(self):
@@ -93,7 +92,7 @@ def _from_doc(cls, doc, context: str, defaults: bool):
             value = _from_doc(kind, value, key, defaults)
         elif kind is float and type(value) is int:
             value = float(value)
-        elif not isinstance(value, kind) or type(value) is bool and kind is not bool:
+        elif not isinstance(value, kind) or type(value) is bool:
             name = getattr(kind, "__name__", kind)
             raise ConfigError(f"{key} must be {name}, got {value!r}")
         kwargs[key] = value

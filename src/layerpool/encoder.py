@@ -8,8 +8,9 @@ in which case only pooler parameters are trainable.
 A layer stack is one Tensor of shape (..., N, 2, d): [..., i, 0] is layer
 i's CLS vector h^c and [..., i, 1] its mean-token vector h^a.
 
-A batch runs packed: the n non-PAD tokens of its B lists are the rows of one
-(n, d) array, in list order, and every per-token op runs on those rows only.
+A token list is CLS followed by vocabulary or UNK ids. A batch runs packed:
+the n tokens of its B lists are the rows of one (n, d) array, in list
+order, and every per-token op runs on those rows only.
 Each layer's attention core alone runs on the padded (B, T) slots, T the
 longest list, entered by one scatter and left by one boolean gather.
 """
@@ -113,17 +114,16 @@ class Encoder:
     def encode(self, token_lists, rngs: list[Rng] | None = None) -> Tensor:
         """(B, N, 2, d) layer stacks of B token lists in one packed forward pass.
 
-        Every per-token op (embedding sum, layer norms, projections, FFN,
-        dropout, residuals) runs on the ``(n, d)`` packed rows of the n
-        non-PAD tokens, in list order. Only each layer's attention core runs
-        padded: the rows are scattered to ``(B, T, ·)``, where T is the
-        longest list, and gathered back. A PAD token gets no row, but the
-        tokens after it keep their positions, and attention never reads a PAD
-        slot. CLS is each list's first row; AVG averages the rows after it.
-        Given ``rngs``, dropout is on: list b draws its ``(T_b, d)`` masks
-        from ``rngs[b]`` and its rows keep theirs, so a row does not depend
-        on its batch. The pass records a tape exactly when the parameters
-        require grad.
+        A list is CLS followed by integer vocabulary or UNK ids; PAD_ID is
+        refused. Every per-token op (embedding sum, layer norms, projections,
+        FFN, dropout, residuals) runs on the ``(n, d)`` packed rows of the n
+        tokens, in list order. Only each layer's attention core runs padded:
+        the rows are scattered to ``(B, T, ·)``, where T is the longest list,
+        and gathered back, and attention never reads a padded slot. CLS is
+        each list's first row; AVG averages the rows after it. Given
+        ``rngs``, dropout is on: list b draws its ``(T_b, d)`` masks from
+        ``rngs[b]``, so a row does not depend on its batch. The pass records
+        a tape exactly when the parameters require grad.
         """
         cfg = self.config
         token_lists = list(token_lists)
@@ -135,31 +135,32 @@ class Encoder:
         B, T = len(token_lists), int(lengths.max())
         if T > cfg.max_seq_len:
             raise ValueError(f"token sequence longer than max_seq_len={cfg.max_seq_len}")
-        flat = np.concatenate(token_lists).astype(np.int64)
-        if flat.size and (flat.min() < 0 or flat.max() >= self.params["token_emb"].shape[0]):
-            raise ValueError("token id out of vocabulary range")
-        ids = np.full((B, T), PAD_ID)
-        ids[np.arange(T) < lengths[:, None]] = flat
-        if lengths.min() == 0 or np.any(ids[:, 0] != CLS_ID):
-            raise ValueError("token sequence must start with CLS")
         # the (B, T) slots of the packed rows; row r is token pos[r] of list seq[r]
-        real = ids != PAD_ID
+        real = np.arange(T) < lengths[:, None]
         seq, pos = np.nonzero(real)
         starts = np.flatnonzero(pos == 0)
+        flat = np.concatenate(token_lists)
+        if lengths.min() == 0 or np.any(flat[starts] != CLS_ID):
+            raise ValueError("token sequence must start with CLS")
+        if not np.issubdtype(flat.dtype, np.integer):
+            raise ValueError(f"token ids must be integers, got {flat.dtype}")
+        if flat.min() < 0 or flat.max() >= self.params["token_emb"].shape[0]:
+            raise ValueError("token id out of vocabulary range")
+        if np.any(flat == PAD_ID):
+            raise ValueError(f"PAD_ID ({PAD_ID}) is not a token of a list")
         # AVG is one (B, n) averaging matrix times the rows: a list averages
         # its rows after CLS, or its CLS row if it has no other
         content = pos > 0
-        content[starts[np.bincount(seq[content], minlength=B) == 0]] = True
+        content[starts[lengths == 1]] = True
         avg = np.zeros((B, seq.size))
         avg[seq[content], np.flatnonzero(content)] = 1.0
         avg = Tensor(avg / avg.sum(axis=1, keepdims=True))
-        keep = flat != PAD_ID  # the dropout rows of the packed tokens
 
         p = self.params
-        x = p["token_emb"][ids[real]] + p["pos_emb"][pos]
-        x = self._dropout(x, rngs, lengths, keep, "emb")
+        x = p["token_emb"][flat] + p["pos_emb"][pos]
+        x = self._dropout(x, rngs, lengths, "emb")
 
-        # additive mask keeping every head's attention off PAD slots, per row
+        # additive mask keeping every head's attention off padded slots, per row
         key_mask = Tensor(np.where(real, 0.0, -1e9)[:, None, None, :])
 
         layers = []
@@ -167,11 +168,11 @@ class Encoder:
             pre = f"layer{i}."
             a_in = x.layer_norm(p[pre + "ln1_g"], p[pre + "ln1_b"])
             attn = self._attention(a_in, p, pre, real, key_mask)
-            x = x + self._dropout(attn, rngs, lengths, keep, f"attn{i}")
+            x = x + self._dropout(attn, rngs, lengths, f"attn{i}")
             f_in = x.layer_norm(p[pre + "ln2_g"], p[pre + "ln2_b"])
             hidden = (f_in @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"]).tanh()
             ffn = hidden @ p[pre + "ffn_w2"] + p[pre + "ffn_b2"]
-            x = x + self._dropout(ffn, rngs, lengths, keep, f"ffn{i}")
+            x = x + self._dropout(ffn, rngs, lengths, f"ffn{i}")
             layers += [x[starts], avg @ x]
         return Tensor.concat(layers, axis=1).reshape(B, cfg.num_layers, 2, cfg.hidden_dim)
 
@@ -206,17 +207,14 @@ class Encoder:
         out = (weights @ v).transpose(0, 2, 1, 3)[real].reshape(-1, d)
         return out @ p[prefix + "attn_o"]
 
-    def _dropout(self, x: Tensor, rngs, lengths: np.ndarray, keep: np.ndarray,
-                 tag: str) -> Tensor:
-        """Sequence b's (T_b, d) mask from ``rngs[b]``; the packed rows take
-        the rows of their tokens (``keep`` drops those of PAD tokens)."""
+    def _dropout(self, x: Tensor, rngs, lengths: np.ndarray, tag: str) -> Tensor:
+        """Sequence b's (T_b, d) mask from ``rngs[b]``, at b's packed rows."""
         if rngs is None or self.config.dropout_p == 0.0:
             return x
         d = x.shape[-1]
-        mask = np.concatenate([dropout_mask((int(n), d), self.config.dropout_p,
-                                            rng.child("dropout", tag))
-                               for rng, n in zip(rngs, lengths)])
-        return x * Tensor(mask[keep])
+        return x * Tensor(np.concatenate([dropout_mask((int(n), d), self.config.dropout_p,
+                                                       rng.child("dropout", tag))
+                                          for rng, n in zip(rngs, lengths)]))
 
 
 @dataclass

@@ -186,9 +186,9 @@ def build_index(matrix: EmbeddingMatrix, nlist: int, rng: Rng,
 
 def _unit_query(q, dim: int, top_k: int) -> np.ndarray:
     """The query as a float64 unit vector; the one place queries are checked."""
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    if q.shape[0] != dim:
-        raise ValueError(f"query dim {q.shape[0]} != index dim {dim}")
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (dim,):
+        raise ValueError(f"query of shape {q.shape} is not a vector of the index dim {dim}")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     norm = np.sqrt(np.vdot(q, q))  # np.linalg.norm's bits; vdot does not warn on overflow

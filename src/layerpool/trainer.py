@@ -21,14 +21,14 @@ from .objectives import VIEWS, loss_sup_basic, loss_sup_hard, loss_unsup, record
 from .pooler import PoolStrategy, init_pooler_params, pool
 
 CHECKPOINT_FORMAT = "layerpool-checkpoint"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 @dataclass
 class Checkpoint:
     config: TrainConfig
     params: dict[str, np.ndarray]      # encoder (unless frozen) + pooler arrays
-    adam_m: dict[str, np.ndarray]      # one per array that trains, shaped as it
+    adam_m: dict[str, np.ndarray]      # one per param, shaped as it
     adam_v: dict[str, np.ndarray]
     step: int
     vocab: dict[str, int]
@@ -86,7 +86,7 @@ def _initial_checkpoint(config: TrainConfig, corpus: list[dict],
                         init_from: Checkpoint | None,
                         frozen: FrozenFeatures | None) -> Checkpoint:
     """The step-0 checkpoint of a fresh or warm-started run: seeded arrays,
-    zero Adam state for exactly the arrays that train, and the vocabulary
+    zero Adam state for each of them, and the vocabulary
     (empty for a run over `frozen` features, which tokenizes nothing)."""
     rng = Rng(config.seed)
     if frozen is not None:
@@ -108,15 +108,8 @@ def _initial_checkpoint(config: TrainConfig, corpus: list[dict],
         tokenizer = Tokenizer.from_texts(rec[key] for rec in corpus
                                          for key in record_keys(config.objective))
         params, vocab = init_params(config, tokenizer.vocab_size, rng), tokenizer.vocab
-    return Checkpoint(config, params, _zero_moments(config, params),
-                      _zero_moments(config, params), 0, vocab)
-
-
-def _zero_moments(config: TrainConfig, params: dict) -> dict[str, np.ndarray]:
-    """Fresh Adam moments for exactly the arrays that train under `config`:
-    every param but the pooler MLP's under `freeze_mlp`."""
-    fixed = ("pooler.mlp_weight", "pooler.mlp_bias") if config.freeze_mlp else ()
-    return {name: np.zeros_like(a) for name, a in params.items() if name not in fixed}
+    return Checkpoint(config, params, {name: np.zeros_like(a) for name, a in params.items()},
+                      {name: np.zeros_like(a) for name, a in params.items()}, 0, vocab)
 
 
 def train(config: TrainConfig, corpus: list[dict],
@@ -132,8 +125,8 @@ def train(config: TrainConfig, corpus: list[dict],
     the token table has one row per vocabulary id, and a frozen-features run
     takes N and d from the frozen file, not from `config.encoder`.
 
-    Every run continues a checkpoint and updates exactly the arrays that
-    have Adam state in it. `resume_from` continues an interrupted run
+    Every run continues a checkpoint, whose every param has Adam state and
+    trains. `resume_from` continues an interrupted run
     (config, optimizer state, and step counter all come from the checkpoint).
     `init_from` warm-starts a new encoder run: encoder weights and vocabulary
     carry over, and the pooler, optimizer state and schedule start fresh
@@ -232,11 +225,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         for group, named in groups.items() for k, v in named.items()})
 
 
-def _check_params_fit(config: TrainConfig, params: dict, vocab: dict) -> None:
-    """Raise ValueError at the first param whose name or shape a fresh init
-    under `config` and `vocab` does not give, or at vocabulary ids that are
-    not the token table's rows after the reserved ones, each once."""
+def _check_params_fit(config: TrainConfig, groups: dict[str, dict], vocab: dict) -> None:
+    """Raise ValueError at vocabulary ids that are not the token table's rows
+    after the reserved ones, each once, or else at the first array of the
+    `param`, `adam_m` and `adam_v` groups, in that order, whose name or
+    shape a fresh init under `config` and `vocab` does not give."""
     rows = Tokenizer(vocab).vocab_size
+    params = groups["param"]
     if sorted(vocab.values()) != list(range(rows - len(vocab), rows)):
         raise ValueError(f"vocabulary ids must be {rows - len(vocab)} .. {rows - 1}, each once")
     if config.frozen_features is None:
@@ -244,11 +239,13 @@ def _check_params_fit(config: TrainConfig, params: dict, vocab: dict) -> None:
     else:  # the pooler's width d is the frozen file's, which only the arrays record
         w_q = params.get("pooler.w_q")
         fresh = init_pooler_params(w_q.shape[0] if w_q is not None and w_q.ndim else 0, Rng(0))
-    for name in [*fresh, *(n for n in params if n not in fresh)]:
-        got, want = (named[name].shape if name in named else "absent"
-                     for named in (params, fresh))
-        if got != want:
-            raise ValueError(f"param {name!r} is {got}, its config and vocabulary give {want}")
+    for group, arrays in groups.items():
+        for name in [*fresh, *(n for n in arrays if n not in fresh)]:
+            got, want = (named[name].shape if name in named else "absent"
+                         for named in (arrays, fresh))
+            if got != want:
+                raise ValueError(f"{group} {name!r} is {got}, its config and vocabulary "
+                                 f"give {want}")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -265,13 +262,7 @@ def load_checkpoint(path) -> Checkpoint:
             if group not in groups or array.dtype != "<f8":
                 raise ValueError(f"unexpected array {name!r} of dtype {array.dtype}")
             groups[group][key] = array
-        params, adam_m, adam_v = groups["param"], groups["adam_m"], groups["adam_v"]
-        _check_params_fit(config, params, vocab)
-        trains = {name: a.shape for name, a in _zero_moments(config, params).items()}
-        if any({name: a.shape for name, a in moments.items()} != trains
-               for moments in (adam_m, adam_v)):
-            raise ValueError("adam_m and adam_v must each hold one array per param that "
-                             "trains under the config, shaped as it")
+        _check_params_fit(config, groups, vocab)
     except (KeyError, ValueError) as exc:
         raise ArtifactCorruptError(f"malformed checkpoint header in {path}: {exc!r}") from exc
-    return Checkpoint(config, params, adam_m, adam_v, step, vocab)
+    return Checkpoint(config, groups["param"], groups["adam_m"], groups["adam_v"], step, vocab)

@@ -543,7 +543,7 @@ CHECKPOINT_EDITS = {
     "missing encoder key": drop(["meta", "config", "encoder", "num_heads"]),
     "string seed": set_in(["meta", "config", "seed"], "3"),
     "float batch_size": set_in(["meta", "config", "batch_size"], 4.5),
-    "string freeze_mlp": set_in(["meta", "config", "freeze_mlp"], "false"),
+    "bool epochs": set_in(["meta", "config", "epochs"], True),
     "list encoder": set_in(["meta", "config", "encoder"], []),
     "zero heads": set_in(["meta", "config", "encoder", "num_heads"], 0),
     "config not an object": set_in(["meta", "config"], "sup_basic"),

@@ -76,12 +76,17 @@ class TestValidateConfig:
             validate_config({"objective": "unsup", "corpus": "c",
                              "encoder": {"vocab_size": 200}})
 
+    def test_freeze_mlp_is_unknown(self):
+        # every param trains: the option to freeze the pooler MLP is gone
+        with pytest.raises(ConfigError, match="unknown config key 'freeze_mlp'"):
+            validate_config({"objective": "unsup", "corpus": "c", "freeze_mlp": False})
+
     def test_bad_objective(self):
         with pytest.raises(ConfigError, match="objective"):
             validate_config({"objective": "triplet", "corpus": "c"})
 
     @pytest.mark.parametrize("key, value, named", [
-        ("freeze_mlp", "false", "freeze_mlp"), ("batch_size", 16.7, "batch_size"),
+        ("temperature", "false", "temperature"), ("batch_size", 16.7, "batch_size"),
         ("seed", "3", "seed"), ("seed", True, "seed"),
         ("learning_rate", "0.1", "learning_rate"), ("frozen_features", 3, "frozen_features"),
         ("corpus", None, "corpus"), ("encoder", [], "encoder"),

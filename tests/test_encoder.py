@@ -23,14 +23,12 @@ from layerpool.encoder import (
 
 
 def reference_stack(encoder, tokens, rng=None) -> np.ndarray:
-    """One token list's (N, 2, d) stack in plain numpy, head by head: every
-    position is computed, PAD ones included, attention ignores PAD keys and
-    AVG the PAD rows; given ``rng``, each layer's (T, d) dropout masks come
-    from ``rng.child("dropout", tag)``."""
+    """One token list's (N, 2, d) stack in plain numpy, head by head; AVG
+    averages the rows after CLS, or the CLS row alone; given ``rng``, each
+    layer's (T, d) dropout masks come from ``rng.child("dropout", tag)``."""
     cfg = encoder.config
     p = {k: t.data for k, t in encoder.params.items()}
     tokens = np.asarray(tokens)
-    real = tokens != PAD_ID
     dh = cfg.hidden_dim // cfg.num_heads
 
     def dropout(x, tag):
@@ -42,8 +40,7 @@ def reference_stack(encoder, tokens, rng=None) -> np.ndarray:
         c = x - x.mean(axis=-1, keepdims=True)
         return c / np.sqrt((c * c).mean(axis=-1, keepdims=True) + 1e-6) * g + b
 
-    content = real.copy()
-    content[0] = not content[1:].any()
+    content = slice(1, None) if len(tokens) > 1 else slice(None)
     x = dropout(p["token_emb"][tokens] + p["pos_emb"][:len(tokens)], "emb")
     stack = []
     for i in range(cfg.num_layers):
@@ -52,7 +49,7 @@ def reference_stack(encoder, tokens, rng=None) -> np.ndarray:
         heads = []
         for h in range(cfg.num_heads):
             q, k, v = ((a @ w[n])[:, h * dh:(h + 1) * dh] for n in ("attn_q", "attn_k", "attn_v"))
-            scores = np.where(real, q @ k.T / np.sqrt(dh), -np.inf)
+            scores = q @ k.T / np.sqrt(dh)
             e = np.exp(scores - scores.max(axis=-1, keepdims=True))
             heads.append(e / e.sum(axis=-1, keepdims=True) @ v)
         x = x + dropout(np.concatenate(heads, axis=-1) @ w["attn_o"], f"attn{i}")
@@ -161,21 +158,23 @@ class TestEncode:
         with pytest.raises(ValueError, match="CLS"):
             encoder.encode([[3, 4]])
 
-    def test_avg_excludes_padding(self, encoder):
-        # pads appended after content must not change h^a or h^c
-        plain = encoder.encode([[CLS_ID, 3, 4]])
-        padded = encoder.encode([[CLS_ID, 3, 4, PAD_ID, PAD_ID]])
-        assert np.allclose(plain.data[0, :, 1], padded.data[0, :, 1], atol=1e-12)
-        assert np.allclose(plain.data[0, :, 0], padded.data[0, :, 0], atol=1e-12)
+    def test_empty_list_must_start_with_cls(self, encoder):
+        with pytest.raises(ValueError, match="CLS"):
+            encoder.encode([[CLS_ID, 3], []])
 
-    def test_avg_matches_independent_mean(self, small_config):
-        # recompute h^a by re-running and averaging token rows by hand:
-        # encode returns per-layer means over content positions, so a
-        # sentence of one token must have h_a equal to that token's row.
-        enc = Encoder(small_config, trainable(init_encoder_params(small_config, 12, Rng(1))))
-        stack = enc.encode([[CLS_ID, 7]])
-        stack2 = enc.encode([[CLS_ID, 7, PAD_ID]])
-        assert np.allclose(stack.data[0, :, 1], stack2.data[0, :, 1], atol=1e-12)
+    @pytest.mark.parametrize("tokens", [[CLS_ID, 3, PAD_ID, 4], [CLS_ID, 3, PAD_ID]],
+                             ids=["interior", "trailing"])
+    def test_pad_id_is_refused(self, encoder, tokens):
+        # the tokenizer never emits PAD_ID: a list is CLS then vocabulary or UNK ids
+        with pytest.raises(ValueError, match="PAD_ID"):
+            encoder.encode([[CLS_ID, 5], tokens])
+
+    @pytest.mark.parametrize("tokens", [[CLS_ID, 3.7], [CLS_ID, 3.0], [0.0, 3.0]],
+                             ids=["fraction", "whole-float", "float-cls"])
+    def test_float_ids_are_refused(self, encoder, tokens):
+        # a float id used to be truncated: [CLS_ID, 3.7] encoded as [CLS_ID, 3]
+        with pytest.raises(ValueError, match="integers, got float64"):
+            encoder.encode([tokens])
 
     def test_sentences_independent_of_batch_order(self, encoder):
         # encoding is per-sentence, so any interleaving gives identical stacks
@@ -199,7 +198,7 @@ class TestBatchedEncode:
         gen = np.random.default_rng(7)
         token_lists = [[CLS_ID] + list(gen.integers(3, 30, size=n))
                        for n in (1, 3, 7, 8, 9, 16, 23, 40)]
-        token_lists.append([CLS_ID, 5, 6, PAD_ID, 7, 8, PAD_ID, 9])
+        token_lists.append([CLS_ID, 5, 6, UNK_ID, 7, 8, UNK_ID, 9])
         rngs = [Rng(8).child("a", b) for b in range(len(token_lists))]
         weights = gen.normal(size=(len(token_lists), 2, 2, 8))
         params = long_encoder.params
@@ -237,10 +236,9 @@ class TestBatchedEncode:
 
     @pytest.mark.parametrize("dropout", [False, True])
     def test_matches_a_per_sequence_reference(self, long_encoder, dropout):
-        # a PAD inside a list gets no row of its own, yet the tokens after it
-        # keep their positions and every token keeps its dropout row
-        token_lists = [[CLS_ID, 5, 6, PAD_ID, 7, 8], [CLS_ID], [CLS_ID, PAD_ID, 9],
-                       [CLS_ID, 3, 4, 5, 6, 7, 8, 9, 10, 11], [CLS_ID, 12, PAD_ID]]
+        # lists of 1 to 10 tokens: each is computed as if it were alone
+        token_lists = [[CLS_ID, 5, 6, UNK_ID, 7, 8], [CLS_ID], [CLS_ID, UNK_ID, 9],
+                       [CLS_ID, 3, 4, 5, 6, 7, 8, 9, 10, 11], [CLS_ID, 12, UNK_ID]]
         rngs = [Rng(9).child(b) for b in range(len(token_lists))] if dropout else None
         batch = long_encoder.encode(token_lists, rngs)
         for b, tokens in enumerate(token_lists):

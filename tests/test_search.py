@@ -379,7 +379,9 @@ class TestQuery:
         (np.array([1.0, np.nan, 0.0, 0.0]), 10, "norm"),
         (np.array([1.0, np.inf, 0.0, 0.0]), 10, "norm"),
         (np.ones(4), 0, "top_k"),
-    ], ids=["dim", "zero", "nan", "inf", "top_k-0"])
+        (np.ones((2, 2)), 10, re.escape("query of shape (2, 2)")),
+        (np.ones((1, 4)), 10, re.escape("query of shape (1, 4)")),
+    ], ids=["dim", "zero", "nan", "inf", "top_k-0", "matrix-2x2", "matrix-1x4"])
     def test_both_searches_reject_a_bad_query(self, search, q, top_k, match):
         with pytest.raises(ValueError, match=match):
             search(random_matrix(10, 4), q, top_k)

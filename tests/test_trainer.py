@@ -170,17 +170,6 @@ class TestTrain:
         _, trace = train(tiny_config(batch_size=5), pair_corpus(13))
         assert len(trace) == 2  # 13 // 5
 
-    def test_freeze_mlp(self, tmp_path):
-        cfg = tiny_config(freeze_mlp=True)
-        before = init_params(tiny_config(freeze_mlp=True), TINY_VOCAB, Rng(cfg.seed))
-        ckpt, _ = train(cfg, pair_corpus(), max_steps=2)
-        # its checkpoint, which holds no MLP moments, loads and resumes frozen
-        save_checkpoint(ckpt, tmp_path / "ck")
-        ckpt, trace = train(cfg, pair_corpus(), resume_from=load_checkpoint(tmp_path / "ck"))
-        assert len(trace) == 2 and "pooler.mlp_weight" not in ckpt.adam_m
-        assert np.array_equal(ckpt.params["pooler.mlp_weight"], before["pooler.mlp_weight"])
-        assert np.array_equal(ckpt.params["pooler.mlp_bias"], before["pooler.mlp_bias"])
-
     def test_cls_last_leaves_pooler_untouched(self):
         cfg = tiny_config(strategy="cls_last")
         before = init_params(tiny_config(strategy="cls_last"), TINY_VOCAB, Rng(cfg.seed))
@@ -362,6 +351,18 @@ class TestCheckpoint:
             with pytest.raises(ArtifactVersionError):
                 load_checkpoint(tmp_path / "ck")
 
+    def test_version_6_rejected(self, tmp_path):
+        # a version-6 header carried freeze_mlp, which version 7 no longer has
+        ckpt, _ = train(tiny_config(), pair_corpus(), max_steps=1)
+        save_checkpoint(ckpt, tmp_path / "ck")
+        header = json.loads((tmp_path / "ck" / "header.json").read_text())
+        header["version"] = 6
+        header["meta"]["config"]["freeze_mlp"] = False
+        (tmp_path / "ck" / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ArtifactVersionError, match="version 7, found "
+                                                      "'layerpool-checkpoint' version 6"):
+            load_checkpoint(tmp_path / "ck")
+
     def test_rewritten_tensor_rejected(self, tmp_path):
         # same length, other bytes
         ckpt, _ = train(tiny_config(), pair_corpus())
@@ -461,9 +462,13 @@ class TestCheckpoint:
         with pytest.raises(ArtifactCorruptError, match="'token_emb' is absent"):
             load_checkpoint(tmp_path / "ck")
 
-    @pytest.mark.parametrize("tamper", ["unpaired", "no_param", "shape", "untrained",
-                                        "now_freeze_mlp"])
-    def test_adam_state_must_match_params(self, tmp_path, tamper):
+    @pytest.mark.parametrize("tamper, named", [
+        ("unpaired", "adam_v 'pos_emb' is absent"),
+        ("no_param", "adam_m 'nope' is (8,), its config and vocabulary give absent"),
+        ("shape", "adam_v 'pos_emb' is (7, 8), its config and vocabulary give (8, 8)"),
+        ("untrained", "adam_m 'pooler.w_q' is absent"),
+    ], ids=["unpaired", "no_param", "shape", "untrained"])
+    def test_adam_state_must_match_params(self, tmp_path, tamper, named):
         ckpt, _ = train(tiny_config(), pair_corpus(), max_steps=1)
         if tamper == "unpaired":
             del ckpt.adam_v["pos_emb"]
@@ -474,9 +479,15 @@ class TestCheckpoint:
         elif tamper == "untrained":  # a resumed run would never update pooler.w_q
             del ckpt.adam_m["pooler.w_q"], ckpt.adam_v["pooler.w_q"]
         save_checkpoint(ckpt, tmp_path / "ck")
-        if tamper == "now_freeze_mlp":  # a resumed run would train the frozen MLP
-            self.edit_meta(tmp_path / "ck", lambda m: m["config"].update(freeze_mlp=True))
-        with pytest.raises(ArtifactCorruptError, match="adam_m and adam_v"):
+        with pytest.raises(ArtifactCorruptError, match=re.escape(named)):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_freeze_mlp_is_an_unknown_config_key(self, tmp_path):
+        # the option is gone: every param trains, so a header naming it is corrupt
+        ckpt, _ = train(tiny_config(), pair_corpus(), max_steps=1)
+        save_checkpoint(ckpt, tmp_path / "ck")
+        self.edit_meta(tmp_path / "ck", lambda m: m["config"].update(freeze_mlp=False))
+        with pytest.raises(ArtifactCorruptError, match="unknown config key 'freeze_mlp'"):
             load_checkpoint(tmp_path / "ck")
 
 
