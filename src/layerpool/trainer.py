@@ -231,13 +231,12 @@ def _check_params_fit(config: TrainConfig, groups: dict[str, dict], vocab: dict)
     `param`, `adam_m` and `adam_v` groups, in that order, whose name or
     shape a fresh init under `config` and `vocab` does not give."""
     rows = Tokenizer(vocab).vocab_size
-    params = groups["param"]
     if sorted(vocab.values()) != list(range(rows - len(vocab), rows)):
         raise ValueError(f"vocabulary ids must be {rows - len(vocab)} .. {rows - 1}, each once")
     if config.frozen_features is None:
         fresh = init_params(config, rows, Rng(0))
     else:  # the pooler's width d is the frozen file's, which only the arrays record
-        w_q = params.get("pooler.w_q")
+        w_q = groups["param"].get("pooler.w_q")
         fresh = init_pooler_params(w_q.shape[0] if w_q is not None and w_q.ndim else 0, Rng(0))
     for group, arrays in groups.items():
         for name in [*fresh, *(n for n in arrays if n not in fresh)]:

@@ -539,6 +539,7 @@ def drop(keys):
 CHECKPOINT_EDITS = {
     "unknown config key": set_in(["meta", "config", "warmup"], 1),
     "unknown encoder key": set_in(["meta", "config", "encoder", "layers"], 2),
+    "freeze_mlp key": set_in(["meta", "config", "freeze_mlp"], False),
     "missing config key": drop(["meta", "config", "seed"]),
     "missing encoder key": drop(["meta", "config", "encoder", "num_heads"]),
     "string seed": set_in(["meta", "config", "seed"], "3"),

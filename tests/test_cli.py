@@ -77,7 +77,7 @@ class TestValidateConfig:
                              "encoder": {"vocab_size": 200}})
 
     def test_freeze_mlp_is_unknown(self):
-        # every param trains: the option to freeze the pooler MLP is gone
+        # every param trains, so no config key freezes the pooler MLP
         with pytest.raises(ConfigError, match="unknown config key 'freeze_mlp'"):
             validate_config({"objective": "unsup", "corpus": "c", "freeze_mlp": False})
 
