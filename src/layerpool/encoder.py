@@ -114,16 +114,17 @@ class Encoder:
     def encode(self, token_lists, rngs: list[Rng] | None = None) -> Tensor:
         """(B, N, 2, d) layer stacks of B token lists in one packed forward pass.
 
-        A list is CLS followed by integer vocabulary or UNK ids; PAD_ID is
-        refused. Every per-token op (embedding sum, layer norms, projections,
-        FFN, dropout, residuals) runs on the ``(n, d)`` packed rows of the n
-        tokens, in list order. Only each layer's attention core runs padded:
-        the rows are scattered to ``(B, T, ·)``, where T is the longest list,
-        and gathered back, and attention never reads a padded slot. CLS is
-        each list's first row; AVG averages the rows after it. Given
-        ``rngs``, dropout is on: list b draws its ``(T_b, d)`` masks from
-        ``rngs[b]``, so a row does not depend on its batch. The pass records
-        a tape exactly when the parameters require grad.
+        A list is CLS followed by integer vocabulary or UNK ids; CLS_ID or
+        PAD_ID after the first position is refused. Every per-token op
+        (embedding sum, layer norms, projections, FFN, dropout, residuals)
+        runs on the ``(n, d)`` packed rows of the n tokens, in list order.
+        Only each layer's attention core runs padded: the rows are scattered
+        to ``(B, T, ·)``, where T is the longest list, and gathered back, and
+        attention never reads a padded slot. CLS is each list's first row;
+        AVG averages the rows after it. Given ``rngs``, dropout is on: list b
+        draws its ``(T_b, d)`` masks from ``rngs[b]``, so a row does not
+        depend on its batch. The pass records a tape exactly when the
+        parameters require grad.
         """
         cfg = self.config
         token_lists = list(token_lists)
@@ -146,8 +147,12 @@ class Encoder:
             raise ValueError(f"token ids must be integers, got {flat.dtype}")
         if flat.min() < 0 or flat.max() >= self.params["token_emb"].shape[0]:
             raise ValueError("token id out of vocabulary range")
-        if np.any(flat == PAD_ID):
-            raise ValueError(f"PAD_ID ({PAD_ID}) is not a token of a list")
+        after_cls = np.flatnonzero((pos > 0) & (flat < UNK_ID))
+        if after_cls.size:
+            r = after_cls[0]
+            raise ValueError(f"list {seq[r]} has id {flat[r]} at position {pos[r]}: after CLS "
+                             f"a list holds UNK_ID ({UNK_ID}) or vocabulary ids, not CLS_ID "
+                             f"({CLS_ID}) or PAD_ID ({PAD_ID})")
         # AVG is one (B, n) averaging matrix times the rows: a list averages
         # its rows after CLS, or its CLS row if it has no other
         content = pos > 0

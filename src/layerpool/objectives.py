@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, rescue_shifts
+from .autodiff import Tensor, check_norms
 
 # each objective's views in loss-argument order: (corpus record key, dropout tag)
 VIEWS = {
@@ -29,32 +29,20 @@ def record_keys(objective: str) -> tuple[str, ...]:
 DEFAULT_TEMPERATURE = 0.05
 
 
-def _check_rows(h: Tensor, name: str) -> None:
-    # an all-zero row has no direction; any other row has one, even when its
-    # squared norm underflows to 0 (_normalize_rows rescales such a row)
-    bad = np.nonzero(~h.data.any(axis=1))[0]
-    if bad.size:
-        raise ValueError(f"{name}: zero-norm embedding at row {int(bad[0])}")
-
-
-def _normalize_rows(h: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # an overflowing norm is rescued
-        sq = (h * h).sum(axis=1, keepdims=True)
-    shifts = rescue_shifts(h.data, np.sqrt(sq.data[:, 0]))
-    if shifts is not None:
-        # an exact power-of-two factor per row keeps each direction and, being 1
-        # for the other rows, their bits; 2**1023 is the largest finite one and
-        # already lifts a subnormal max |h| to at least 2**-51
-        h = h * np.ldexp(1.0, np.minimum(shifts, 1023))
-        sq = (h * h).sum(axis=1, keepdims=True)
-    return h / sq**0.5
+def _normalize_rows(h: Tensor, name: str) -> Tensor:
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norms = (h * h).sum(axis=1, keepdims=True) ** 0.5
+    check_norms(norms.data[:, 0], name)
+    return h / norms
 
 
 def similarity_matrix(h_a: Tensor, h_b: Tensor) -> Tensor:
-    """Pairwise cosine similarities, differentiable: (M, M') for M x d inputs."""
-    _check_rows(h_a, "similarity_matrix lhs")
-    _check_rows(h_b, "similarity_matrix rhs")
-    return _normalize_rows(h_a) @ _normalize_rows(h_b).T
+    """Pairwise cosine similarities, differentiable: (M, M') for M x d inputs.
+
+    Every row's norm must lie in [NORM_FLOOR, inf) (``check_norms``); a NaN
+    row passes and gives NaN similarities."""
+    return (_normalize_rows(h_a, "similarity_matrix lhs")
+            @ _normalize_rows(h_b, "similarity_matrix rhs").T)
 
 
 def _info_nce(h: Tensor, candidates: Tensor, tau: float) -> Tensor:

@@ -7,6 +7,7 @@ product induce the same ordering. The index is immutable after build.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -14,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .artifact import ArtifactCorruptError, read_dir, write_dir
-from .autodiff import NORM_FLOOR, Rng, rescue_norms
+from .autodiff import Rng, check_norms
 from .pooler import PoolStrategy, pool
 from .trainer import Checkpoint
 
@@ -22,8 +23,8 @@ from .trainer import Checkpoint
 @dataclass
 class EmbeddingMatrix:
     """float32 unit rows, one per sentence, and their uint32 ids: row i's id is
-    i. The one place rows are checked (2-D, finite, nonzero) and normalized in
-    float64."""
+    i. The one place rows are checked (2-D, finite, each norm in
+    [NORM_FLOOR, inf) by ``check_norms``) and normalized in float64."""
 
     vectors: np.ndarray = field(repr=False)
     ids: np.ndarray = field(init=False, repr=False)
@@ -32,10 +33,9 @@ class EmbeddingMatrix:
         x = np.asarray(self.vectors, dtype=np.float64)
         if x.ndim != 2 or not np.isfinite(x).all():
             raise ValueError(f"embeddings must be a finite 2-D matrix, got shape {x.shape}")
-        with np.errstate(over="ignore"):  # an overflowing norm is rescued
-            x, norms = rescue_norms(x, np.linalg.norm(x, axis=1))
-        if not norms.all():  # argmin: the first zero norm
-            raise ValueError(f"embedding at row {int(norms.argmin())} is all zeros")
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            norms = np.linalg.norm(x, axis=1)
+        check_norms(norms, "embedding")
         self.vectors = (x / norms[:, None]).astype(np.float32)
         self.ids = np.arange(x.shape[0], dtype=np.uint32)
 
@@ -185,17 +185,17 @@ def build_index(matrix: EmbeddingMatrix, nlist: int, rng: Rng,
 
 
 def _unit_query(q, dim: int, top_k: int) -> np.ndarray:
-    """The query as a float64 unit vector; the one place queries are checked."""
+    """The query as a float64 unit vector; the one place queries are checked:
+    finite entries and a norm in [NORM_FLOOR, inf) (``check_norms``)."""
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (dim,):
         raise ValueError(f"query of shape {q.shape} is not a vector of the index dim {dim}")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     norm = np.sqrt(np.vdot(q, q))  # np.linalg.norm's bits; vdot does not warn on overflow
-    if not NORM_FLOOR <= norm < np.inf:  # cheaper than the helper's own test
-        q, norm = rescue_norms(q, norm)
-    if not 0.0 < norm < np.inf:
-        raise ValueError(f"query needs finite entries and a nonzero norm, got norm {norm}")
+    if math.isnan(norm):
+        raise ValueError("query needs finite entries, got norm nan")
+    check_norms(norm, "query")
     return q / norm
 
 
