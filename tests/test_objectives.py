@@ -72,22 +72,14 @@ class TestSimilarityMatrix:
     @pytest.mark.parametrize("row", [[1e-200, 0.0], [5e-324, 5e-324], [3e-160, -3e-160],
                                      [1e200, 1e200]])
     def test_norms_that_underflow_or_overflow(self, row):
+        # each norm is inf, or below NORM_FLOOR when measured in float64
         gen = np.random.default_rng(11)
         other, rhs = gen.normal(size=(1, 3)), gen.normal(size=(2, 3))
         padded = np.array([row + [0.0]])
-        sims = similarity_matrix(Tensor(np.concatenate([padded, other])), Tensor(rhs)).data
-        unit = padded / np.abs(padded).max()
-        expected = similarity_matrix(Tensor(np.concatenate([unit, other])), Tensor(rhs)).data
-        assert np.allclose(sims, expected, rtol=0.0, atol=1e-15)
-
-    def test_tiny_row_gradient(self):
-        gen = np.random.default_rng(12)
-        rest, rhs, w = (Tensor(gen.normal(size=s)) for s in ((2, 3), (3, 3), (3, 3)))
-        tiny = gen.normal(size=(1, 3)) * 1e-200
-        err = grad_check(
-            lambda ts: (similarity_matrix(Tensor.concat([ts[0], rest]), rhs) * w).sum(),
-            [tiny], eps=1e-206)
-        assert err < 1e-6
+        with pytest.raises(ValueError, match="similarity_matrix lhs row 0 has norm"):
+            similarity_matrix(Tensor(np.concatenate([padded, other])), Tensor(rhs))
+        with pytest.raises(ValueError, match="similarity_matrix rhs row 1 has norm"):
+            similarity_matrix(Tensor(rhs), Tensor(np.concatenate([other, padded])))
 
 
 def orthogonal_pair():
