@@ -19,6 +19,7 @@ import math
 import os
 import re
 import shutil
+import tokenize
 
 import numpy as np
 
@@ -176,44 +177,64 @@ def _valid_entry(e) -> bool:
             and isinstance(e["sha256"], str))
 
 
-def read_npy(path, sha256: str | None = None) -> np.ndarray:
-    """The bool, integer or float array of a format 1.0 `.npy` file, as a view
-    of the one buffer the file is read into. Any other file (`.npz`) or dtype
-    (object, structured) is `ArtifactVersionError`; a truncated or malformed
-    one, or one whose sha256 is not the hex digest `sha256`, is
-    `ArtifactCorruptError`. Directory members pass their digest; frozen
-    features and embeddings do not, as `train` re-reads its frozen features
-    on every call."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        buf = np.empty(size, np.uint8)
-        if fh.readinto(buf) != size:
-            raise ArtifactCorruptError(f"{path} shrank while it was read")
-    if sha256 is not None and hashlib.sha256(buf).hexdigest() != sha256:
-        raise ArtifactCorruptError(f"{path}: sha256 does not match the header")
-    magic = buf[:len(_NPY_MAGIC)].tobytes()
+def _npy_layout(path, head: bytes) -> tuple[tuple, bool, np.dtype]:
+    """(shape, fortran_order, dtype) of the `.npy` header bytes `head`: the
+    magic, the uint16 header length and the header it gives."""
+    magic = head[:len(_NPY_MAGIC)]
     if magic != _NPY_MAGIC:
         if _NPY_MAGIC.startswith(magic):
             raise ArtifactCorruptError(f"{path}: .npy header truncated")
         raise ArtifactVersionError(f"{path} is not a .npy file of format 1.0")
-    # after the magic: a uint16 header length, then at most 65535 header bytes
-    header = io.BytesIO(buf[len(_NPY_MAGIC):len(_NPY_MAGIC) + 2 + 0xFFFF].tobytes())
     try:
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(header)
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(
+            io.BytesIO(head[len(_NPY_MAGIC):]))
         if min(shape, default=0) < 0:
             raise ValueError(f"negative dimension in shape {shape}")
-    except ValueError as exc:
+    # numpy's fallback header parser tokenizes, which raises these on some bytes
+    except (ValueError, SyntaxError, tokenize.TokenError) as exc:
         raise ArtifactCorruptError(f"{path}: malformed .npy header: {exc}") from exc
     if dtype.kind not in "biuf":
         raise ArtifactVersionError(f"{path}: .npy of dtype {dtype}, expected a bool, "
                                    "integer or float array")
-    data, expected = buf[len(_NPY_MAGIC) + header.tell():], math.prod(shape) * dtype.itemsize
-    if data.size != expected:
-        raise ArtifactCorruptError(f"{path} holds {data.size} bytes of array data, "
-                                   f"its header implies {expected}")
-    # a Fortran-order file holds the C-order bytes of the transpose
-    array = data.view(dtype).reshape(shape[::-1] if fortran_order else shape)
-    return array.T if fortran_order else array
+    return shape, fortran_order, dtype
+
+
+def read_npy(path, sha256: str | None = None) -> np.ndarray:
+    """The bool, integer or float array of a format 1.0 `.npy` file, read
+    into an array of its own of exactly the array's size, after the header
+    bytes. Any other file (`.npz`) or dtype (object, structured) is
+    `ArtifactVersionError`; a truncated or malformed one, or one whose sha256
+    is not the hex digest `sha256`, is `ArtifactCorruptError`, the digest
+    checked first. Directory members pass their digest; frozen features and
+    embeddings do not, as `train` re-reads its frozen features on every call."""
+    array = fault = None
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        # the magic and a uint16 header length, then that many header bytes
+        head = fh.read(len(_NPY_MAGIC) + 2)
+        if head[:len(_NPY_MAGIC)] == _NPY_MAGIC and len(head) == len(_NPY_MAGIC) + 2:
+            head += fh.read(int.from_bytes(head[-2:], "little"))
+        try:
+            shape, fortran_order, dtype = _npy_layout(path, head)
+            expected = math.prod(shape) * dtype.itemsize
+            if size - len(head) != expected:
+                raise ArtifactCorruptError(f"{path} holds {size - len(head)} bytes of array "
+                                           f"data, its header implies {expected}")
+            # a Fortran-order file holds the bytes of the array in Fortran order
+            array = np.empty(shape, dtype, order="F" if fortran_order else "C")
+            data = array.ravel(order="K").view(np.uint8)
+        except (ArtifactCorruptError, ArtifactVersionError) as exc:
+            fault, data = exc, np.empty(size - len(head), np.uint8)  # read for the digest
+        if fh.readinto(data) != data.size:
+            raise ArtifactCorruptError(f"{path} shrank while it was read")
+    if sha256 is not None:
+        digest = hashlib.sha256(head)
+        digest.update(data)
+        if digest.hexdigest() != sha256:
+            raise ArtifactCorruptError(f"{path}: sha256 does not match the header")
+    if fault is not None:
+        raise fault
+    return array
 
 
 def read_dir(path, format: str, version: int) -> tuple[dict, dict[str, np.ndarray]]:

@@ -64,14 +64,15 @@ def embed_corpus(checkpoint: Checkpoint, texts: list[str],
                                         strategy, checkpoint.config.norm_mode).data)
 
 
-def _sq_dists(x: np.ndarray, c: np.ndarray, xx: np.ndarray | None = None) -> np.ndarray:
-    """(m, k) squared L2 distances ||x||² − 2x·cᵀ + ||c||², with no (m, k, d) array;
-    `xx` is (x * x).sum(1) when the caller already has it."""
+def _sq_dists(x: np.ndarray, c: np.ndarray, xx: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """(m, k) squared L2 distances ||x||² − 2x·cᵀ + ||c||², with no (m, k, d) array,
+    written to `out` when given; `xx` is (x * x).sum(1) when the caller already has it."""
     if xx is None:
         xx = (x * x).sum(1)
     # built in the one GEMM output: −2g + a + b has the bits of a − 2g + b,
     # since a − b is a + (−b) in IEEE arithmetic and addition commutes
-    d = x @ c.T
+    d = np.matmul(x, c.T, out=out)
     d *= -2.0
     d += xx[:, None]
     d += (c * c).sum(1)
@@ -86,19 +87,10 @@ def _group(assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=k))))
 
 
-def kmeans_fit(x: np.ndarray, k: int, rng: Rng, max_iters: int = 25) -> np.ndarray:
-    """k-means++ seeding followed by Lloyd iterations to a fixpoint.
-
-    Empty clusters are re-seeded from the point farthest from its centroid.
-    """
-    x = np.asarray(x, dtype=np.float64)
+def _kmeans_pp(x: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: k rows of `x`, each drawn with probability
+    proportional to its squared distance from the nearest row drawn before."""
     m = x.shape[0]
-    if not 1 <= k <= m:
-        raise ValueError(f"k={k} is below 1 or exceeds {m} points")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    gen = rng.child("kmeans").generator()
-
     diff = np.empty_like(x)  # the layout `x - c` would get, so each row sums alike
 
     def sq_dist_to(c: np.ndarray) -> np.ndarray:
@@ -116,11 +108,29 @@ def kmeans_fit(x: np.ndarray, k: int, rng: Rng, max_iters: int = 25) -> np.ndarr
         else:
             centroids[i] = x[gen.choice(m, p=d2 / total)]
         np.minimum(d2, sq_dist_to(centroids[i]), out=d2)
+    return centroids
+
+
+def kmeans_fit(x: np.ndarray, k: int, rng: Rng, max_iters: int = 25) -> np.ndarray:
+    """k-means++ seeding followed by Lloyd iterations to a fixpoint.
+
+    Empty clusters are re-seeded from the point farthest from its centroid.
+    Beside the float64 rows, the fit holds one (m, k) distance buffer, which
+    every Lloyd pass reuses; the seeding's buffers are freed before it.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    m = x.shape[0]
+    if not 1 <= k <= m:
+        raise ValueError(f"k={k} is below 1 or exceeds {m} points")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    centroids = _kmeans_pp(x, k, rng.child("kmeans").generator())
 
     xx = (x * x).sum(1)
+    dists = np.empty((m, k))
     assign = np.full(m, -1)
     for _ in range(max_iters):
-        dists = _sq_dists(x, centroids, xx)
+        _sq_dists(x, centroids, xx, out=dists)
         new_assign = dists.argmin(axis=1)
         order, offsets = _group(new_assign, k)
         for c in range(k):

@@ -286,6 +286,24 @@ def test_read_npy_reads_into_one_buffer(digest, tmp_path):
     assert array.nbytes <= peak < array.nbytes * 9 // 8  # no second full-size copy
 
 
+@pytest.mark.parametrize("array", [
+    np.arange(12.0).reshape(3, 4),
+    np.asfortranarray(np.arange(24, dtype=">i4").reshape(2, 3, 4)),
+    np.array(2.5),
+    np.zeros((0, 3), dtype=np.float32),
+    np.array([True, False]),
+], ids=["c-order", "fortran-order", "0-d", "empty", "bool"])
+def test_read_npy_returns_an_array_that_owns_its_buffer(array, tmp_path):
+    # not a view of a buffer holding the whole file, header bytes included
+    np.save(tmp_path / "a.npy", array)
+    got = read_npy(tmp_path / "a.npy")
+    assert got.base is None and got.flags.writeable
+    assert got.dtype == array.dtype and got.shape == array.shape
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (array.flags.c_contiguous,
+                                                                array.flags.f_contiguous)
+    assert np.array_equal(got, array)
+
+
 def _npy_with_header(header: str, data: bytes = b"") -> bytes:
     text = header.encode("latin1")
     return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text + data
@@ -328,7 +346,10 @@ def test_npy_of_another_format_is_a_version_error(kind, blob, tmp_path):
     ("{'descr': '<f4', 'fortran_order': False}", b""),
     ("{'descr': 'zz', 'fortran_order': False, 'shape': (1,), }", bytes(4)),
     ("not a dict", b""),
-], ids=["long", "short", "negative", "huge", "no-shape", "bad-dtype", "not-a-dict"])
+    ("{'descr': '<f4', 'fortran_order': False, 'shape': (2,", bytes(8)),
+    ("{'descr': '<f4', 'fortran_order': False, 'shape': (2,), }\n    x\n  y\n", bytes(8)),
+], ids=["long", "short", "negative", "huge", "no-shape", "bad-dtype", "not-a-dict",
+        "token-error", "indentation-error"])
 def test_malformed_npy_is_corrupt(header, data, tmp_path):
     (tmp_path / "a").write_bytes(_npy_with_header(header, data))
     with pytest.raises(ArtifactCorruptError):

@@ -4,6 +4,9 @@ import struct
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from layer_stacks import trainable
 from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError
 from layerpool.autodiff import Rng, Tensor, dropout_mask
@@ -17,6 +20,7 @@ from layerpool.encoder import (
     FrozenFeatures,
     Tokenizer,
     init_encoder_params,
+    length_groups,
     load_frozen,
     save_frozen,
 )
@@ -264,6 +268,68 @@ class TestBatchedEncode:
         long_encoder.encode(token_lists, [Rng(2).child(b) for b in range(3)])
         assert len(seen) >= 4 * cfg.num_layers
         assert set(seen) == {(13,)}
+
+    @pytest.fixture
+    def long_chunk(self):
+        # an inference chunk of 64 lists of 1-41 tokens, every length but one twice
+        gen = np.random.default_rng(11)
+        lengths = gen.permutation(np.tile(np.arange(1, 42), 2))[:INFERENCE_CHUNK]
+        return [[CLS_ID] + list(gen.integers(UNK_ID, 30, size=n - 1)) for n in lengths]
+
+    def test_long_chunk_runs_length_groups(self, long_encoder, long_chunk, monkeypatch):
+        # each layer runs one softmax per group, on fewer score entries than the
+        # (B, H, T, T) of one padded group, while q/k/v and the output
+        # projection each stay one matmul over the call's packed rows
+        cfg, softmax, matmul = long_encoder.config, Tensor.softmax, Tensor.__matmul__
+        scores, rows = [], []
+
+        def counting(t, axis=-1):
+            scores.append(t.shape)
+            return softmax(t, axis=axis)
+
+        def recording(a, b):
+            if np.ndim(b.data) == 2 and b.shape[0] in (cfg.hidden_dim, cfg.ffn_dim):
+                rows.append(a.shape[:-1])
+            return matmul(a, b)
+
+        monkeypatch.setattr(Tensor, "softmax", counting)
+        monkeypatch.setattr(Tensor, "__matmul__", recording)
+        long_encoder.encode(long_chunk)
+        B, T, H = len(long_chunk), max(map(len, long_chunk)), cfg.num_heads
+        groups = len(length_groups(np.array([len(t) for t in long_chunk]))) - 1
+        assert groups > 1 and len(scores) == groups * cfg.num_layers
+        assert sum(np.prod(s) for s in scores) < cfg.num_layers * B * H * T * T
+        assert set(rows) == {(sum(map(len, long_chunk)),)}
+        assert len(rows) == 4 * cfg.num_layers  # q/k/v, output, two FFN
+
+    def test_grouped_rows_match_singleton_encodes(self, long_encoder, long_chunk):
+        batch = long_encoder.encode(long_chunk).data
+        for b, tokens in enumerate(long_chunk):
+            assert np.max(np.abs(batch[b] - long_encoder.encode([tokens]).data[0])) <= 1e-13
+
+    def test_grouped_call_names_the_callers_list(self, long_encoder, long_chunk):
+        # the lists run sorted by length, but a refusal names the list as passed
+        b = next(b for b, tokens in enumerate(long_chunk) if len(tokens) == 20)
+        long_chunk[b][7] = PAD_ID
+        assert len(length_groups(np.array([len(t) for t in long_chunk]))) > 2
+        with pytest.raises(ValueError, match=re.escape(f"list {b} has id 1 at position 7")):
+            long_encoder.encode(long_chunk)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 64), min_size=1, max_size=96), st.randoms())
+    def test_groups_depend_only_on_the_lengths(self, lengths, random):
+        bounds = length_groups(np.array(lengths))
+        shuffled = list(lengths)
+        random.shuffle(shuffled)
+        assert np.array_equal(length_groups(np.array(shuffled)), bounds)
+        ordered = np.sort(lengths)
+        assert bounds[0] == 0 and bounds[-1] == len(lengths) and np.all(np.diff(bounds) > 0)
+        # a cut never parts two lists of one length
+        assert all(ordered[c - 1] < ordered[c] for c in bounds[1:-1])
+
+    def test_uniform_or_short_lists_take_one_group(self):
+        assert list(length_groups(np.full(256, 41))) == [0, 256]
+        assert list(length_groups(np.array([3, 1, 2]))) == [0, 3]
 
     def test_inference_records_no_tape(self, small_config):
         # constant parameters, as Checkpoint.encoder() passes them

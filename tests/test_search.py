@@ -252,6 +252,20 @@ class TestKmeans:
             assert np.allclose(dists, reference, rtol=0, atol=1e-12)
             assert np.array_equal(dists.argmin(axis=1), reference.argmin(axis=1))
 
+    def test_fit_holds_two_full_size_arrays(self):
+        # the float64 rows and one (m, k) distance buffer, here as large as
+        # the rows; a seeding buffer kept alive, or a fresh distance array per
+        # pass, would add another full-size array
+        m, d = 4000, 16
+        x = Rng(1).generator().normal(size=(m, d)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            kmeans_fit(x, d, Rng(2), max_iters=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * m * d * 8, peak / (m * d * 8)
+
     def test_inertia_non_increasing(self):
         gen = Rng(4).generator()
         x = gen.normal(size=(60, 5))
