@@ -173,6 +173,7 @@ class Encoder:
             raise ValueError(f"token sequence longer than max_seq_len={cfg.max_seq_len}")
         bounds, order = length_groups(lengths), None
         if len(bounds) > 2:
+            # run the lists sorted by length, so each group's lists and rows are contiguous
             order = np.argsort(lengths, kind="stable")
             token_lists = [token_lists[b] for b in order]
             rngs = None if rngs is None else [rngs[b] for b in order]
