@@ -9,14 +9,13 @@ A layer stack is one Tensor of shape (..., N, 2, d): [..., i, 0] is layer
 i's CLS vector h^c and [..., i, 1] its mean-token vector h^a.
 
 A token list is CLS followed by vocabulary or UNK ids. A batch runs packed:
-the n tokens of its B lists are the rows of one (n, d) array, and every
-per-token op runs on those rows only. Each layer's attention core alone runs
-padded, per length group (see `length_groups`): a group's lists are padded
-to (B_g, T_g) slots, T_g its longest list, entered by one scatter and left by
-one boolean gather. A call of one group, as a default training batch of 4-9
-word texts is, runs its rows in list order at the call's longest list; a
-call of several runs its lists sorted by length and puts the stacks back in
-list order at the end.
+the n tokens of its B lists are the rows of one (n, d) array, in list
+order, and every per-token op runs on those rows only. Each layer's
+attention core alone runs on the padded (B, T) slots, T the longest list,
+entered by one scatter and left by one boolean gather. Inference
+(`Encoder.encode_texts`) sorts its texts by length and cuts them into length
+groups (see `length_groups`), so each batch it runs pads to its own longest
+list.
 """
 
 from __future__ import annotations
@@ -34,17 +33,16 @@ PAD_ID = 1
 UNK_ID = 2
 _NUM_RESERVED = 3
 
-# texts per forward pass of encode_texts, which only runs inference: a chunk's
-# per-token work grows with its tokens, its attention core with the sum of
-# B_g x T_g^2 over its length groups and its AVG averaging matrix with
-# chunk x tokens
+# most texts per forward pass of encode_texts, which only runs inference: a
+# pass's per-token work grows with its tokens, its attention core with
+# pass x T^2 (T its longest text) and its AVG averaging matrix with
+# pass x tokens, so a length group longer than this runs in several passes
 INFERENCE_CHUNK = 64
 
 # padded score entries per head (lists x slots^2) that one more length group
-# must save to pay for its own scatter, softmax and gather in every layer.
-# Chunks of 64 texts of 1-40 words ran fastest at costs of 1024-3072 (default
-# encoder, 1 BLAS thread); at the top of that range a default training batch
-# (48 lists of 5-10 tokens) splits only if 41 of its texts have 4 words
+# must save to pay for one more encode call. Serve-like calls of 1-40 word
+# texts ran as fast at costs of 1024 and 3072 and slower at 6144 and 12288
+# (default encoder, 1 BLAS thread)
 GROUP_COST = 3072
 
 
@@ -87,6 +85,9 @@ class Tokenizer:
         return _NUM_RESERVED + len(self.vocab)
 
     def encode(self, text: str, max_seq_len: int) -> list[int]:
+        """CLS followed by the ids of the text's whitespace-split words, an
+        unknown word as UNK_ID. Only the first ``max_seq_len - 1`` words are
+        kept: longer texts are truncated to ``max_seq_len`` tokens."""
         if not text.strip():
             raise ValueError("cannot tokenize empty text")
         ids = [self.vocab.get(w, UNK_ID) for w in text.split()]
@@ -149,17 +150,14 @@ class Encoder:
         A list is CLS followed by integer vocabulary or UNK ids; CLS_ID or
         PAD_ID after the first position is refused. Every per-token op
         (embedding sum, layer norms, projections, FFN, dropout, residuals)
-        runs once on the ``(n, d)`` packed rows of the n tokens. Only each
-        layer's scores, softmax and mix run padded, once per length group
-        (`length_groups`): a group's rows are scattered to ``(B_g, T_g, ·)``,
-        T_g its longest list, and gathered back, and attention never reads a
-        padded slot. A call of several groups packs its lists sorted stably
-        by length, so each group's rows are contiguous, and restores list
-        order on the returned stacks; a call of one group packs them in list
-        order. CLS is each list's first row; AVG averages the rows after it.
-        Given ``rngs``, dropout is on: list b draws its ``(T_b, d)`` masks
-        from ``rngs[b]``, so a row does not depend on its batch. The pass
-        records a tape exactly when the parameters require grad.
+        runs on the ``(n, d)`` packed rows of the n tokens, in list order.
+        Only each layer's attention core runs padded: the rows are scattered
+        to ``(B, T, ·)``, where T is the longest list, and gathered back, and
+        attention never reads a padded slot. CLS is each list's first row;
+        AVG averages the rows after it. Given ``rngs``, dropout is on: list b
+        draws its ``(T_b, d)`` masks from ``rngs[b]``, so a row does not
+        depend on its batch. The pass records a tape exactly when the
+        parameters require grad.
         """
         cfg = self.config
         token_lists = list(token_lists)
@@ -171,13 +169,6 @@ class Encoder:
         B, T = len(token_lists), int(lengths.max())
         if T > cfg.max_seq_len:
             raise ValueError(f"token sequence longer than max_seq_len={cfg.max_seq_len}")
-        bounds, order = length_groups(lengths), None
-        if len(bounds) > 2:
-            # run the lists sorted by length, so each group's lists and rows are contiguous
-            order = np.argsort(lengths, kind="stable")
-            token_lists = [token_lists[b] for b in order]
-            rngs = None if rngs is None else [rngs[b] for b in order]
-            lengths = lengths[order]
         # the (B, T) slots of the packed rows; row r is token pos[r] of list seq[r]
         real = np.arange(T) < lengths[:, None]
         seq, pos = np.nonzero(real)
@@ -192,8 +183,7 @@ class Encoder:
         after_cls = np.flatnonzero((pos > 0) & (flat < UNK_ID))
         if after_cls.size:
             r = after_cls[0]
-            b = seq[r] if order is None else order[seq[r]]
-            raise ValueError(f"list {b} has id {flat[r]} at position {pos[r]}: after CLS "
+            raise ValueError(f"list {seq[r]} has id {flat[r]} at position {pos[r]}: after CLS "
                              f"a list holds UNK_ID ({UNK_ID}) or vocabulary ids, not CLS_ID "
                              f"({CLS_ID}) or PAD_ID ({PAD_ID})")
         # AVG is one (B, n) averaging matrix times the rows: a list averages
@@ -208,63 +198,61 @@ class Encoder:
         x = p["token_emb"][flat] + p["pos_emb"][pos]
         x = self._dropout(x, rngs, lengths, "emb")
 
-        # each group's packed rows, padded slots, and additive mask keeping
-        # every head's attention off its padded slots
-        ends = np.concatenate(([0], np.cumsum(lengths)))
-        groups = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            slots = real[lo:hi, :lengths[lo:hi].max()]
-            groups.append((slice(ends[lo], ends[hi]), slots,
-                           Tensor(np.where(slots, 0.0, -1e9)[:, None, None, :])))
+        # additive mask keeping every head's attention off padded slots, per row
+        key_mask = Tensor(np.where(real, 0.0, -1e9)[:, None, None, :])
 
         layers = []
         for i in range(cfg.num_layers):
             pre = f"layer{i}."
             a_in = x.layer_norm(p[pre + "ln1_g"], p[pre + "ln1_b"])
-            attn = self._attention(a_in, p, pre, groups)
+            attn = self._attention(a_in, p, pre, real, key_mask)
             x = x + self._dropout(attn, rngs, lengths, f"attn{i}")
             f_in = x.layer_norm(p[pre + "ln2_g"], p[pre + "ln2_b"])
             hidden = (f_in @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"]).tanh()
             ffn = hidden @ p[pre + "ffn_w2"] + p[pre + "ffn_b2"]
             x = x + self._dropout(ffn, rngs, lengths, f"ffn{i}")
             layers += [x[starts], avg @ x]
-        stacks = Tensor.concat(layers, axis=1).reshape(B, cfg.num_layers, 2, cfg.hidden_dim)
-        return stacks if order is None else stacks[np.argsort(order)]
+        return Tensor.concat(layers, axis=1).reshape(B, cfg.num_layers, 2, cfg.hidden_dim)
 
     def encode_texts(self, tokenizer: Tokenizer, texts) -> Tensor:
         """(B, N, 2, d) layer stacks of B texts with dropout off.
 
-        The texts are encoded in fixed chunks of ``INFERENCE_CHUNK``, so
-        memory stays bounded however many texts there are.
+        The texts' token lists are sorted stably by length and cut into
+        length groups (`length_groups`), so no list is padded far past its
+        own length. Each group runs as `encode` calls of at most
+        ``INFERENCE_CHUNK`` lists, so memory stays bounded however many texts
+        there are, and each call's stacks are written at its texts' rows.
         """
-        token_lists = [tokenizer.encode(text, self.config.max_seq_len) for text in texts]
+        cfg = self.config
+        token_lists = [tokenizer.encode(text, cfg.max_seq_len) for text in texts]
+        lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+        order, bounds = np.argsort(lengths, kind="stable"), length_groups(lengths)
+        pieces = [order[lo:min(lo + INFERENCE_CHUNK, hi)]
+                  for start, hi in zip(bounds[:-1], bounds[1:])
+                  for lo in range(start, hi, INFERENCE_CHUNK)]
+        stacks = np.empty((len(token_lists), cfg.num_layers, 2, cfg.hidden_dim))
         # an empty text list still makes one call, which rejects it
-        starts = range(0, max(len(token_lists), 1), INFERENCE_CHUNK)
-        return Tensor(np.concatenate(
-            [self.encode(token_lists[lo:lo + INFERENCE_CHUNK]).data for lo in starts]))
+        for piece in pieces or [order]:
+            stacks[piece] = self.encode([token_lists[b] for b in piece]).data
+        return Tensor(stacks)
 
-    def _attention(self, x: Tensor, p: dict[str, Tensor], prefix: str, groups) -> Tensor:
-        """All heads at once, per length group: the packed rows' q, k and v
-        come from one matmul; a group's rows are scattered to its (B_g, T_g,
-        3d) slots and split into (B_g, H, T_g, dh) each, and its heads' output
-        is gathered back to its packed rows; one matmul projects all rows.
+    def _attention(self, x: Tensor, p: dict[str, Tensor], prefix: str,
+                   real: np.ndarray, key_mask: Tensor) -> Tensor:
+        """All heads at once on the padded slots: the packed rows' q, k and v
+        come from one matmul, are scattered to (B, T, 3d) and split into
+        (B, H, T, dh) each; the heads' output is gathered back to packed rows.
         The 1/sqrt(dh) score scale multiplies the q weights, not the
-        (B_g, H, T_g, T_g) scores (the same bits when dh is a power of 4)."""
+        (B, H, T, T) scores (the same bits when dh is a power of 4)."""
+        B, T = real.shape
         d = x.shape[-1]
         H = self.config.num_heads
         dh = d // H
         w_qkv = Tensor.concat([p[prefix + "attn_q"] * (1.0 / np.sqrt(dh)),
                                p[prefix + "attn_k"], p[prefix + "attn_v"]], axis=1)
-        qkv = x @ w_qkv
-        outs = []
-        for rows, real, key_mask in groups:
-            B, T = real.shape
-            part = qkv if len(groups) == 1 else qkv[rows]
-            part = part.scatter(real).reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
-            q, k, v = part[0], part[1], part[2]
-            weights = (q @ k.T + key_mask).softmax(axis=-1)
-            outs.append((weights @ v).transpose(0, 2, 1, 3)[real].reshape(-1, d))
-        out = outs[0] if len(outs) == 1 else Tensor.concat(outs)
+        qkv = (x @ w_qkv).scatter(real).reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
+        q, k, v = qkv[0], qkv[1], qkv[2]
+        weights = (q @ k.T + key_mask).softmax(axis=-1)
+        out = (weights @ v).transpose(0, 2, 1, 3)[real].reshape(-1, d)
         return out @ p[prefix + "attn_o"]
 
     def _dropout(self, x: Tensor, rngs, lengths: np.ndarray, tag: str) -> Tensor:

@@ -79,6 +79,14 @@ def _sq_dists(x: np.ndarray, c: np.ndarray, xx: np.ndarray | None = None,
     return d
 
 
+def _sq_dist_to(rows: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(m,) squared L2 distances of the rows to one vector in difference form,
+    ((rows - v) ** 2).sum(1); the differences are written to `out` when given."""
+    diff = np.subtract(rows, v, out=out)
+    np.multiply(diff, diff, out=diff)
+    return diff.sum(axis=1)
+
+
 def _group(assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows by cluster, each cluster's rows ascending, and the (k + 1) offsets:
     cluster c is order[offsets[c]:offsets[c + 1]]. The stable sort runs on the
@@ -92,22 +100,16 @@ def _kmeans_pp(x: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
     proportional to its squared distance from the nearest row drawn before."""
     m = x.shape[0]
     diff = np.empty_like(x)  # the layout `x - c` would get, so each row sums alike
-
-    def sq_dist_to(c: np.ndarray) -> np.ndarray:
-        np.subtract(x, c, out=diff)
-        np.multiply(diff, diff, out=diff)
-        return diff.sum(axis=1)
-
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[gen.integers(m)]
-    d2 = sq_dist_to(centroids[0])
+    d2 = _sq_dist_to(x, centroids[0], diff)
     for i in range(1, k):
         total = d2.sum()
         if total == 0.0:
             centroids[i] = x[gen.integers(m)]
         else:
             centroids[i] = x[gen.choice(m, p=d2 / total)]
-        np.minimum(d2, sq_dist_to(centroids[i]), out=d2)
+        np.minimum(d2, _sq_dist_to(x, centroids[i], diff), out=d2)
     return centroids
 
 
@@ -290,9 +292,7 @@ def _probes(index: IvfIndex, q: np.ndarray, nprobe: int) -> np.ndarray:
     squared L2, ties to the lower list."""
     if not 1 <= nprobe <= index.nlist:
         raise ValueError(f"nprobe must be in [1, {index.nlist}]")
-    cd2 = index.centroids64 - q
-    cd2 *= cd2
-    return np.argsort(cd2.sum(axis=1), kind="stable")[:nprobe]
+    return np.argsort(_sq_dist_to(index.centroids64, q), kind="stable")[:nprobe]
 
 
 def query(index: IvfIndex, q: np.ndarray, top_k: int = 10,

@@ -229,17 +229,41 @@ class TestBatchedEncode:
                 1.0, np.abs(batch_grads[k]))
             assert rel.max() < 1e-12, k
 
-    def test_inference_runs_fixed_chunks(self, long_encoder):
-        # lengths differ between chunks, so any other chunking would pad the
-        # rows differently and change their low bits
+    @pytest.fixture
+    def long_texts(self):
+        # 164 shuffled texts of 1-40 words (2-41 tokens): the 90 of 1-3 words
+        # form one length group of more than INFERENCE_CHUNK lists
+        gen = np.random.default_rng(12)
         tok = Tokenizer({f"w{i}": 3 + i for i in range(27)})
-        texts = [" ".join(f"w{(i + j) % 27}" for j in range(1 + (i * 7) % 40))
-                 for i in range(130)]
-        whole = long_encoder.encode_texts(tok, texts)
+        words = np.concatenate([np.tile(np.arange(1, 4), 30), np.tile(np.arange(4, 41), 2)])
+        texts = [" ".join(f"w{w}" for w in gen.integers(0, 27, size=n))
+                 for n in gen.permutation(words)]
+        return tok, texts
+
+    def test_inference_runs_sorted_group_pieces(self, long_encoder, long_texts):
+        # other batchings pad the longer texts' rows differently and change their
+        # low bits, so the bits pin the batching
+        tok, texts = long_texts
+        whole = long_encoder.encode_texts(tok, texts).data
         token_lists = [tok.encode(t, 41) for t in texts]
-        parts = [long_encoder.encode(token_lists[lo:lo + INFERENCE_CHUNK]).data
-                 for lo in range(0, len(texts), INFERENCE_CHUNK)]
-        assert np.array_equal(whole.data, np.concatenate(parts))
+        lengths = np.array([len(t) for t in token_lists])
+        order, bounds = np.argsort(lengths, kind="stable"), length_groups(lengths)
+        assert len(bounds) > 3 and np.diff(bounds).max() > INFERENCE_CHUNK
+        expected = np.full_like(whole, np.nan)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            for start in range(lo, hi, INFERENCE_CHUNK):
+                piece = order[start:min(start + INFERENCE_CHUNK, hi)]
+                expected[piece] = long_encoder.encode([token_lists[b] for b in piece]).data
+        assert np.array_equal(whole, expected)
+
+    def test_inference_rows_match_singleton_encodes(self, long_encoder, long_texts):
+        # the texts run sorted and grouped, yet row i is text i's stack
+        tok, texts = long_texts
+        whole = long_encoder.encode_texts(tok, texts).data
+        assert len(length_groups(np.array([len(tok.encode(t, 41)) for t in texts]))) > 2
+        for i, text in enumerate(texts):
+            single = long_encoder.encode([tok.encode(text, 41)]).data[0]
+            assert np.max(np.abs(whole[i] - single)) <= 1e-13
 
     @pytest.mark.parametrize("dropout", [False, True])
     def test_matches_a_per_sequence_reference(self, long_encoder, dropout):
@@ -271,36 +295,39 @@ class TestBatchedEncode:
 
     @pytest.fixture
     def long_chunk(self):
-        # an inference chunk of 64 lists of 1-41 tokens, every length but one twice
+        # 64 lists of 1-41 tokens, every length but one twice
         gen = np.random.default_rng(11)
         lengths = gen.permutation(np.tile(np.arange(1, 42), 2))[:INFERENCE_CHUNK]
         return [[CLS_ID] + list(gen.integers(UNK_ID, 30, size=n - 1)) for n in lengths]
 
-    def test_long_chunk_runs_length_groups(self, long_encoder, long_chunk, monkeypatch):
-        # each layer runs one softmax per group, on fewer score entries than the
-        # (B, H, T, T) of one padded group, while q/k/v and the output
-        # projection each stay one matmul over the call's packed rows
-        cfg, softmax, matmul = long_encoder.config, Tensor.softmax, Tensor.__matmul__
-        scores, rows = [], []
+    def test_long_chunk_runs_length_groups(self, long_encoder, long_texts, monkeypatch):
+        # encode_texts makes one encode call per piece of a length group, each
+        # padded to its own longest list, so its softmaxes see fewer score
+        # entries than the (B, H, T, T) of one call over the same lists
+        cfg, encode, softmax = long_encoder.config, Encoder.encode, Tensor.softmax
+        calls, scores = [], []
+
+        def recording(self, token_lists, rngs=None):
+            calls.append(sorted(map(len, token_lists)))
+            return encode(self, token_lists, rngs)
 
         def counting(t, axis=-1):
             scores.append(t.shape)
             return softmax(t, axis=axis)
 
-        def recording(a, b):
-            if np.ndim(b.data) == 2 and b.shape[0] in (cfg.hidden_dim, cfg.ffn_dim):
-                rows.append(a.shape[:-1])
-            return matmul(a, b)
-
+        tok, texts = long_texts
+        lengths = np.array([len(tok.encode(t, 41)) for t in texts])
+        monkeypatch.setattr(Encoder, "encode", recording)
         monkeypatch.setattr(Tensor, "softmax", counting)
-        monkeypatch.setattr(Tensor, "__matmul__", recording)
-        long_encoder.encode(long_chunk)
-        B, T, H = len(long_chunk), max(map(len, long_chunk)), cfg.num_heads
-        groups = len(length_groups(np.array([len(t) for t in long_chunk]))) - 1
-        assert groups > 1 and len(scores) == groups * cfg.num_layers
+        long_encoder.encode_texts(tok, texts)
+        bounds, ordered = length_groups(lengths), np.sort(lengths)
+        assert len(bounds) > 2
+        assert calls == [list(ordered[lo:min(lo + INFERENCE_CHUNK, hi)])
+                         for start, hi in zip(bounds[:-1], bounds[1:])
+                         for lo in range(start, hi, INFERENCE_CHUNK)]
+        assert len(scores) == len(calls) * cfg.num_layers
+        B, T, H = len(lengths), lengths.max(), cfg.num_heads
         assert sum(np.prod(s) for s in scores) < cfg.num_layers * B * H * T * T
-        assert set(rows) == {(sum(map(len, long_chunk)),)}
-        assert len(rows) == 4 * cfg.num_layers  # q/k/v, output, two FFN
 
     def test_grouped_rows_match_singleton_encodes(self, long_encoder, long_chunk):
         batch = long_encoder.encode(long_chunk).data
@@ -308,10 +335,9 @@ class TestBatchedEncode:
             assert np.max(np.abs(batch[b] - long_encoder.encode([tokens]).data[0])) <= 1e-13
 
     def test_grouped_call_names_the_callers_list(self, long_encoder, long_chunk):
-        # the lists run sorted by length, but a refusal names the list as passed
+        # in a long call of mixed lengths, a refusal names the list as passed
         b = next(b for b, tokens in enumerate(long_chunk) if len(tokens) == 20)
         long_chunk[b][7] = PAD_ID
-        assert len(length_groups(np.array([len(t) for t in long_chunk]))) > 2
         with pytest.raises(ValueError, match=re.escape(f"list {b} has id 1 at position 7")):
             long_encoder.encode(long_chunk)
 

@@ -837,8 +837,11 @@ class TestEmbedCorpus:
 
     @pytest.mark.parametrize("mode", ["detached", "trained-pooler"])
     def test_chunked_like_separate_calls(self, checkpoint, mode):
-        # outside training the encoder runs fixed chunks, so 130 texts give
-        # exactly the rows of three separate calls on the same chunk bounds
+        # every text has at most 6 tokens, fewer than numpy's 8-term summation
+        # blocks, so padded slots and other lists' rows add only exact zeros to
+        # its sums, and its row gets the same bits in any encode call of two or
+        # more lists: however encode_texts sorts and cuts 130 texts, or three
+        # chunks of them, the rows are the same
         texts = [" ".join(f"word{(i * 3 + j) % 7}" for j in range(1 + i % 5))
                  for i in range(130)]
         whole = embed_corpus(checkpoint, texts, mode).vectors

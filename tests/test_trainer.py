@@ -12,10 +12,9 @@ import pytest
 from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError
 from layerpool.autodiff import Rng, Tensor
 from layerpool.corpus import make_synthetic_triplets
-from layerpool import encoder as encoder_module
 from layerpool import trainer
-from layerpool.encoder import (Encoder, EncoderConfig, FrozenFeatures, Tokenizer, length_groups,
-                               load_frozen, save_frozen)
+from layerpool.encoder import (Encoder, EncoderConfig, FrozenFeatures, Tokenizer, load_frozen,
+                               save_frozen)
 from layerpool.objectives import OBJECTIVES, record_keys
 from layerpool.pooler import ATTENTION_STRATEGIES, PoolStrategy, attention_matrix, pool
 from layerpool.trainer import (
@@ -610,23 +609,6 @@ def test_encoder_step_tape_size(monkeypatch):
                       batch_size=16, epochs=2, seed=3)
     per_op = _tensors_per_step(monkeypatch, cfg, make_synthetic_triplets(num_pairs=16))
     assert per_op.total() == 190, _by_op(per_op)
-
-
-def test_default_training_batches_take_one_length_group(monkeypatch):
-    # a sup_hard batch (M=16) of 4-9 word texts is one length group, so its
-    # step builds the Tensors the tape-size test above pins
-    seen = []
-
-    def recording(lengths):
-        bounds = length_groups(lengths)
-        seen.append((len(lengths), len(bounds) - 1))
-        return bounds
-
-    monkeypatch.setattr(encoder_module, "length_groups", recording)
-    cfg = TrainConfig(objective="sup_hard", strategy="attn_cls_avg_concat",
-                      batch_size=16, epochs=1, seed=3)
-    train(cfg, make_synthetic_triplets(num_pairs=128))
-    assert seen == [(48, 1)] * 8
 
 
 def test_frozen_step_tape_size(tmp_path, monkeypatch):
