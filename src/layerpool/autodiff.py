@@ -355,11 +355,22 @@ def cosine_sim(a, b):
 
 
 # one bit generator for all dropout masks, as building one costs about as much as
-# a small mask; each mask resets its whole state, so nothing carries over (but
+# a small mask; each fill resets its whole state, so nothing carries over (but
 # two threads must not draw masks at the same time)
 _DROPOUT_BITS = np.random.Philox(0)
 _DROPOUT_GEN = np.random.Generator(_DROPOUT_BITS)
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
+def fill_uniform(out: np.ndarray, rng: Rng) -> None:
+    """Write into the C-contiguous float64 array ``out`` the draws of
+    ``rng.generator().random(out.shape)``: the stream's first out.size
+    uniforms in [0, 1), from a shared generator reset to the stream's key."""
+    _DROPOUT_BITS.state = {"bit_generator": "Philox",
+                           "state": {"counter": _ZERO_WORDS, "key": rng.key()},
+                           "buffer": _ZERO_WORDS, "buffer_pos": 4,
+                           "has_uint32": 0, "uinteger": 0}
+    _DROPOUT_GEN.random(out=out)
 
 
 def dropout_mask(shape, p: float, rng: Rng) -> np.ndarray:
@@ -369,12 +380,9 @@ def dropout_mask(shape, p: float, rng: Rng) -> np.ndarray:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return np.ones(shape, dtype=np.float64)
-    _DROPOUT_BITS.state = {"bit_generator": "Philox",
-                           "state": {"counter": _ZERO_WORDS, "key": rng.key()},
-                           "buffer": _ZERO_WORDS, "buffer_pos": 4,
-                           "has_uint32": 0, "uinteger": 0}
-    keep = _DROPOUT_GEN.random(shape) >= p
-    return keep.astype(np.float64) / (1.0 - p)
+    draws = np.empty(shape)
+    fill_uniform(draws, rng)
+    return np.divide(draws >= p, 1.0 - p, out=draws)
 
 
 def grad_check(f, params: list[np.ndarray], eps: float = 1e-5) -> float:

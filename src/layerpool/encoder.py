@@ -12,10 +12,11 @@ A token list is CLS followed by vocabulary or UNK ids. A batch runs packed:
 the n tokens of its B lists are the rows of one (n, d) array, in list
 order, and every per-token op runs on those rows only. Each layer's
 attention core alone runs on the padded (B, T) slots, T the longest list,
-entered by one scatter and left by one boolean gather. Inference
-(`Encoder.encode_texts`) sorts its texts by length and cuts them into length
-groups (see `length_groups`), so each batch it runs pads to its own longest
-list.
+as one tape node with a closed-form backward (`_attention_core`). With
+dropout on, a forward pass draws all its masks into one buffer, thresholded
+once (`Encoder._dropout_masks`). Inference (`Encoder.encode_texts`) sorts
+its texts by length and cuts them into length groups (see
+`length_groups`), so each batch it runs pads to its own longest list.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifact import ArtifactCorruptError, read_npy, write_npy
-from .autodiff import Rng, Tensor, dropout_mask, uniform_init
+from .autodiff import Rng, Tensor, fill_uniform, uniform_init
 
 CLS_ID = 0
 PAD_ID = 1
@@ -90,8 +91,7 @@ class Tokenizer:
         kept: longer texts are truncated to ``max_seq_len`` tokens."""
         if not text.strip():
             raise ValueError("cannot tokenize empty text")
-        ids = [self.vocab.get(w, UNK_ID) for w in text.split()]
-        return ([CLS_ID] + ids)[:max_seq_len]
+        return [CLS_ID] + [self.vocab.get(w, UNK_ID) for w in text.split()[:max_seq_len - 1]]
 
 
 def init_encoder_params(config: EncoderConfig, vocab_size: int,
@@ -195,22 +195,23 @@ class Encoder:
         avg = Tensor(avg / avg.sum(axis=1, keepdims=True))
 
         p = self.params
+        masks = self._dropout_masks(rngs, lengths)
         x = p["token_emb"][flat] + p["pos_emb"][pos]
-        x = self._dropout(x, rngs, lengths, "emb")
+        x = self._dropout(x, masks, 0)
 
         # additive mask keeping every head's attention off padded slots, per row
-        key_mask = Tensor(np.where(real, 0.0, -1e9)[:, None, None, :])
+        key_mask = np.where(real, 0.0, -1e9)[:, None, None, :]
 
         layers = []
         for i in range(cfg.num_layers):
             pre = f"layer{i}."
             a_in = x.layer_norm(p[pre + "ln1_g"], p[pre + "ln1_b"])
             attn = self._attention(a_in, p, pre, real, key_mask)
-            x = x + self._dropout(attn, rngs, lengths, f"attn{i}")
+            x = x + self._dropout(attn, masks, 1 + 2 * i)
             f_in = x.layer_norm(p[pre + "ln2_g"], p[pre + "ln2_b"])
             hidden = (f_in @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"]).tanh()
             ffn = hidden @ p[pre + "ffn_w2"] + p[pre + "ffn_b2"]
-            x = x + self._dropout(ffn, rngs, lengths, f"ffn{i}")
+            x = x + self._dropout(ffn, masks, 2 + 2 * i)
             layers += [x[starts], avg @ x]
         return Tensor.concat(layers, axis=1).reshape(B, cfg.num_layers, 2, cfg.hidden_dim)
 
@@ -237,32 +238,90 @@ class Encoder:
         return Tensor(stacks)
 
     def _attention(self, x: Tensor, p: dict[str, Tensor], prefix: str,
-                   real: np.ndarray, key_mask: Tensor) -> Tensor:
-        """All heads at once on the padded slots: the packed rows' q, k and v
-        come from one matmul, are scattered to (B, T, 3d) and split into
-        (B, H, T, dh) each; the heads' output is gathered back to packed rows.
-        The 1/sqrt(dh) score scale multiplies the q weights, not the
-        (B, H, T, T) scores (the same bits when dh is a power of 4)."""
-        B, T = real.shape
-        d = x.shape[-1]
+                   real: np.ndarray, key_mask: np.ndarray) -> Tensor:
+        """All heads at once: the packed rows' q, k and v come from one
+        matmul, `_attention_core` turns them into the heads' packed outputs,
+        and one more matmul projects those. The 1/sqrt(dh) score scale
+        multiplies the q weights, not the (B, H, T, T) scores (the same bits
+        when dh is a power of 4)."""
         H = self.config.num_heads
-        dh = d // H
+        dh = x.shape[-1] // H
         w_qkv = Tensor.concat([p[prefix + "attn_q"] * (1.0 / np.sqrt(dh)),
                                p[prefix + "attn_k"], p[prefix + "attn_v"]], axis=1)
-        qkv = (x @ w_qkv).scatter(real).reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        weights = (q @ k.T + key_mask).softmax(axis=-1)
-        out = (weights @ v).transpose(0, 2, 1, 3)[real].reshape(-1, d)
-        return out @ p[prefix + "attn_o"]
+        return _attention_core(x @ w_qkv, real, key_mask, H) @ p[prefix + "attn_o"]
 
-    def _dropout(self, x: Tensor, rngs, lengths: np.ndarray, tag: str) -> Tensor:
-        """Sequence b's (T_b, d) mask from ``rngs[b]``, at b's packed rows."""
-        if rngs is None or self.config.dropout_p == 0.0:
-            return x
-        d = x.shape[-1]
-        return x * Tensor(np.concatenate([dropout_mask((int(n), d), self.config.dropout_p,
-                                                       rng.child("dropout", tag))
-                                          for rng, n in zip(rngs, lengths)]))
+    def _dropout_masks(self, rngs, lengths: np.ndarray) -> np.ndarray | None:
+        """The call's (1 + 2N, n, d) dropout masks, or None with dropout off:
+        mask 0 is the embeddings', 1 + 2i and 2 + 2i layer i's attention and
+        FFN outputs'. List b's (T_b, d) rows of the mask tagged ``tag`` hold
+        ``dropout_mask((T_b, d), p, rngs[b].child("dropout", tag))``, so a
+        row does not depend on its batch; the uniforms of all masks fill one
+        buffer, which is thresholded and scaled once."""
+        cfg = self.config
+        if rngs is None or cfg.dropout_p == 0.0:
+            return None
+        tags = ["emb"] + [f"{part}{i}" for i in range(cfg.num_layers) for part in ("attn", "ffn")]
+        draws = np.empty((len(tags), int(lengths.sum()), cfg.hidden_dim))
+        ends = np.cumsum(lengths)
+        for rng, lo, hi in zip(rngs, ends - lengths, ends):
+            for t, tag in enumerate(tags):
+                fill_uniform(draws[t, lo:hi], rng.child("dropout", tag))
+        return np.divide(draws >= cfg.dropout_p, 1.0 - cfg.dropout_p, out=draws)
+
+    @staticmethod
+    def _dropout(x: Tensor, masks: np.ndarray | None, t: int) -> Tensor:
+        """x times the call's mask ``t`` (see `_dropout_masks`), if dropout is on."""
+        return x if masks is None else x * Tensor(masks[t])
+
+
+def _attention_core(qkv: Tensor, real: np.ndarray, key_mask: np.ndarray, H: int) -> Tensor:
+    """softmax(q kᵀ + key_mask) v for all heads, as one tape node.
+
+    ``qkv`` holds the packed rows' q, k and v side by side, ``(n, 3d)``; the
+    rows are scattered to the ``(B, T)`` slots of ``real``, attention runs on
+    the padded ``(B, H, T, dh)`` views, and the heads' outputs are gathered
+    back to ``(n, d)`` packed rows. ``key_mask`` (0 at real slots, -1e9 at
+    padded ones, shape (B, 1, 1, T)) keeps every row off padded keys. The
+    backward is closed-form and writes the q, k and v gradients into one
+    buffer, gathered back to rows once. Each product runs on the same
+    operand views as in a chain of Tensor scatter, transpose, matmul,
+    softmax and gather ops, since numpy's matmul picks its kernel, and so
+    its bits, by the operands' memory layout.
+    """
+    B, T = real.shape
+    d = qkv.shape[-1] // 3
+    dh = d // H
+    slots = np.zeros((B, T, 3 * d))
+    slots[real] = qkv.data
+    q, k, v = slots.reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
+    # in place: one (B, H, T, T) array, with the bits of the out-of-place ops
+    weights = q @ k.swapaxes(-1, -2)
+    weights += key_mask
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    heads = weights @ v
+    if not qkv.requires_grad:
+        # nothing will run the backward: free the slots and scores before the gather
+        del slots, q, k, v, weights
+    out = heads.transpose(0, 2, 1, 3)[real].reshape(-1, d)
+
+    def bw(g):
+        g_heads = np.zeros_like(heads)
+        g_heads.transpose(0, 2, 1, 3)[real] = g.reshape(-1, H, dh)
+        # the softmax backward weights * (g - Σ g·weights), in place
+        g_scores = g_heads @ v.swapaxes(-1, -2)
+        g_scores -= (g_scores * weights).sum(axis=-1, keepdims=True)
+        g_scores *= weights
+        # every slot of the buffer is written, padded ones too, before the gather
+        g_slots = np.empty_like(slots)
+        g_q, g_k, g_v = g_slots.reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
+        g_q[...] = g_scores @ k
+        g_k[...] = (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)
+        g_v[...] = weights.swapaxes(-1, -2) @ g_heads
+        qkv._accum(g_slots[real])
+
+    return Tensor(out, parents=(qkv,), bw=bw)
 
 
 @dataclass

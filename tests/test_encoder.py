@@ -1,5 +1,6 @@
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layer_stacks import trainable
+from layerpool import encoder as encoder_module
 from layerpool.artifact import ArtifactCorruptError, ArtifactVersionError
-from layerpool.autodiff import Rng, Tensor, dropout_mask
+from layerpool.autodiff import Rng, Tensor, dropout_mask, grad_check
 from layerpool.encoder import (
     CLS_ID,
     INFERENCE_CHUNK,
@@ -19,6 +21,7 @@ from layerpool.encoder import (
     EncoderConfig,
     FrozenFeatures,
     Tokenizer,
+    _attention_core,
     init_encoder_params,
     length_groups,
     load_frozen,
@@ -62,6 +65,33 @@ def reference_stack(encoder, tokens, rng=None) -> np.ndarray:
                         f"ffn{i}")
         stack.append([x[0], x[content].mean(axis=0)])
     return np.array(stack)
+
+
+def composite_attention(encoder, x, p, prefix, real, key_mask):
+    """`Encoder._attention` with its core as a chain of Tensor ops: the q, k
+    and v rows scattered to (B, T, 3d), split into (B, H, T, dh) views, a
+    masked softmax of q kᵀ times v, and a boolean gather back to rows."""
+    B, T = real.shape
+    d = x.shape[-1]
+    H = encoder.config.num_heads
+    dh = d // H
+    w_qkv = Tensor.concat([p[prefix + "attn_q"] * (1.0 / np.sqrt(dh)),
+                           p[prefix + "attn_k"], p[prefix + "attn_v"]], axis=1)
+    qkv = (x @ w_qkv).scatter(real).reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
+    q, k, v = qkv[0], qkv[1], qkv[2]
+    weights = (q @ k.T + Tensor(key_mask)).softmax(axis=-1)
+    out = (weights @ v).transpose(0, 2, 1, 3)[real].reshape(-1, d)
+    return out @ p[prefix + "attn_o"]
+
+
+def stacks_and_grads(encoder, token_lists, rngs):
+    """An encode's stacks and every parameter's gradient of a fixed weighted sum."""
+    for t in encoder.params.values():
+        t.grad = None
+    out = encoder.encode(token_lists, rngs)
+    weights = np.random.default_rng(4).normal(size=out.shape)
+    (out * weights).sum().backward()
+    return out.data, {k: t.grad for k, t in encoder.params.items()}
 
 
 @pytest.fixture
@@ -111,6 +141,15 @@ class TestTokenizer:
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
             Tokenizer({}).encode("   ", 10)
+
+    def test_long_texts_keep_their_first_words(self):
+        # a text is cut to max_seq_len - 1 words before any lookup
+        tok = Tokenizer({f"w{i}": 3 + i for i in range(20)})
+        gen = np.random.default_rng(5)
+        for n in range(1, 46):
+            words = [f"w{i}" for i in gen.integers(0, 24, size=n)]  # w20-w23 unknown
+            ids = [CLS_ID] + [tok.vocab.get(w, UNK_ID) for w in words]
+            assert tok.encode(" ".join(words), 32) == ids[:32], n
 
     def test_roundtrip_known_tokens(self):
         # ids follow the reserved ones, by descending count, then alphabetically
@@ -302,23 +341,23 @@ class TestBatchedEncode:
 
     def test_long_chunk_runs_length_groups(self, long_encoder, long_texts, monkeypatch):
         # encode_texts makes one encode call per piece of a length group, each
-        # padded to its own longest list, so its softmaxes see fewer score
-        # entries than the (B, H, T, T) of one call over the same lists
-        cfg, encode, softmax = long_encoder.config, Encoder.encode, Tensor.softmax
+        # padded to its own longest list, so its attention cores see fewer
+        # score entries than the (B, H, T, T) of one call over the same lists
+        cfg, encode = long_encoder.config, Encoder.encode
         calls, scores = [], []
 
         def recording(self, token_lists, rngs=None):
             calls.append(sorted(map(len, token_lists)))
             return encode(self, token_lists, rngs)
 
-        def counting(t, axis=-1):
-            scores.append(t.shape)
-            return softmax(t, axis=axis)
+        def counting(qkv, real, key_mask, H):
+            scores.append((real.shape[0], H, real.shape[1], real.shape[1]))
+            return _attention_core(qkv, real, key_mask, H)
 
         tok, texts = long_texts
         lengths = np.array([len(tok.encode(t, 41)) for t in texts])
         monkeypatch.setattr(Encoder, "encode", recording)
-        monkeypatch.setattr(Tensor, "softmax", counting)
+        monkeypatch.setattr(encoder_module, "_attention_core", counting)
         long_encoder.encode_texts(tok, texts)
         bounds, ordered = length_groups(lengths), np.sort(lengths)
         assert len(bounds) > 2
@@ -328,6 +367,58 @@ class TestBatchedEncode:
         assert len(scores) == len(calls) * cfg.num_layers
         B, T, H = len(lengths), lengths.max(), cfg.num_heads
         assert sum(np.prod(s) for s in scores) < cfg.num_layers * B * H * T * T
+
+    def test_attention_core_gradient(self):
+        # lists of 1, 4, 6 (max_seq_len) and 2 tokens; d = 8 in 2 heads
+        lengths = np.array([1, 4, 6, 2])
+        real = np.arange(6) < lengths[:, None]
+        key_mask = np.where(real, 0.0, -1e9)[:, None, None, :]
+        gen = np.random.default_rng(8)
+        qkv, weights = gen.normal(size=(lengths.sum(), 24)), gen.normal(size=(lengths.sum(), 8))
+        err = grad_check(lambda ts: (_attention_core(ts[0], real, key_mask, 2) * weights).sum(),
+                         [qkv])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_core_matches_the_composite_bit_for_bit(self, heads, monkeypatch):
+        # stacks and every parameter gradient, dropout on, lists of 1 to 41
+        # (max_seq_len) tokens: the core's products run on the same operand
+        # views as the chain's, so every bit is the same
+        cfg = EncoderConfig(num_layers=2, hidden_dim=16, num_heads=heads, ffn_dim=16,
+                            max_seq_len=41, dropout_p=0.1)
+        encoder = Encoder(cfg, trainable(init_encoder_params(cfg, 30, Rng(6))))
+        gen = np.random.default_rng(9)
+        token_lists = [[CLS_ID] + list(gen.integers(UNK_ID, 30, size=n - 1))
+                       for n in (5, 1, 41, 17, 2, 41, 8)]
+        rngs = [Rng(10).child(b) for b in range(len(token_lists))]
+        fused, fused_grads = stacks_and_grads(encoder, token_lists, rngs)
+        monkeypatch.setattr(Encoder, "_attention", composite_attention)
+        chain, chain_grads = stacks_and_grads(encoder, token_lists, rngs)
+        assert np.array_equal(fused, chain)
+        for k in chain_grads:
+            assert np.array_equal(fused_grads[k], chain_grads[k]), k
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_call_masks_are_the_per_list_masks(self, long_encoder, p):
+        # one buffer per call, yet list b's rows of mask `tag` are exactly
+        # dropout_mask((T_b, d), p, rngs[b].child("dropout", tag))
+        cfg = replace(long_encoder.config, dropout_p=p)
+        encoder = Encoder(cfg, long_encoder.params)
+        lengths = np.array([3, 1, 41, 2, 41, 1, 7])
+        rngs = [Rng(11).child("step", b % 3, "view", b) for b in range(len(lengths))]
+        open_rng = Rng(11).child("open")
+        gen = open_rng.generator()
+        head = gen.random(5)
+        masks = encoder._dropout_masks(rngs, lengths)
+        tail = gen.random(5)
+        tags = ["emb"] + [f"{part}{i}" for i in range(cfg.num_layers) for part in ("attn", "ffn")]
+        assert masks.shape == (len(tags), lengths.sum(), cfg.hidden_dim)
+        for t, tag in enumerate(tags):
+            expected = np.concatenate([dropout_mask((n, cfg.hidden_dim), p,
+                                                    rng.child("dropout", tag))
+                                       for rng, n in zip(rngs, lengths)])
+            assert np.array_equal(masks[t], expected), tag
+        assert np.array_equal(np.concatenate([head, tail]), open_rng.generator().random(10))
 
     def test_grouped_rows_match_singleton_encodes(self, long_encoder, long_chunk):
         batch = long_encoder.encode(long_chunk).data
