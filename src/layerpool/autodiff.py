@@ -217,14 +217,6 @@ class Tensor:
 
         return Tensor(self.data[idx], parents=(self,), bw=bw)
 
-    def scatter(self, mask: np.ndarray) -> "Tensor":
-        """The rows of self written in order at the True positions of the
-        boolean ``mask``, zeros elsewhere: shape mask.shape + self.shape[1:],
-        the inverse of ``x[mask]``, whose gather is its backward."""
-        out = np.zeros(mask.shape + self.data.shape[1:])
-        out[mask] = self.data
-        return Tensor(out, parents=(self,), bw=lambda g: self._accum(g[mask]))
-
     def reshape(self, *shape):
         return Tensor(self.data.reshape(*shape), parents=(self,),
                       bw=lambda g: self._accum(g.reshape(self.data.shape)))

@@ -180,6 +180,16 @@ class IvfIndex:
         """The centroids in float64, which holds every float32 exactly."""
         return self.centroids.astype(np.float64)
 
+    @cached_property
+    def centroid_sq_norms(self) -> np.ndarray:
+        """Each centroid's float64 ‖c‖², the constant term of `_probes`' scores."""
+        return np.einsum("ij,ij->i", self.centroids64, self.centroids64)
+
+    @cached_property
+    def probe_margin(self) -> float:
+        """ε_p of `_probes` for this index's largest centroid norm."""
+        return _probe_margin(self.dim, math.sqrt(float(self.centroid_sq_norms.max())))
+
     def memory_bytes(self) -> int:
         """Index payload: centroids + ids + stored vectors + list offsets."""
         return (self.centroids.nbytes + self.ids.nbytes + self.vectors.nbytes
@@ -228,7 +238,12 @@ def _unit_query(q, dim: int, top_k: int) -> np.ndarray:
 # s64 ≥ s_k − ε, so the k-th largest s64 is at least s_k − ε, and every row
 # with an s64 that large, the whole top k by (−s64, id) and its ties included,
 # has s32 ≥ s_k − 2ε. Ranking only those rows, in scan order with the same
-# einsum and stable lexsort, returns the full scan's top k bit for bit.
+# einsum and stable lexsort, returns the full scan's top k bit for bit. So
+# does ranking any superset of them from the scanned rows. The screen compares
+# in float32, with t = s_k − 2ε rounded to the nearest float32 t32. If t32 ≤ t,
+# every s32 ≥ t is ≥ t32. If t32 > t, t32 is the least float32 at or above t,
+# so a float32 s32 is ≥ t exactly when it is ≥ t32. Either way the compare
+# keeps every row that s32 ≥ t in float64 keeps.
 UNIT_TOLERANCE = 2.0**-20  # on |‖v‖² − 1|
 
 
@@ -236,6 +251,42 @@ def _screen_margin(d: int) -> float:
     """ε = γ(d + 2), a bound on |s32 − s64| for a stored row and a unit query."""
     g = (d + 2) * 2.0**-24
     return g / (1.0 - g)
+
+
+# Probe selection. The probes are the first nprobe lists by (D_c, c), where D_c
+# is the float64 difference form Σ(c_i − q_i)² of centroid c (float32, so exact
+# in float64) and the float64 unit query q. `_probes` scores instead
+# g_c = ‖c‖² − 2c·q, the cached float64 ‖c‖² and one GEMV. Now u = 2⁻⁵³ and
+# γ(n) = nu/(1 − nu); let r = ‖c‖ and R the largest centroid norm. Each c_i² is
+# exact, so the float64 ‖c‖² is within γ(d)·r² of r²; the GEMV, in any order,
+# with or without FMA, is within γ(d)·r·‖q‖ of c·q; subtracting rounds once,
+# by at most u·(r + ‖q‖)²·(1 + γ(d)); and D_c is within γ(d + 2)·(r + ‖q‖)² of
+# ‖c − q‖² = r² − 2c·q + ‖q‖². As r² + 2r‖q‖ + (r + ‖q‖)² ≤ 2(r + ‖q‖)²,
+#   |g_c − (D_c − ‖q‖²)| ≤ (2γ(d + 2) + 2u)·(r + ‖q‖)² ≤ 2γ(d + 3)·(r + ‖q‖)²,
+# and ‖q‖ is 1 within γ(d + 2), so ε_p = 2γ(d + 4)·(R + 1)² exceeds the gap
+# by almost 2u·(R + 1)², and 2ε_p exceeds twice the gap by almost 4u·(R + 1)².
+# That covers float64 underflow (at most 2⁻¹⁰⁷⁵ per operation, about 3d of
+# them, while (R + 1)² ≥ 1) and the rounding of cut + 2ε_p below (|g_c| is at
+# most about (R + 1)²). Centroids are float32 and finite (checked at load), so
+# (R + 1)² cannot overflow float64.
+#
+# Exactness. Let cut be the nprobe-th smallest g. The nprobe centroids at or
+# below it have D − ‖q‖² ≤ cut + ε_p, so every centroid among the first nprobe
+# by (D, c) has D − ‖q‖² ≤ cut + ε_p and g ≤ cut + 2ε_p: the probes lie in
+# that band. When the band holds nprobe lists it is the probe set. Otherwise
+# the band's centroids are rescored with the same difference-form sum, whose
+# bits for a row do not depend on the rows beside it, and a stable argsort
+# over the band's ascending lists picks the first nprobe, ties to the lower list.
+#
+# `_rank`'s result depends only on the set of probed lists: the screen keeps
+# rows by a threshold on their scores, einsum gives a row the same bits in any
+# run order, and the lexsort by (−cosine, id) over distinct ids is a total
+# order. So the probes come back in ascending list order, not by distance.
+def _probe_margin(d: int, max_norm: float) -> float:
+    """ε_p = 2γ(d + 4)·(R + 1)² in float64 units, R = max_norm; a bound on
+    |g_c − (D_c − ‖q‖²)| for every centroid and a unit query."""
+    g = (d + 4) * 2.0**-53
+    return 2.0 * g / (1.0 - g) * (max_norm + 1.0) ** 2
 
 
 # The probed lists are screened either in place, one float32 product per list
@@ -252,8 +303,9 @@ def _screen(s32: np.ndarray, top_k: int, d: int) -> np.ndarray:
     len(s32)); see the comment above."""
     n = len(s32)
     s_k = float(np.partition(s32, n - top_k)[n - top_k])
-    # compared in float64, so the threshold is not rounded to float32
-    return np.flatnonzero(s32 >= np.float64(s_k - 2.0 * _screen_margin(d)))
+    # compared in float32: see the comment above for why the cast keeps the
+    # rows a float64 compare keeps
+    return np.flatnonzero(s32 >= np.float32(s_k - 2.0 * _screen_margin(d)))
 
 
 def _rank(vectors: np.ndarray, ids: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -289,10 +341,23 @@ def _rank(vectors: np.ndarray, ids: np.ndarray, starts: np.ndarray, ends: np.nda
 
 def _probes(index: IvfIndex, q: np.ndarray, nprobe: int) -> np.ndarray:
     """The nprobe lists whose centroids are nearest the unit query in float64
-    squared L2, ties to the lower list."""
-    if not 1 <= nprobe <= index.nlist:
-        raise ValueError(f"nprobe must be in [1, {index.nlist}]")
-    return np.argsort(_sq_dist_to(index.centroids64, q), kind="stable")[:nprobe]
+    squared L2 (difference form), ties to the lower list, in ascending list
+    order. Scored as ‖c‖² − 2c·q by one GEMV; only the centroids within 2ε_p of
+    the nprobe-th smallest score are rescored (see the comment above)."""
+    nlist = index.nlist
+    if not 1 <= nprobe <= nlist:
+        raise ValueError(f"nprobe must be in [1, {nlist}]")
+    if nprobe == nlist:
+        return np.arange(nlist)
+    g = index.centroids64 @ q
+    g *= -2.0
+    g += index.centroid_sq_norms
+    cut = np.partition(g, nprobe - 1)[nprobe - 1]
+    band = np.flatnonzero(g <= cut + 2.0 * index.probe_margin)
+    if len(band) == nprobe:
+        return band
+    return band[np.sort(np.argsort(_sq_dist_to(index.centroids64[band], q),
+                                   kind="stable")[:nprobe])]
 
 
 def query(index: IvfIndex, q: np.ndarray, top_k: int = 10,

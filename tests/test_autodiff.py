@@ -221,9 +221,8 @@ class TestTape:
         (lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(2, 3, 4), (4,)]),
         (lambda ts: ((ts[0][SLOTS] @ ts[1]) ** 2).sum(), [(2, 3, 2), (2, 3)]),
         (lambda ts: ((ts[0][np.array([2, 0, 2])] @ ts[1]) ** 2).sum(), [(3, 2), (2, 3)]),
-        (lambda ts: ((ts[0].scatter(SLOTS) @ ts[1]) ** 2).sum(), [(4, 2), (2, 3)]),
     ], ids=["matmul-1d-rhs", "stacked-matmul-1d-rhs",
-            "getitem-bool-mask", "getitem-repeated-rows", "scatter"])
+            "getitem-bool-mask", "getitem-repeated-rows"])
     def test_right_hand_operator_grads(self, f, shapes):
         gen = np.random.default_rng(5)
         params = [gen.uniform(0.5, 2.0, size=s) * gen.choice([-1, 1], size=s) for s in shapes]
@@ -318,9 +317,3 @@ class TestTape:
         x = Tensor(np.zeros(3), requires_grad=True)
         x[np.array([0, 0, 2])].sum().backward()
         assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
-
-    def test_scatter_inverts_a_mask_gather(self):
-        x = np.arange(12.0).reshape(2, 3, 2)
-        rows = Tensor(x)[SLOTS]
-        assert np.array_equal(rows.data, [[0, 1], [4, 5], [8, 9], [10, 11]])
-        assert np.array_equal(rows.scatter(SLOTS).data, x * SLOTS[:, :, None])

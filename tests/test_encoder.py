@@ -67,6 +67,15 @@ def reference_stack(encoder, tokens, rng=None) -> np.ndarray:
     return np.array(stack)
 
 
+def scatter(rows, mask):
+    """The rows written in order at the True positions of the boolean `mask`,
+    zeros elsewhere, as one Tensor op: the inverse of ``x[mask]``, whose gather
+    is its backward."""
+    out = np.zeros(mask.shape + rows.data.shape[1:])
+    out[mask] = rows.data
+    return Tensor(out, parents=(rows,), bw=lambda g: rows._accum(g[mask]))
+
+
 def composite_attention(encoder, x, p, prefix, real, key_mask):
     """`Encoder._attention` with its core as a chain of Tensor ops: the q, k
     and v rows scattered to (B, T, 3d), split into (B, H, T, dh) views, a
@@ -77,7 +86,7 @@ def composite_attention(encoder, x, p, prefix, real, key_mask):
     dh = d // H
     w_qkv = Tensor.concat([p[prefix + "attn_q"] * (1.0 / np.sqrt(dh)),
                            p[prefix + "attn_k"], p[prefix + "attn_v"]], axis=1)
-    qkv = (x @ w_qkv).scatter(real).reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
+    qkv = scatter(x @ w_qkv, real).reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
     q, k, v = qkv[0], qkv[1], qkv[2]
     weights = (q @ k.T + Tensor(key_mask)).softmax(axis=-1)
     out = (weights @ v).transpose(0, 2, 1, 3)[real].reshape(-1, d)

@@ -518,6 +518,148 @@ class TestScreen:
         # the margin matters: the float32 top 10 alone misses exact hits here
         assert dropped >= 5
 
+    @PROPERTY
+    @given(data=st.data())
+    def test_float32_threshold_keeps_the_float64_compare_rows(self, data):
+        d = data.draw(st.integers(1, 64), label="d")
+        m = data.draw(st.integers(2, 60), label="m")
+        bases = data.draw(hnp.arrays(np.float32, (data.draw(st.integers(1, 3)), d),
+                                     elements=st.floats(-1, 1, width=32)), label="bases")
+        bases[~bases.any(axis=1), 0] = 1.0
+        picks = data.draw(st.lists(st.integers(0, len(bases) - 1), min_size=m, max_size=m))
+        ulps = data.draw(hnp.arrays(np.int64, (m + 1, d), elements=st.integers(-3, 3)))
+        rows = EmbeddingMatrix(vectors=near_ties(bases, picks, ulps[:m]))
+        q = _unit_query(near_ties(bases, data.draw(st.integers(0, len(bases) - 1)), ulps[m]),
+                        d, 1)
+        top_k = data.draw(st.integers(1, m - 1), label="top_k")
+        s32 = rows.vectors @ q.astype(np.float32)
+        s_k = float(np.partition(s32, m - top_k)[m - top_k])
+        t = s_k - 2.0 * _screen_margin(d)
+        keep = search._screen(s32, top_k, d)
+        assert set(np.flatnonzero(s32 >= np.float64(t)).tolist()) <= set(keep.tolist())
+        # any other kept row is the one float32 below the threshold
+        extra = s32[keep][s32[keep] < t]
+        assert np.all(np.nextafter(extra, np.float32(np.inf)) > t)
+
+    def test_screen_threshold_is_cast_to_the_nearest_float32(self):
+        # the rows at the float32 neighbours of t = s_k − 2ε, for thresholds
+        # that round down and ones that round up: every row at or above t is
+        # kept, and below t only the float32 that t rounds down to
+        rounded = set()
+        for d in range(1, 65):
+            # s_k near 0 puts t among finer float32s, where it rounds either way
+            for s_k in np.float32([0.5, -0.7, 0.0, 3e-5]):
+                t = float(s_k) - 2.0 * _screen_margin(d)
+                t32 = np.float32(t)
+                rounded.add(float(t32) > t)
+                below = t32 if float(t32) <= t else np.nextafter(t32, np.float32(-np.inf))
+                above = np.nextafter(below, np.float32(np.inf))
+                s32 = np.array([s_k, below, above, np.nextafter(below, np.float32(-np.inf))],
+                               np.float32)
+                expected = [0, 1, 2] if float(t32) <= t else [0, 2]
+                assert search._screen(s32, 1, d).tolist() == expected, (d, s_k)
+        assert rounded == {False, True}
+
+
+def probe_index(centroids):
+    """An index of the given centroids and no rows, enough for `_probes`."""
+    nlist, d = centroids.shape
+    return IvfIndex(centroids, np.zeros(0, np.uint32), np.zeros((0, d), np.float32),
+                    np.zeros(nlist + 1, np.int64))
+
+
+def difference_form_probes(centroids, q, nprobe):
+    """The first nprobe lists by a stable argsort of the float64 difference form."""
+    d2 = ((centroids.astype(np.float64) - q) ** 2).sum(axis=1)
+    return sorted(np.argsort(d2, kind="stable")[:nprobe].tolist())
+
+
+class TestProbes:
+    """`_probes` scores ‖c‖² − 2c·q and rescores in difference form only the
+    centroids within 2ε_p of the nprobe-th smallest score; centroids a few ulps
+    apart, repeated, or far from unit norm are where the two forms disagree."""
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_probe_sets_equal_the_difference_form(self, data):
+        d = data.draw(st.integers(1, 8), label="d")
+        nlist = data.draw(st.integers(1, 12), label="nlist")
+        bases = data.draw(hnp.arrays(np.float32, (data.draw(st.integers(1, 3)), d),
+                                     elements=st.floats(-1, 1, width=32)), label="bases")
+        picks = data.draw(st.lists(st.integers(0, len(bases) - 1),
+                                   min_size=nlist, max_size=nlist), label="picks")
+        # all-zero ulps repeat a base exactly; the lower list must win the tie
+        ulps = data.draw(hnp.arrays(np.int64, (nlist, d), elements=st.integers(-3, 3)))
+        # permuted and sign-flipped copies keep a base's norm, and near a query
+        # of equal entries their distances tie but for rounding, at any scale
+        perms = np.array([data.draw(st.permutations(range(d))) for _ in range(nlist)])
+        signs = data.draw(hnp.arrays(np.int64, (nlist, d), elements=st.sampled_from([-1, 1])))
+        rows = np.take_along_axis(near_ties(bases, picks, ulps) * signs, perms, axis=1)
+        # norms from subnormal to near the float32 maximum
+        scale = 2.0 ** data.draw(st.integers(-149, 127), label="log2 scale")
+        centroids = (rows * scale).astype(np.float32)
+        kind = data.draw(st.sampled_from(["near a centroid", "equal entries", "any"]),
+                         label="q")
+        if kind == "near a centroid":
+            q = near_ties(centroids, data.draw(st.integers(0, nlist - 1)),
+                          data.draw(hnp.arrays(np.int64, d, elements=st.integers(-3, 3))))
+        elif kind == "equal entries":
+            q = np.ones(d)
+        else:
+            q = data.draw(hnp.arrays(np.float64, d, elements=st.floats(-1, 1, width=32)),
+                          label="q")
+        q[0] += not q.any()
+        q = _unit_query(q, d, 1)
+        index = probe_index(centroids)
+        for nprobe in range(1, nlist + 1):
+            assert (search._probes(index, q, nprobe).tolist()
+                    == difference_form_probes(centroids, q, nprobe))
+
+    def test_both_branches_pick_the_difference_form_probes(self):
+        gen = Rng(11).generator()
+        bands = singles = 0
+        for trial in range(300):
+            d, nlist = int(gen.integers(1, 17)), int(gen.integers(2, 17))
+            # permuted, sign-flipped copies of one row, each a few ulps off:
+            # near a query of equal entries they tie but for rounding
+            base = gen.uniform(-1, 1, size=d)
+            rows = np.array([gen.permutation(base) * gen.choice([-1, 1], size=d)
+                             for _ in range(nlist)])
+            ulps = gen.integers(-1, 2, size=(nlist, d))
+            centroids = (near_ties(rows, np.arange(nlist), ulps)
+                         * 2.0 ** gen.integers(-149, 120)).astype(np.float32)
+            q = _unit_query(np.ones(d) if trial % 2 else gen.normal(size=d), d, 1)
+            index = probe_index(centroids)
+            for nprobe in range(1, nlist):
+                with mock.patch.object(search, "_sq_dist_to",
+                                       wraps=search._sq_dist_to) as recheck:
+                    probes = search._probes(index, q, nprobe)
+                bands += recheck.call_count
+                singles += not recheck.call_count
+                assert probes.tolist() == difference_form_probes(centroids, q, nprobe)
+        # the band is rescored in some cases and is the probe set in others
+        assert bands and singles, (bands, singles)
+
+    def test_repeated_centroids_go_to_the_lower_list(self):
+        centroids = np.tile(np.array([[0.6, -0.8]], np.float32), (5, 1))
+        index = probe_index(centroids)
+        for nprobe in range(1, 6):
+            probes = search._probes(index, np.array([1.0, 0.0]), nprobe)
+            assert probes.tolist() == list(range(nprobe))
+
+    def test_probes_allocate_less_than_one_centroid_array(self):
+        gen = Rng(3).generator()
+        index = probe_index(gen.normal(size=(64, 64)).astype(np.float32))
+        q = _unit_query(gen.normal(size=64), 64, 1)
+        search._probes(index, q, 8)  # the float64 centroids and norms are made once, here
+        tracemalloc.start()
+        try:
+            search._probes(index, q, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < index.centroids64.nbytes, peak
+
 
 def gather_reference_query(index, q, top_k, nprobe):
     """`query` as it was before long lists were scanned in place: the probed
