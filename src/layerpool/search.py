@@ -360,13 +360,18 @@ def _probes(index: IvfIndex, q: np.ndarray, nprobe: int) -> np.ndarray:
                                    kind="stable")[:nprobe])]
 
 
-def query(index: IvfIndex, q: np.ndarray, top_k: int = 10,
-          nprobe: int = 8) -> list[tuple[int, float]]:
-    """Scan the nprobe nearest posting lists; rank by cosine, ties by id."""
+def _query(index: IvfIndex, q: np.ndarray, top_k: int, nprobe: int):
+    """`query`'s hits, and the lists it probed."""
     q = _unit_query(q, index.dim, top_k)
     probes = _probes(index, q, nprobe)
     return _rank(index.vectors, index.ids, index.offsets[probes], index.offsets[probes + 1],
-                 q, top_k)
+                 q, top_k), probes
+
+
+def query(index: IvfIndex, q: np.ndarray, top_k: int = 10,
+          nprobe: int = 8) -> list[tuple[int, float]]:
+    """Scan the nprobe nearest posting lists; rank by cosine, ties by id."""
+    return _query(index, q, top_k, nprobe)[0]
 
 
 def brute_force_query(matrix: EmbeddingMatrix, q: np.ndarray,
@@ -390,8 +395,9 @@ class SearchMetrics:
 def evaluate_search(index: IvfIndex, queries: np.ndarray, gold_ids,
                     nprobe: int = 8) -> SearchMetrics:
     """MRR@10, p50/p99 per-query wall-clock time, and index payload size, from
-    one pass: each query is timed around the same `query` call that is scored.
-    Also the mean rows scanned per query and FAISS's imbalance factor
+    one pass: each query is timed around the same search (`query`'s own
+    `_query`) that is scored. Also the mean rows scanned per query, summed
+    over the lists that search probed, and FAISS's imbalance factor
     nlist·Σsᵢ²/m² of the list sizes sᵢ, 1 for equal lists; both are counted
     outside the timed calls.
 
@@ -409,9 +415,9 @@ def evaluate_search(index: IvfIndex, queries: np.ndarray, gold_ids,
     reciprocal, missing, times_ms, scanned = [], [], [], []
     for q, gold, present in zip(queries, gold_ids, indexed):
         start = time.perf_counter()
-        res = query(index, q, top_k=10, nprobe=nprobe)
+        res, probes = _query(index, q, 10, nprobe)
         times_ms.append((time.perf_counter() - start) * 1e3)
-        scanned.append(sizes[_probes(index, _unit_query(q, index.dim, 10), nprobe)].sum())
+        scanned.append(sizes[probes].sum())
         if not present:
             missing.append(gold)
         rank = next((r + 1 for r, (i, _) in enumerate(res) if i == gold), None)

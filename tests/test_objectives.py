@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layerpool import objectives
 from layerpool.autodiff import Rng, Tensor, grad_check
 from layerpool.objectives import (
     loss_sup_basic,
@@ -228,3 +229,47 @@ def test_gradients_pass_grad_check():
     assert grad_check(
         lambda ts: loss_sup_hard(ts[0], ts[1], ts[2], 0.1), [h, hp, hn]
     ) < 1e-4
+
+
+def chain_info_nce(h: Tensor, candidates: Tensor, tau: float) -> Tensor:
+    """`objectives._info_nce` as a chain of Tensor ops: each side's rows over
+    their norms, the similarity matmul, log-sum-exp minus the diagonal, and
+    the mean over anchors."""
+    def unit(x):
+        return x / (x * x).sum(axis=1, keepdims=True) ** 0.5
+
+    sims = unit(h) @ unit(candidates).T * (1.0 / tau)
+    rows = np.arange(sims.shape[0])
+    return (sims.logsumexp(axis=1) - sims[rows, rows]).mean()
+
+
+@pytest.mark.parametrize("m", [1, 5, 16])
+@pytest.mark.parametrize("loss, views", [(loss_sup_basic, 2), (loss_unsup, 2),
+                                         (loss_sup_hard, 3)])
+def test_loss_node_matches_tensor_chain(loss, views, m, monkeypatch):
+    # bit for bit, the loss and its gradient, with the views sliced from one
+    # (V*M, d) batch as a training step slices them
+    batch = random_batch(Rng(12).generator(), views * m, 6)
+
+    def loss_and_grad():
+        h = Tensor(batch, requires_grad=True)
+        value = loss(*(h[v * m:(v + 1) * m] for v in range(views)), 0.05)
+        value.backward()
+        return value.data, h.grad
+
+    fused, fused_grad = loss_and_grad()
+    monkeypatch.setattr(objectives, "_info_nce", chain_info_nce)
+    chain, chain_grad = loss_and_grad()
+    assert np.array_equal(fused, chain)
+    assert np.array_equal(fused_grad, chain_grad)
+
+
+def test_loss_names_a_zero_row():
+    gen = Rng(14).generator()
+    h, hp, hn = (random_batch(gen, 3, 4) for _ in range(3))
+    h[1] = 0.0
+    with pytest.raises(ValueError, match="similarity_matrix lhs row 1 has norm"):
+        loss_sup_hard(Tensor(h), Tensor(hp), Tensor(hn))
+    h[1], hn[2] = 1.0, 0.0
+    with pytest.raises(ValueError, match="similarity_matrix rhs row 5 has norm"):
+        loss_sup_hard(Tensor(h), Tensor(hp), Tensor(hn))

@@ -239,11 +239,50 @@ class TestPool:
         assert grad_check(f, list(base.values())) < 1e-4
 
 
-def _pool_with_grads(stacks: np.ndarray, base: dict, strategy, norm_mode):
+@pytest.mark.parametrize("norm_mode", ["softmax", "ratio"])
+@pytest.mark.parametrize("strategy", sorted(s.value for s in ATTENTION_STRATEGIES))
+def test_stack_gradients_pass_grad_check(strategy, norm_mode):
+    # the stacks' gradient is the encoder path's; no layer is zero here, as a
+    # zero query layer sits on the ratio fallback's boundary
+    stacks = Rng(13).generator().normal(size=(2, 3, 2, 4))
+    base = init_pooler_params(4, Rng(1))
+
+    def f(ts):
+        out = pool(ts[0], dict(zip(base, ts[1:])), PoolStrategy(strategy), norm_mode)
+        return (out * out).sum()
+
+    assert grad_check(f, [stacks, *base.values()]) < 1e-4
+
+
+def chain_pool(stacks: Tensor, params: dict, strategy, norm_mode) -> Tensor:
+    """`pool`'s attention path as a chain of Tensor ops: the query, key and
+    value stream slices and projections, softmax or ratio scores with the
+    uniform fallback, the mix, the mean over query layers, and the headline's
+    CLS concat and tanh MLP."""
+    query, key, value = ORACLE_STREAMS[PoolStrategy(strategy).value]
+    q = stacks[..., query, :] @ params["pooler.w_q"].T
+    k = stacks[..., key, :] @ params["pooler.w_k"].T
+    scores = q @ k.T
+    if norm_mode == "softmax":
+        matrix = scores.softmax(axis=-1)
+    else:
+        sums = scores.sum(axis=-1, keepdims=True)
+        fb = (np.abs(sums.data) <= RATIO_EPS * np.abs(scores.data).sum(axis=-1, keepdims=True)
+              ).astype(np.float64)
+        matrix = scores / (sums + fb) * (1.0 - fb) + fb / scores.shape[-1]
+    v = stacks[..., value, :] @ params["pooler.w_v"].T
+    pooled = (matrix @ v).mean(axis=-2)
+    if strategy != PoolStrategy.ATTN_CLS_AVG_CONCAT:
+        return pooled
+    h_cl = Tensor.concat([stacks[..., -1, 0, :], pooled], axis=-1)
+    return (h_cl @ params["pooler.mlp_weight"].T + params["pooler.mlp_bias"]).tanh()
+
+
+def _pool_with_grads(stacks: np.ndarray, base: dict, strategy, norm_mode, pool_fn=pool):
     """pool() output, then gradients of sum(out**2) w.r.t. params and stacks."""
     params = trainable(base)
     x = Tensor(stacks, requires_grad=True)
-    out = pool(x, params, strategy, norm_mode)
+    out = pool_fn(x, params, strategy, norm_mode)
     (out * out).sum().backward()
     grads = [np.zeros_like(t.data) if t.grad is None else t.grad
              for t in [*params.values(), x]]
@@ -368,3 +407,23 @@ def test_pool_matches_formula_oracle(strategy, norm_mode, lead):
         fell_back += fallback
     if norm_mode == "ratio":
         assert any(fell_back) and not all(fell_back)
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (3, 2)], ids=["one", "batch", "pairs"])
+@pytest.mark.parametrize("norm_mode", ["softmax", "ratio"])
+@pytest.mark.parametrize("strategy", sorted(s.value for s in ATTENTION_STRATEGIES))
+def test_pool_node_matches_tensor_chain(strategy, norm_mode, lead):
+    # bit for bit: the output and the gradients of every parameter and the stacks
+    gen = Rng(41).generator()
+    stacks = gen.normal(size=(*lead, 4, 2, 5))
+    stacks.reshape(-1, 4, 2, 5)[0, 1] = 0.0  # layer 2 zero: its query row falls back
+    base = init_pooler_params(5, Rng(9))
+    base["pooler.mlp_bias"] = gen.normal(size=5)
+    strategy = PoolStrategy(strategy)
+    fused, fused_grads = _pool_with_grads(stacks, base, strategy, norm_mode)
+    chain, chain_grads = _pool_with_grads(stacks, base, strategy, norm_mode, chain_pool)
+    assert np.array_equal(fused, chain)
+    for name, a, b in zip([*base, "stacks"], fused_grads, chain_grads):
+        assert np.array_equal(a, b), name
+    _, fallback = attention_matrix(Tensor(stacks), trainable(base), strategy, norm_mode)
+    assert fallback.any() == (norm_mode == "ratio") and not fallback.all()

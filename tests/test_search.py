@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -751,18 +752,26 @@ class TestEvaluateSearch:
         assert metrics.mrr_at_10 == 0.0 and metrics.missing_gold_ids == [0]
 
     def test_one_query_call_per_query(self, monkeypatch):
-        # each query is timed around the very call that is scored
+        # each query is timed around the very search that is scored, and its
+        # candidates are counted from that search's probes, not picked again
         index = self._planted_index()
-        calls = []
+        calls = Counter()
 
-        def counting_query(*args, **kwargs):
-            calls.append(1)
-            return query(*args, **kwargs)
+        def counting(name):
+            original = getattr(search, name)
 
-        monkeypatch.setattr("layerpool.search.query", counting_query)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(search, name, wrapper)
+
+        counting("_query")
+        counting("_probes")
         metrics = evaluate_search(index, np.eye(12)[:5], [0, 1, 2, 3, 4], nprobe=1)
-        assert len(calls) == 5
+        assert calls == {"_query": 5, "_probes": 5}
         assert metrics.mrr_at_10 == 1.0
+        assert metrics.candidates_per_query == 12.0
 
     @pytest.mark.parametrize("queries, gold", [(np.eye(12)[0], [0]),
                                                (np.ones((2, 2, 6)), [0, 1])],

@@ -603,26 +603,30 @@ def test_encoder_step_tape_size(monkeypatch):
     # one default-encoder sup_hard step (M=16) builds this many Tensors with
     # the three views in one packed forward pass, q, k and v from one matmul,
     # each layer's attention core (scatter to padded slots, all heads'
-    # softmax(q kᵀ) v, gather back) and layer norm as single ops. The core
-    # as a chain of scatter, transpose, matmul, softmax and gather ops builds
-    # 190; a forward per view, a loop over heads or composite layer norm
-    # builds well over twice as many
+    # softmax(q kᵀ) v, gather back) and layer norm as single ops, and the
+    # attention pooler and the InfoNCE loss as one node each. With the pooler
+    # and loss as chains of slice, matmul, softmax, mean, concat, normalize
+    # and log-sum-exp ops a step builds 137, and with the core as a chain of
+    # scatter, transpose, matmul, softmax and gather ops too, 190; a forward
+    # per view, a loop over heads or composite layer norm builds well over
+    # twice as many
     cfg = TrainConfig(objective="sup_hard", strategy="attn_cls_avg_concat",
                       batch_size=16, epochs=2, seed=3)
     per_op = _tensors_per_step(monkeypatch, cfg, make_synthetic_triplets(num_pairs=16))
-    assert per_op.total() == 137, _by_op(per_op)
+    assert per_op.total() == 98, _by_op(per_op)
 
 
 def test_frozen_step_tape_size(tmp_path, monkeypatch):
     # one frozen-features sup_hard step (M=16): one stack of the three views'
-    # rows, one pool call and one similarity matrix
+    # rows, one pool node, three view slices, the candidates' concat and one
+    # loss node. The pooler and loss as chains of Tensor ops build 46
     feats = np.random.default_rng(0).normal(size=(3 * 16, 4, 2, 16)).astype(np.float32)
     save_frozen(FrozenFeatures(num_layers=4, hidden_dim=16, features=feats),
                 tmp_path / "f.lapf")
     cfg = TrainConfig(objective="sup_hard", strategy="attn_cls_avg_concat",
                       batch_size=16, epochs=2, seed=3, frozen_features=str(tmp_path / "f.lapf"))
     per_op = _tensors_per_step(monkeypatch, cfg, make_synthetic_triplets(num_pairs=16))
-    assert per_op.total() == 46, _by_op(per_op)
+    assert per_op.total() == 7, _by_op(per_op)
 
 
 def test_golden_trace_encoder():
