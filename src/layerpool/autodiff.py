@@ -97,6 +97,13 @@ class Tensor:
         else:
             self.grad += g
 
+    def _accum_owned(self, g: np.ndarray) -> None:
+        # as _accum, for a fresh array that nothing else holds: kept, not copied
+        if self.grad is None:
+            self.grad = g
+        else:
+            self.grad += g
+
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")

@@ -56,7 +56,10 @@ def check_records(records: list, keys, where: str, reader: str) -> None:
         if not isinstance(record, dict):
             raise ValueError(f"{where} record {i} is a {type(record).__name__}, not an object")
         for key in keys:
-            if not isinstance(record.get(key), str) or not record[key].strip():
+            # not v.strip() without building the stripped copy: strip() drops
+            # exactly the characters that isspace() accepts
+            v = record.get(key)
+            if not isinstance(v, str) or not v or v.isspace():
                 got = repr(record[key]) if key in record else "no such key"
                 raise ValueError(f"{where} record {i}: {reader} needs key {key!r} "
                                  f"as a non-blank string, got {got}")

@@ -10,13 +10,20 @@ i's CLS vector h^c and [..., i, 1] its mean-token vector h^a.
 
 A token list is CLS followed by vocabulary or UNK ids. A batch runs packed:
 the n tokens of its B lists are the rows of one (n, d) array, in list
-order, and every per-token op runs on those rows only. Each layer's
-attention core alone runs on the padded (B, T) slots, T the longest list,
-as one tape node with a closed-form backward (`_attention_core`). With
-dropout on, a forward pass draws all its masks into one buffer, thresholded
-once (`Encoder._dropout_masks`). Inference (`Encoder.encode_texts`) sorts
-its texts by length and cuts them into length groups (see
-`length_groups`), so each batch it runs pads to its own longest list.
+order, and every per-token op runs on those rows only. Each layer is two
+pre-norm residual sub-layers, each one tape node with a closed-form
+backward: attention, x + dropout(attn_o(core(LN1(x) @ w_qkv)))
+(`_attention_sublayer`), and the FFN, x + dropout(tanh(LN2(x) @ w1 + b1)
+@ w2 + b2) (`_ffn_sublayer`). Training and inference run the same
+functions; when nothing requires grad they keep no intermediates and work
+in place on the arrays they own. Inside the attention node, the core alone
+runs on the padded (B, T) slots, T the longest list (`_attention_core`,
+plain numpy). Both nodes give the bits of the per-op Tensor chains they
+replace, gradients included. With dropout on, a forward pass draws all its
+masks into one buffer, thresholded once (`Encoder._dropout_masks`).
+Inference (`Encoder.encode_texts`) sorts its texts by length and cuts them
+into length groups (see `length_groups`), so each batch it runs pads to its
+own longest list.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifact import ArtifactCorruptError, read_npy, write_npy
-from .autodiff import Rng, Tensor, fill_uniform, uniform_init
+from .autodiff import Rng, Tensor, _unbroadcast, fill_uniform, uniform_init
 
 CLS_ID = 0
 PAD_ID = 1
@@ -197,7 +204,8 @@ class Encoder:
         p = self.params
         masks = self._dropout_masks(rngs, lengths)
         x = p["token_emb"][flat] + p["pos_emb"][pos]
-        x = self._dropout(x, masks, 0)
+        if masks is not None:
+            x = x * Tensor(masks[0])
 
         # additive mask keeping every head's attention off padded slots, per row
         key_mask = np.where(real, 0.0, -1e9)[:, None, None, :]
@@ -205,13 +213,9 @@ class Encoder:
         layers = []
         for i in range(cfg.num_layers):
             pre = f"layer{i}."
-            a_in = x.layer_norm(p[pre + "ln1_g"], p[pre + "ln1_b"])
-            attn = self._attention(a_in, p, pre, real, key_mask)
-            x = x + self._dropout(attn, masks, 1 + 2 * i)
-            f_in = x.layer_norm(p[pre + "ln2_g"], p[pre + "ln2_b"])
-            hidden = (f_in @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"]).tanh()
-            ffn = hidden @ p[pre + "ffn_w2"] + p[pre + "ffn_b2"]
-            x = x + self._dropout(ffn, masks, 2 + 2 * i)
+            x = _attention_sublayer(x, p, pre, real, key_mask, cfg.num_heads,
+                                    None if masks is None else masks[1 + 2 * i])
+            x = _ffn_sublayer(x, p, pre, None if masks is None else masks[2 + 2 * i])
             layers += [x[starts], avg @ x]
         return Tensor.concat(layers, axis=1).reshape(B, cfg.num_layers, 2, cfg.hidden_dim)
 
@@ -237,19 +241,6 @@ class Encoder:
             stacks[piece] = self.encode([token_lists[b] for b in piece]).data
         return Tensor(stacks)
 
-    def _attention(self, x: Tensor, p: dict[str, Tensor], prefix: str,
-                   real: np.ndarray, key_mask: np.ndarray) -> Tensor:
-        """All heads at once: the packed rows' q, k and v come from one
-        matmul, `_attention_core` turns them into the heads' packed outputs,
-        and one more matmul projects those. The 1/sqrt(dh) score scale
-        multiplies the q weights, not the (B, H, T, T) scores (the same bits
-        when dh is a power of 4)."""
-        H = self.config.num_heads
-        dh = x.shape[-1] // H
-        w_qkv = Tensor.concat([p[prefix + "attn_q"] * (1.0 / np.sqrt(dh)),
-                               p[prefix + "attn_k"], p[prefix + "attn_v"]], axis=1)
-        return _attention_core(x @ w_qkv, real, key_mask, H) @ p[prefix + "attn_o"]
-
     def _dropout_masks(self, rngs, lengths: np.ndarray) -> np.ndarray | None:
         """The call's (1 + 2N, n, d) dropout masks, or None with dropout off:
         mask 0 is the embeddings', 1 + 2i and 2 + 2i layer i's attention and
@@ -268,31 +259,159 @@ class Encoder:
                 fill_uniform(draws[t, lo:hi], rng.child("dropout", tag))
         return np.divide(draws >= cfg.dropout_p, 1.0 - cfg.dropout_p, out=draws)
 
-    @staticmethod
-    def _dropout(x: Tensor, masks: np.ndarray | None, t: int) -> Tensor:
-        """x times the call's mask ``t`` (see `_dropout_masks`), if dropout is on."""
-        return x if masks is None else x * Tensor(masks[t])
+
+def _attention_sublayer(x: Tensor, p: dict[str, Tensor], prefix: str, real: np.ndarray,
+                        key_mask: np.ndarray, H: int, mask: np.ndarray | None) -> Tensor:
+    """x + dropout(attn_o(core(LN1(x) @ w_qkv))) on the packed rows, as one
+    tape node.
+
+    q, k and v come from one matmul with the 1/sqrt(dh) score scale folded
+    into the q weights (the same bits as scaling the (B, H, T, T) scores
+    when dh is a power of 4), `_attention_core` turns them into the heads'
+    packed outputs, and one more matmul projects those. ``mask`` is the
+    sub-layer's dropout mask, or None with dropout off. The backward is
+    closed-form and writes the gradients of x and of the sub-layer's seven
+    parameters.
+    """
+    gamma, beta = p[prefix + "ln1_g"], p[prefix + "ln1_b"]
+    w_q, w_k, w_v, w_o = (p[prefix + name] for name in ("attn_q", "attn_k", "attn_v", "attn_o"))
+    parents = (x, gamma, beta, w_q, w_k, w_v, w_o)
+    keep = any(t.requires_grad for t in parents)
+    d = x.shape[-1]
+    scale = 1.0 / np.sqrt(d // H)
+    a, xhat, std = _layer_norm(x.data, gamma.data, beta.data, keep)
+    w_qkv = np.concatenate([w_q.data * scale, w_k.data, w_v.data], axis=1)
+    heads, core_bw = _attention_core(a, w_qkv, real, key_mask, H, keep)
+    out = _residual(heads @ w_o.data, mask, x.data)
+    if not keep:
+        return Tensor(out)
+
+    def bw(g):
+        g_out = g if mask is None else g * mask
+        if w_o.requires_grad:
+            w_o._accum_owned(heads.T @ g_out)
+        g_qkv = core_bw(g_out @ w_o.data.T)
+        if w_q.requires_grad or w_k.requires_grad or w_v.requires_grad:
+            g_w = a.T @ g_qkv
+            if w_q.requires_grad:
+                w_q._accum_owned(g_w[:, :d] * scale)
+            if w_k.requires_grad:
+                w_k._accum(g_w[:, d:2 * d])
+            if w_v.requires_grad:
+                w_v._accum(g_w[:, 2 * d:])
+        _residual_backward(x, g, g_qkv @ w_qkv.T, xhat, std, gamma, beta)
+
+    return Tensor(out, parents=parents, bw=bw)
 
 
-def _attention_core(qkv: Tensor, real: np.ndarray, key_mask: np.ndarray, H: int) -> Tensor:
-    """softmax(q kᵀ + key_mask) v for all heads, as one tape node.
+def _ffn_sublayer(x: Tensor, p: dict[str, Tensor], prefix: str,
+                  mask: np.ndarray | None) -> Tensor:
+    """x + dropout(tanh(LN2(x) @ w1 + b1) @ w2 + b2) on the packed rows, as
+    one tape node. The bias adds and the tanh run in place on the (n,
+    ffn_dim) hidden array; the backward is closed-form and writes the
+    gradients of x and of the sub-layer's six parameters."""
+    gamma, beta, w1, b1, w2, b2 = (p[prefix + name] for name in
+                                   ("ln2_g", "ln2_b", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2"))
+    parents = (x, gamma, beta, w1, b1, w2, b2)
+    keep = any(t.requires_grad for t in parents)
+    f, xhat, std = _layer_norm(x.data, gamma.data, beta.data, keep)
+    hidden = f @ w1.data
+    hidden += b1.data
+    np.tanh(hidden, out=hidden)
+    out = hidden @ w2.data
+    out += b2.data
+    out = _residual(out, mask, x.data)
+    if not keep:
+        return Tensor(out)
 
-    ``qkv`` holds the packed rows' q, k and v side by side, ``(n, 3d)``; the
-    rows are scattered to the ``(B, T)`` slots of ``real``, attention runs on
-    the padded ``(B, H, T, dh)`` views, and the heads' outputs are gathered
-    back to ``(n, d)`` packed rows. ``key_mask`` (0 at real slots, -1e9 at
-    padded ones, shape (B, 1, 1, T)) keeps every row off padded keys. The
-    backward is closed-form and writes the q, k and v gradients into one
-    buffer, gathered back to rows once. Each product runs on the same
-    operand views as in a chain of Tensor scatter, transpose, matmul,
-    softmax and gather ops, since numpy's matmul picks its kernel, and so
-    its bits, by the operands' memory layout.
+    def bw(g):
+        g_out = g if mask is None else g * mask
+        if b2.requires_grad:
+            b2._accum_owned(_unbroadcast(g_out, b2.data.shape))
+        if w2.requires_grad:
+            w2._accum_owned(hidden.T @ g_out)
+        # tanh's backward g * (1 - y²), in place
+        g_h = g_out @ w2.data.T
+        g_h *= 1.0 - hidden * hidden
+        if b1.requires_grad:
+            b1._accum_owned(_unbroadcast(g_h, b1.data.shape))
+        if w1.requires_grad:
+            w1._accum_owned(f.T @ g_h)
+        _residual_backward(x, g, g_h @ w1.data.T, xhat, std, gamma, beta)
+
+    return Tensor(out, parents=parents, bw=bw)
+
+
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, keep: bool):
+    """(x - mean) / sqrt(var + 1e-6) * gamma + beta over rows, with the bits
+    of `Tensor.layer_norm`: the output, the normalized rows x̂ and the
+    std. Without ``keep`` the output overwrites x̂."""
+    inv_n = 1.0 / x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_n + 1e-6)
+    xhat /= std
+    out = np.multiply(xhat, gamma, out=None if keep else xhat)
+    out += beta
+    return out, xhat, std
+
+
+def _residual(out: np.ndarray, mask: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """x + dropout(out), written into ``out``."""
+    if mask is not None:
+        out *= mask
+    out += x
+    return out
+
+
+def _residual_backward(x: Tensor, g: np.ndarray, g_norm: np.ndarray, xhat: np.ndarray,
+                       std: np.ndarray, gamma: Tensor, beta: Tensor) -> None:
+    """A sub-layer's gradients through its layer norm, whose output has the
+    gradient ``g_norm``: gamma's and beta's, and x's, which sums the
+    residual's ``g`` and the norm's into x.grad in that order, as the Tensor
+    chain's add and layer-norm nodes do."""
+    if gamma.requires_grad:
+        gamma._accum_owned(_unbroadcast(g_norm * xhat, gamma.data.shape))
+    if beta.requires_grad:
+        beta._accum_owned(_unbroadcast(g_norm, beta.data.shape))
+    if not x.requires_grad:
+        return
+    # dx = (ĝ - mean ĝ - x̂·mean(ĝ·x̂)) / std with ĝ = g_norm·gamma, in place
+    inv_n = 1.0 / xhat.shape[-1]
+    gh = g_norm * gamma.data
+    proj = (gh * xhat).sum(axis=-1, keepdims=True) * inv_n
+    dx = gh - gh.sum(axis=-1, keepdims=True) * inv_n
+    dx -= xhat * proj
+    dx /= std
+    if x.grad is None:
+        dx += g  # g + dx, the chain's copy of g plus dx, bit for bit
+        x._accum_owned(dx)
+    else:
+        x.grad += g
+        x.grad += dx
+
+
+def _attention_core(a: np.ndarray, w_qkv: np.ndarray, real: np.ndarray,
+                    key_mask: np.ndarray, H: int, keep: bool):
+    """softmax(q kᵀ + key_mask) v for all heads, with the packed rows' q, k
+    and v side by side in ``a @ w_qkv`` (n, 3d): the heads' packed ``(n, d)``
+    outputs and, with ``keep``, the closed-form backward from their gradient
+    to that of ``a @ w_qkv`` (else None).
+
+    The q, k and v rows are scattered to the ``(B, T)`` slots of ``real`` as
+    they are made, attention runs on the padded ``(B, H, T, dh)`` views, and
+    the heads' outputs are gathered back to packed rows. ``key_mask`` (0 at
+    real slots, -1e9 at padded ones, shape (B, 1, 1, T)) keeps every row off
+    padded keys. The backward writes the q, k and v gradients into one
+    buffer, gathered back to rows once.
+    Each product runs on the same operand views as in a chain of Tensor
+    scatter, transpose, matmul, softmax and gather ops, since numpy's matmul
+    picks its kernel, and so its bits, by the operands' memory layout.
     """
     B, T = real.shape
-    d = qkv.shape[-1] // 3
+    d = w_qkv.shape[-1] // 3
     dh = d // H
     slots = np.zeros((B, T, 3 * d))
-    slots[real] = qkv.data
+    slots[real] = a @ w_qkv
     q, k, v = slots.reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
     # in place: one (B, H, T, T) array, with the bits of the out-of-place ops
     weights = q @ k.swapaxes(-1, -2)
@@ -301,13 +420,13 @@ def _attention_core(qkv: Tensor, real: np.ndarray, key_mask: np.ndarray, H: int)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     heads = weights @ v
-    if not qkv.requires_grad:
+    if not keep:
         # nothing will run the backward: free the slots and scores before the gather
         del slots, q, k, v, weights
-    out = heads.transpose(0, 2, 1, 3)[real].reshape(-1, d)
+        return heads.transpose(0, 2, 1, 3)[real].reshape(-1, d), None
 
-    def bw(g):
-        g_heads = np.zeros_like(heads)
+    def backward(g):
+        g_heads = np.zeros((B, H, T, dh))
         g_heads.transpose(0, 2, 1, 3)[real] = g.reshape(-1, H, dh)
         # the softmax backward weights * (g - Σ g·weights), in place
         g_scores = g_heads @ v.swapaxes(-1, -2)
@@ -319,9 +438,9 @@ def _attention_core(qkv: Tensor, real: np.ndarray, key_mask: np.ndarray, H: int)
         g_q[...] = g_scores @ k
         g_k[...] = (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)
         g_v[...] = weights.swapaxes(-1, -2) @ g_heads
-        qkv._accum(g_slots[real])
+        return g_slots[real]
 
-    return Tensor(out, parents=(qkv,), bw=bw)
+    return heads.transpose(0, 2, 1, 3)[real].reshape(-1, d), backward
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from layerpool.encoder import (
     FrozenFeatures,
     Tokenizer,
     _attention_core,
+    _attention_sublayer,
+    _ffn_sublayer,
     init_encoder_params,
     length_groups,
     load_frozen,
@@ -76,21 +80,59 @@ def scatter(rows, mask):
     return Tensor(out, parents=(rows,), bw=lambda g: rows._accum(g[mask]))
 
 
-def composite_attention(encoder, x, p, prefix, real, key_mask):
-    """`Encoder._attention` with its core as a chain of Tensor ops: the q, k
-    and v rows scattered to (B, T, 3d), split into (B, H, T, dh) views, a
-    masked softmax of q kᵀ times v, and a boolean gather back to rows."""
+def core_node(a, w_qkv, real, key_mask, H):
+    """`_attention_core`'s numpy forward and backward as one Tensor op, with
+    the matmul backward of ``a @ w_qkv``."""
+    out, backward = _attention_core(a.data, w_qkv.data, real, key_mask, H, True)
+
+    def bw(g):
+        g_qkv = backward(g)
+        a._accum(g_qkv @ w_qkv.data.T)
+        w_qkv._accum(a.data.T @ g_qkv)
+
+    return Tensor(out, parents=(a, w_qkv), bw=bw)
+
+
+def composite_core(a, w_qkv, real, key_mask, H):
+    """The attention core as a chain of Tensor ops: the rows' q, k and v
+    from one matmul, scattered to (B, T, 3d), split into (B, H, T, dh)
+    views, a masked softmax of q kᵀ times v, and a boolean gather back to
+    rows."""
     B, T = real.shape
-    d = x.shape[-1]
-    H = encoder.config.num_heads
+    d = a.shape[-1]
     dh = d // H
-    w_qkv = Tensor.concat([p[prefix + "attn_q"] * (1.0 / np.sqrt(dh)),
-                           p[prefix + "attn_k"], p[prefix + "attn_v"]], axis=1)
-    qkv = scatter(x @ w_qkv, real).reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
+    qkv = scatter(a @ w_qkv, real).reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
     q, k, v = qkv[0], qkv[1], qkv[2]
     weights = (q @ k.T + Tensor(key_mask)).softmax(axis=-1)
-    out = (weights @ v).transpose(0, 2, 1, 3)[real].reshape(-1, d)
-    return out @ p[prefix + "attn_o"]
+    return (weights @ v).transpose(0, 2, 1, 3)[real].reshape(-1, d)
+
+
+def chain_attention(x, p, prefix, real, key_mask, H, mask, core=composite_core):
+    """`_attention_sublayer` as the chain of Tensor ops it replaced: layer
+    norm, one matmul for q, k and v, the attention core, the output
+    projection, dropout and the residual add."""
+    dh = x.shape[-1] // H
+    w_qkv = Tensor.concat([p[prefix + "attn_q"] * (1.0 / np.sqrt(dh)),
+                           p[prefix + "attn_k"], p[prefix + "attn_v"]], axis=1)
+    a = x.layer_norm(p[prefix + "ln1_g"], p[prefix + "ln1_b"])
+    attn = core(a, w_qkv, real, key_mask, H) @ p[prefix + "attn_o"]
+    return x + (attn if mask is None else attn * Tensor(mask))
+
+
+def chain_ffn(x, p, prefix, mask):
+    """`_ffn_sublayer` as the chain of Tensor ops it replaced: layer norm,
+    matmul, bias add, tanh, matmul, bias add, dropout and the residual add."""
+    f = x.layer_norm(p[prefix + "ln2_g"], p[prefix + "ln2_b"])
+    hidden = (f @ p[prefix + "ffn_w1"] + p[prefix + "ffn_b1"]).tanh()
+    ffn = hidden @ p[prefix + "ffn_w2"] + p[prefix + "ffn_b2"]
+    return x + (ffn if mask is None else ffn * Tensor(mask))
+
+
+def use_chains(monkeypatch, core=composite_core):
+    """Make `Encoder.encode` run both sub-layers as Tensor chains around ``core``."""
+    monkeypatch.setattr(encoder_module, "_attention_sublayer",
+                        partial(chain_attention, core=core))
+    monkeypatch.setattr(encoder_module, "_ffn_sublayer", chain_ffn)
 
 
 def stacks_and_grads(encoder, token_lists, rngs):
@@ -325,21 +367,24 @@ class TestBatchedEncode:
             assert np.max(np.abs(batch.data[b] - ref)) < 1e-12
 
     def test_per_token_matmuls_see_only_real_tokens(self, long_encoder, monkeypatch):
-        # lists of 1, 3 and 9 tokens fill 3 x 9 = 27 padded slots; every
-        # projection and FFN matmul (a weight of d or ffn_dim rows on the
-        # right) must run on the 13 tokens only
-        cfg, matmul, seen = long_encoder.config, Tensor.__matmul__, []
+        # lists of 1, 3 and 9 tokens fill 3 x 9 = 27 padded slots; both
+        # sub-layer nodes, whose projection and FFN matmuls run on the rows
+        # they are given, and the attention core's q, k and v matmul must
+        # see the 13 tokens only
+        cfg, seen = long_encoder.config, []
 
-        def recording(a, b):
-            if np.ndim(b.data) == 2 and b.shape[0] in (cfg.hidden_dim, cfg.ffn_dim):
-                seen.append(a.shape[:-1])
-            return matmul(a, b)
+        def recording(fn):
+            def wrapper(rows, *args):
+                seen.append(rows.shape)
+                return fn(rows, *args)
+            return wrapper
 
-        monkeypatch.setattr(Tensor, "__matmul__", recording)
+        for name in ("_attention_sublayer", "_ffn_sublayer", "_attention_core"):
+            monkeypatch.setattr(encoder_module, name, recording(getattr(encoder_module, name)))
         token_lists = [[CLS_ID], [CLS_ID, 3, 4], [CLS_ID] + list(range(3, 11))]
         long_encoder.encode(token_lists, [Rng(2).child(b) for b in range(3)])
-        assert len(seen) >= 4 * cfg.num_layers
-        assert set(seen) == {(13,)}
+        assert len(seen) == 3 * cfg.num_layers
+        assert set(seen) == {(13, cfg.hidden_dim)}
 
     @pytest.fixture
     def long_chunk(self):
@@ -359,9 +404,9 @@ class TestBatchedEncode:
             calls.append(sorted(map(len, token_lists)))
             return encode(self, token_lists, rngs)
 
-        def counting(qkv, real, key_mask, H):
+        def counting(a, w_qkv, real, key_mask, H, keep):
             scores.append((real.shape[0], H, real.shape[1], real.shape[1]))
-            return _attention_core(qkv, real, key_mask, H)
+            return _attention_core(a, w_qkv, real, key_mask, H, keep)
 
         tok, texts = long_texts
         lengths = np.array([len(tok.encode(t, 41)) for t in texts])
@@ -383,29 +428,118 @@ class TestBatchedEncode:
         real = np.arange(6) < lengths[:, None]
         key_mask = np.where(real, 0.0, -1e9)[:, None, None, :]
         gen = np.random.default_rng(8)
-        qkv, weights = gen.normal(size=(lengths.sum(), 24)), gen.normal(size=(lengths.sum(), 8))
-        err = grad_check(lambda ts: (_attention_core(ts[0], real, key_mask, 2) * weights).sum(),
-                         [qkv])
+        a, w_qkv = gen.normal(size=(lengths.sum(), 8)), gen.normal(size=(8, 24))
+        weights = gen.normal(size=(lengths.sum(), 8))
+        err = grad_check(lambda ts: (core_node(ts[0], ts[1], real, key_mask, 2) * weights).sum(),
+                         [a, w_qkv])
         assert err < 1e-6
 
-    @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_attention_core_matches_the_composite_bit_for_bit(self, heads, monkeypatch):
-        # stacks and every parameter gradient, dropout on, lists of 1 to 41
-        # (max_seq_len) tokens: the core's products run on the same operand
-        # views as the chain's, so every bit is the same
+    @staticmethod
+    def _bit_pin_case(heads):
+        # an encoder of d = 16 and lists of 1 to 41 (max_seq_len) tokens
         cfg = EncoderConfig(num_layers=2, hidden_dim=16, num_heads=heads, ffn_dim=16,
                             max_seq_len=41, dropout_p=0.1)
         encoder = Encoder(cfg, trainable(init_encoder_params(cfg, 30, Rng(6))))
         gen = np.random.default_rng(9)
         token_lists = [[CLS_ID] + list(gen.integers(UNK_ID, 30, size=n - 1))
                        for n in (5, 1, 41, 17, 2, 41, 8)]
-        rngs = [Rng(10).child(b) for b in range(len(token_lists))]
+        return encoder, token_lists, [Rng(10).child(b) for b in range(len(token_lists))]
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_core_matches_the_composite_bit_for_bit(self, heads, monkeypatch):
+        # stacks and every parameter gradient, dropout on, both sub-layers as
+        # Tensor chains: the core's products run on the same operand views as
+        # the composite's, so every bit is the same
+        encoder, token_lists, rngs = self._bit_pin_case(heads)
+        use_chains(monkeypatch, core_node)
         fused, fused_grads = stacks_and_grads(encoder, token_lists, rngs)
-        monkeypatch.setattr(Encoder, "_attention", composite_attention)
+        use_chains(monkeypatch, composite_core)
         chain, chain_grads = stacks_and_grads(encoder, token_lists, rngs)
         assert np.array_equal(fused, chain)
         for k in chain_grads:
             assert np.array_equal(fused_grads[k], chain_grads[k]), k
+
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_sublayer_nodes_match_the_chains_bit_for_bit(self, heads, dropout, monkeypatch):
+        # stacks and every parameter gradient against both sub-layers as
+        # Tensor chains: the nodes' products run on the chains' operand
+        # views, and x's gradient adds the residual's share and then the
+        # layer norm's, after those of the layer's stack rows, as the chain's
+        # add and layer-norm nodes do
+        encoder, token_lists, rngs = self._bit_pin_case(heads)
+        rngs = rngs if dropout else None
+        fused, fused_grads = stacks_and_grads(encoder, token_lists, rngs)
+        use_chains(monkeypatch)
+        chain, chain_grads = stacks_and_grads(encoder, token_lists, rngs)
+        assert np.array_equal(fused, chain)
+        for k in chain_grads:
+            assert np.array_equal(fused_grads[k], chain_grads[k]), k
+
+    def test_inference_matches_the_chains_bit_for_bit(self, monkeypatch):
+        # constant parameters, as Checkpoint.encoder() passes them, so the
+        # nodes run in place; texts of 1-40 words as serve embeds them, and
+        # of 3-14 words as STS pairs are, at the default widths
+        cfg = EncoderConfig(num_layers=2, hidden_dim=64, num_heads=4, ffn_dim=256,
+                            max_seq_len=41)
+        arrays = init_encoder_params(cfg, 40, Rng(3))
+        encoder = Encoder(cfg, {k: Tensor(v) for k, v in arrays.items()})
+        tok = Tokenizer({f"w{i}": 3 + i for i in range(36)})
+        gen = np.random.default_rng(13)
+        texts = [" ".join(f"w{w}" for w in gen.integers(0, 40, size=n))
+                 for n in np.concatenate([gen.permutation(np.arange(1, 41)),
+                                          gen.integers(3, 15, size=60)])]
+        nodes = encoder.encode_texts(tok, texts).data
+        use_chains(monkeypatch)
+        assert np.array_equal(nodes, encoder.encode_texts(tok, texts).data)
+
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
+    def test_sublayer_nodes_pass_grad_check(self, dropout):
+        # lists of 3, 1 and 2 tokens; d = 4 in 2 heads, ffn_dim 6; every
+        # parameter drawn away from its initial ones and zeros
+        cfg = EncoderConfig(num_layers=1, hidden_dim=4, num_heads=2, ffn_dim=6, max_seq_len=3)
+        gen = np.random.default_rng(14)
+        params = {k: gen.normal(size=v.shape)
+                  for k, v in init_encoder_params(cfg, 5, Rng(0)).items()}
+        lengths = np.array([3, 1, 2])
+        real = np.arange(3) < lengths[:, None]
+        key_mask = np.where(real, 0.0, -1e9)[:, None, None, :]
+        x, weights = gen.normal(size=(6, 4)), gen.normal(size=(6, 4))
+        mask = dropout_mask((6, 4), 0.3, Rng(15)) if dropout else None
+        attention = [f"layer0.{n}" for n in ("ln1_g", "ln1_b", "attn_q", "attn_k", "attn_v",
+                                             "attn_o")]
+        ffn = [f"layer0.{n}" for n in ("ln2_g", "ln2_b", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")]
+        nodes = [
+            (attention, lambda ts, p: _attention_sublayer(ts[0], p, "layer0.", real, key_mask,
+                                                          2, mask)),
+            (ffn, lambda ts, p: _ffn_sublayer(ts[0], p, "layer0.", mask)),
+        ]
+        for names, node in nodes:
+            def f(ts):
+                return (node(ts, dict(zip(names, ts[1:]))) * weights).sum()
+
+            assert grad_check(f, [x] + [params[n] for n in names]) < 1e-6, names[0]
+
+    def test_inference_peak_memory(self):
+        # one inference call of 64 lists of 9-24 tokens at the default widths:
+        # the nodes keep no intermediates and work in place, so the traced
+        # peak, whose largest arrays are the attention core's padded slots
+        # and scores, stays under 3.5 (n, ffn_dim) float64 arrays (about 2.9
+        # here; the per-op Tensor chains peaked at about 5.4)
+        cfg = EncoderConfig(num_layers=4, hidden_dim=64, num_heads=4, ffn_dim=256)
+        arrays = init_encoder_params(cfg, 40, Rng(1))
+        encoder = Encoder(cfg, {k: Tensor(v) for k, v in arrays.items()})
+        gen = np.random.default_rng(11)
+        lengths = np.repeat(np.arange(9, 25), 4)
+        token_lists = [[CLS_ID] + list(gen.integers(UNK_ID, 40, size=n - 1)) for n in lengths]
+        encoder.encode(token_lists)
+        tracemalloc.start()
+        try:
+            encoder.encode(token_lists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * lengths.sum() * cfg.ffn_dim * 8
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_call_masks_are_the_per_list_masks(self, long_encoder, p):

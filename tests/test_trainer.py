@@ -97,8 +97,13 @@ class TestTrain:
         (lambda c: c[5].pop("negative"), r"record 5: .*'negative'.*no such key"),
         (lambda c: c[5].update(negative=7), r"record 5: .*'negative'.*got 7$"),
         (lambda c: c[5].update(positive=" "), r"record 5: .*'positive'.*got ' '$"),
+        (lambda c: c[5].update(positive="  "), r"record 5: .*'positive'.*got '  '$"),
+        (lambda c: c[5].update(anchor="\u3000"), r"record 5: .*'anchor'.*got '\\u3000'$"),
+        (lambda c: c[5].update(negative="\x1c"), r"record 5: .*'negative'.*got '\\x1c'$"),
+        (lambda c: c[5].update(anchor=""), r"record 5: .*'anchor'.*got ''$"),
         (lambda c: c.__setitem__(5, ["w1 a"]), r"record 5 is a list"),
-    ], ids=["missing", "integer", "blank", "not-an-object"])
+    ], ids=["missing", "integer", "blank", "two-spaces", "ideographic-space",
+            "file-separator", "empty", "not-an-object"])
     def test_every_record_checked_before_any_work(self, monkeypatch, spoil, message):
         corpus = triplet_corpus(64)
         spoil(corpus)
@@ -601,19 +606,22 @@ def _by_op(per_op: Counter) -> str:
 
 def test_encoder_step_tape_size(monkeypatch):
     # one default-encoder sup_hard step (M=16) builds this many Tensors with
-    # the three views in one packed forward pass, q, k and v from one matmul,
-    # each layer's attention core (scatter to padded slots, all heads'
-    # softmax(q kᵀ) v, gather back) and layer norm as single ops, and the
-    # attention pooler and the InfoNCE loss as one node each. With the pooler
-    # and loss as chains of slice, matmul, softmax, mean, concat, normalize
-    # and log-sum-exp ops a step builds 137, and with the core as a chain of
-    # scatter, transpose, matmul, softmax and gather ops too, 190; a forward
-    # per view, a loop over heads or composite layer norm builds well over
-    # twice as many
+    # the three views in one packed forward pass, each layer's attention and
+    # FFN sub-layers (layer norm, projections, attention core, bias adds,
+    # tanh, dropout and residual add) as one node each, and the attention
+    # pooler and the InfoNCE loss as one node each: 4 Tensors per layer (two
+    # sub-layer nodes, the CLS rows and the AVG matmul), 8 for the
+    # embeddings, the AVG matrix and the stack, 6 for pooling and the loss.
+    # With the sub-layers as chains of layer-norm, concat, matmul, core,
+    # dropout, add and tanh ops a step builds 98, with the pooler and loss as
+    # chains of slice, matmul, softmax, mean, concat, normalize and
+    # log-sum-exp ops too, 137, and with the core as a chain of scatter,
+    # transpose, matmul, softmax and gather ops too, 190; a forward per view,
+    # a loop over heads or composite layer norm builds well over twice as many
     cfg = TrainConfig(objective="sup_hard", strategy="attn_cls_avg_concat",
                       batch_size=16, epochs=2, seed=3)
     per_op = _tensors_per_step(monkeypatch, cfg, make_synthetic_triplets(num_pairs=16))
-    assert per_op.total() == 98, _by_op(per_op)
+    assert per_op.total() == 30, _by_op(per_op)
 
 
 def test_frozen_step_tape_size(tmp_path, monkeypatch):
