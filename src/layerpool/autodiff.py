@@ -56,6 +56,33 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                       keep: bool = True, eps: float = 1e-6):
+    """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis: the
+    output, the normalized rows x̂ and the std. Without ``keep`` the output
+    overwrites x̂."""
+    inv_n = 1.0 / x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xhat /= std
+    out = np.multiply(xhat, gamma, out=None if keep else xhat)
+    out += beta
+    return out, xhat, std
+
+
+def layer_norm_grad(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,
+                    std: np.ndarray) -> np.ndarray:
+    """The input's gradient of `layer_norm_forward` from the output's ``g``,
+    as a fresh array: with ĝ = g·gamma, dx = (ĝ - mean ĝ - x̂·mean(ĝ·x̂)) / std."""
+    inv_n = 1.0 / xhat.shape[-1]
+    gh = g * gamma
+    proj = (gh * xhat).sum(axis=-1, keepdims=True) * inv_n
+    dx = gh - gh.sum(axis=-1, keepdims=True) * inv_n
+    dx -= xhat * proj
+    dx /= std
+    return dx
+
+
 _F64 = np.dtype(np.float64)
 
 
@@ -292,27 +319,19 @@ class Tensor:
                       bw=lambda g: self._accum(y * (g - (g * y).sum(axis=axis, keepdims=True))))
 
     def layer_norm(self, gamma: "Tensor", beta: "Tensor", eps: float = 1e-6):
-        """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis.
-
-        The backward is closed-form: with ĝ = g·gamma and x̂ the normalized
-        input, dx = (ĝ - mean ĝ - x̂·mean(ĝ·x̂)) / sqrt(var + eps).
-        """
-        inv_n = 1.0 / self.data.shape[-1]
-        centered = self.data - self.data.sum(axis=-1, keepdims=True) * inv_n
-        std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
-        xhat = centered / std
+        """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis, with
+        a closed-form backward (see `layer_norm_forward`, `layer_norm_grad`)."""
+        out, xhat, std = layer_norm_forward(self.data, gamma.data, beta.data, eps=eps)
 
         def bw(g):
             if self.requires_grad:
-                gh = g * gamma.data
-                proj = (gh * xhat).sum(axis=-1, keepdims=True) * inv_n
-                self._accum((gh - gh.sum(axis=-1, keepdims=True) * inv_n - xhat * proj) / std)
+                self._accum_owned(layer_norm_grad(g, gamma.data, xhat, std))
             if gamma.requires_grad:
                 gamma._accum(_unbroadcast(g * xhat, gamma.data.shape))
             if beta.requires_grad:
                 beta._accum(_unbroadcast(g, beta.data.shape))
 
-        return Tensor(xhat * gamma.data + beta.data, parents=(self, gamma, beta), bw=bw)
+        return Tensor(out, parents=(self, gamma, beta), bw=bw)
 
     def item(self) -> float:
         return float(self.data)

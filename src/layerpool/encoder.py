@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifact import ArtifactCorruptError, read_npy, write_npy
-from .autodiff import Rng, Tensor, _unbroadcast, fill_uniform, uniform_init
+from .autodiff import (Rng, Tensor, fill_uniform, layer_norm_forward, layer_norm_grad,
+                       uniform_init)
 
 CLS_ID = 0
 PAD_ID = 1
@@ -279,7 +280,7 @@ def _attention_sublayer(x: Tensor, p: dict[str, Tensor], prefix: str, real: np.n
     keep = any(t.requires_grad for t in parents)
     d = x.shape[-1]
     scale = 1.0 / np.sqrt(d // H)
-    a, xhat, std = _layer_norm(x.data, gamma.data, beta.data, keep)
+    a, xhat, std = layer_norm_forward(x.data, gamma.data, beta.data, keep)
     w_qkv = np.concatenate([w_q.data * scale, w_k.data, w_v.data], axis=1)
     heads, core_bw = _attention_core(a, w_qkv, real, key_mask, H, keep)
     out = _residual(heads @ w_o.data, mask, x.data)
@@ -314,7 +315,7 @@ def _ffn_sublayer(x: Tensor, p: dict[str, Tensor], prefix: str,
                                    ("ln2_g", "ln2_b", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2"))
     parents = (x, gamma, beta, w1, b1, w2, b2)
     keep = any(t.requires_grad for t in parents)
-    f, xhat, std = _layer_norm(x.data, gamma.data, beta.data, keep)
+    f, xhat, std = layer_norm_forward(x.data, gamma.data, beta.data, keep)
     hidden = f @ w1.data
     hidden += b1.data
     np.tanh(hidden, out=hidden)
@@ -327,32 +328,19 @@ def _ffn_sublayer(x: Tensor, p: dict[str, Tensor], prefix: str,
     def bw(g):
         g_out = g if mask is None else g * mask
         if b2.requires_grad:
-            b2._accum_owned(_unbroadcast(g_out, b2.data.shape))
+            b2._accum_owned(g_out.sum(axis=0))
         if w2.requires_grad:
             w2._accum_owned(hidden.T @ g_out)
         # tanh's backward g * (1 - y²), in place
         g_h = g_out @ w2.data.T
         g_h *= 1.0 - hidden * hidden
         if b1.requires_grad:
-            b1._accum_owned(_unbroadcast(g_h, b1.data.shape))
+            b1._accum_owned(g_h.sum(axis=0))
         if w1.requires_grad:
             w1._accum_owned(f.T @ g_h)
         _residual_backward(x, g, g_h @ w1.data.T, xhat, std, gamma, beta)
 
     return Tensor(out, parents=parents, bw=bw)
-
-
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, keep: bool):
-    """(x - mean) / sqrt(var + 1e-6) * gamma + beta over rows, with the bits
-    of `Tensor.layer_norm`: the output, the normalized rows x̂ and the
-    std. Without ``keep`` the output overwrites x̂."""
-    inv_n = 1.0 / x.shape[-1]
-    xhat = x - x.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_n + 1e-6)
-    xhat /= std
-    out = np.multiply(xhat, gamma, out=None if keep else xhat)
-    out += beta
-    return out, xhat, std
 
 
 def _residual(out: np.ndarray, mask: np.ndarray | None, x: np.ndarray) -> np.ndarray:
@@ -370,18 +358,12 @@ def _residual_backward(x: Tensor, g: np.ndarray, g_norm: np.ndarray, xhat: np.nd
     residual's ``g`` and the norm's into x.grad in that order, as the Tensor
     chain's add and layer-norm nodes do."""
     if gamma.requires_grad:
-        gamma._accum_owned(_unbroadcast(g_norm * xhat, gamma.data.shape))
+        gamma._accum_owned((g_norm * xhat).sum(axis=0))
     if beta.requires_grad:
-        beta._accum_owned(_unbroadcast(g_norm, beta.data.shape))
+        beta._accum_owned(g_norm.sum(axis=0))
     if not x.requires_grad:
         return
-    # dx = (ĝ - mean ĝ - x̂·mean(ĝ·x̂)) / std with ĝ = g_norm·gamma, in place
-    inv_n = 1.0 / xhat.shape[-1]
-    gh = g_norm * gamma.data
-    proj = (gh * xhat).sum(axis=-1, keepdims=True) * inv_n
-    dx = gh - gh.sum(axis=-1, keepdims=True) * inv_n
-    dx -= xhat * proj
-    dx /= std
+    dx = layer_norm_grad(g_norm, gamma.data, xhat, std)
     if x.grad is None:
         dx += g  # g + dx, the chain's copy of g plus dx, bit for bit
         x._accum_owned(dx)

@@ -524,8 +524,10 @@ class TestBatchedEncode:
         # one inference call of 64 lists of 9-24 tokens at the default widths:
         # the nodes keep no intermediates and work in place, so the traced
         # peak, whose largest arrays are the attention core's padded slots
-        # and scores, stays under 3.5 (n, ffn_dim) float64 arrays (about 2.9
-        # here; the per-op Tensor chains peaked at about 5.4)
+        # and scores, stays under 3.2 (n, ffn_dim) float64 arrays (about 2.9
+        # here). Keeping the layer norms' outputs apart from x̂ and the
+        # core's slots and scores through its gather reads about 3.4, and
+        # the per-op Tensor chains about 5.4
         cfg = EncoderConfig(num_layers=4, hidden_dim=64, num_heads=4, ffn_dim=256)
         arrays = init_encoder_params(cfg, 40, Rng(1))
         encoder = Encoder(cfg, {k: Tensor(v) for k, v in arrays.items()})
@@ -539,7 +541,7 @@ class TestBatchedEncode:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * lengths.sum() * cfg.ffn_dim * 8
+        assert peak < 3.2 * lengths.sum() * cfg.ffn_dim * 8
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_call_masks_are_the_per_list_masks(self, long_encoder, p):
