@@ -56,14 +56,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+LAYER_NORM_EPS = 1e-6
+
+
 def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                       keep: bool = True, eps: float = 1e-6):
-    """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis: the
-    output, the normalized rows x̂ and the std. Without ``keep`` the output
-    overwrites x̂."""
+                       keep: bool = True):
+    """(x - mean) / sqrt(var + LAYER_NORM_EPS) * gamma + beta over the last
+    axis: the output, the normalized rows x̂ and the std. Without ``keep`` the
+    output overwrites x̂."""
     inv_n = 1.0 / x.shape[-1]
     xhat = x - x.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_n + eps)
+    std = np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_n + LAYER_NORM_EPS)
     xhat /= std
     out = np.multiply(xhat, gamma, out=None if keep else xhat)
     out += beta
@@ -83,7 +86,28 @@ def layer_norm_grad(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,
     return dx
 
 
-_F64 = np.dtype(np.float64)
+def matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray, need_a: bool,
+                 need_b: bool):
+    """The gradients of a and b in a @ b from the output's ``g``, each None
+    unless needed. 1-D operands are promoted the way matmul promotes them and
+    broadcasting is undone; a stacked (..., T, k) @ (k, n) gives b's gradient
+    as one GEMM over all rows."""
+    a2 = a[None, :] if a.ndim == 1 else a
+    b2 = b[:, None] if b.ndim == 1 else b
+    if b.ndim == 1:
+        g = np.expand_dims(g, -1)
+    if a.ndim == 1:
+        g = np.expand_dims(g, -2)
+    ga = gb = None
+    if need_a:
+        ga = _unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(a.shape)
+    if need_b:
+        if b2.ndim == 2 and a2.ndim > 2:
+            gb = a2.reshape(-1, a2.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape)
+        gb = gb.reshape(b.shape)
+    return ga, gb
 
 
 class Tensor:
@@ -100,14 +124,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), bw=None):
-        if type(data) is not np.ndarray or data.dtype != _F64:
-            data = np.asarray(data, dtype=np.float64)
-        self.data = data
-        if not requires_grad:
-            for p in parents:
-                if p.requires_grad:
-                    requires_grad = True
-                    break
+        self.data = np.asarray(data, dtype=np.float64)  # a float64 array is kept, not copied
+        requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents = parents if requires_grad else ()
@@ -212,23 +230,12 @@ class Tensor:
         other = self._lift(other)
 
         def bw(g):
-            # promote 1-D operands the way matmul does, then undo broadcasting
-            a = self.data[None, :] if self.data.ndim == 1 else self.data
-            b = other.data[:, None] if other.data.ndim == 1 else other.data
-            if other.data.ndim == 1:
-                g = np.expand_dims(g, -1)
-            if self.data.ndim == 1:
-                g = np.expand_dims(g, -2)
-            if self.requires_grad:
-                grad = g @ np.swapaxes(b, -1, -2)
-                self._accum(_unbroadcast(grad, a.shape).reshape(self.data.shape))
-            if other.requires_grad:
-                if b.ndim == 2 and a.ndim > 2:
-                    # a stacked (..., T, k) @ (k, n): one GEMM over all rows
-                    grad = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-                else:
-                    grad = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
-                other._accum(grad.reshape(other.data.shape))
+            ga, gb = matmul_grads(self.data, other.data, g, self.requires_grad,
+                                  other.requires_grad)
+            if ga is not None:
+                self._accum(ga)
+            if gb is not None:
+                other._accum(gb)
 
         return Tensor(self.data @ other.data, parents=(self, other), bw=bw)
 
@@ -318,10 +325,11 @@ class Tensor:
         return Tensor(y, parents=(self,),
                       bw=lambda g: self._accum(y * (g - (g * y).sum(axis=axis, keepdims=True))))
 
-    def layer_norm(self, gamma: "Tensor", beta: "Tensor", eps: float = 1e-6):
-        """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis, with
-        a closed-form backward (see `layer_norm_forward`, `layer_norm_grad`)."""
-        out, xhat, std = layer_norm_forward(self.data, gamma.data, beta.data, eps=eps)
+    def layer_norm(self, gamma: "Tensor", beta: "Tensor"):
+        """(x - mean) / sqrt(var + LAYER_NORM_EPS) * gamma + beta over the last
+        axis, with a closed-form backward (see `layer_norm_forward`,
+        `layer_norm_grad`)."""
+        out, xhat, std = layer_norm_forward(self.data, gamma.data, beta.data)
 
         def bw(g):
             if self.requires_grad:

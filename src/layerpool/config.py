@@ -17,7 +17,7 @@ from typing import get_type_hints
 from .artifact import loads_json
 from .encoder import EncoderConfig
 from .objectives import DEFAULT_TEMPERATURE, OBJECTIVES
-from .pooler import PoolStrategy
+from .pooler import NORM_MODES, PoolStrategy
 
 class ConfigError(ValueError):
     pass
@@ -41,7 +41,7 @@ class TrainConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.strategy not in {s.value for s in PoolStrategy}:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.norm_mode not in ("softmax", "ratio"):
+        if self.norm_mode not in NORM_MODES:
             raise ValueError(f"unknown norm_mode {self.norm_mode!r}")
         if not 0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be positive and finite, got {self.temperature}")

@@ -15,7 +15,10 @@ when they require grad, which only a training run's do.
 Scores are computed by one numpy rule (`_attend`). `pool` runs each
 attention strategy on it as a single tape node with a closed-form backward
 (`_attention_pool`), which gives the bits of the equivalent chain of
-Tensor ops; `attention_matrix` returns the same weights as a constant.
+Tensor ops: its projections' gradients come from Tensor matmul's own
+backward, `autodiff.matmul_grads`, as the encoder's layer norm shares
+`layer_norm_forward` and `layer_norm_grad` with `Tensor.layer_norm`.
+`attention_matrix` returns the same weights as a constant.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from enum import Enum
 import numpy as np
 
 from .artifact import write_csv
-from .autodiff import Rng, Tensor, _unbroadcast, uniform_init
+from .autodiff import Rng, Tensor, _unbroadcast, matmul_grads, uniform_init
 
 RATIO_EPS = 1e-2  # relative fallback threshold of ratio mode
+NORM_MODES = ("softmax", "ratio")  # how `_attend` normalizes a row of scores
 
 
 class PoolStrategy(str, Enum):
@@ -100,7 +104,7 @@ def _attend(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
     a degenerate row is divided by 1, zeroed and set uniform, while healthy
     rows see + 0 and * 1, which are exact.
     """
-    if norm_mode not in ("softmax", "ratio"):
+    if norm_mode not in NORM_MODES:
         raise ValueError(f"unknown norm_mode {norm_mode!r}")
     if strategy not in _QKV_STREAMS:
         raise ValueError(f"{strategy.value} is not an attention strategy")
@@ -131,21 +135,6 @@ def attention_matrix(stacks: Tensor, params: dict[str, Tensor],
                                       params["pooler.w_k"].data, strategy, norm_mode)
     fallback = np.zeros(weights.shape[:-1], dtype=bool) if fb is None else fb[..., 0] > 0
     return Tensor(weights), fallback
-
-
-def _input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The gradient of x in x @ w.T, computed as Tensor matmul computes it."""
-    return (g[None, :] @ w)[0] if g.ndim == 1 else g @ w
-
-
-def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The gradient of w in x @ w.T, computed as Tensor matmul and transpose
-    compute it: the stacked rows of x as one GEMM."""
-    if x.ndim == 1:
-        x, g = x[None, :], g[None, :]
-    if x.ndim > 2:
-        return (x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])).T
-    return (x.T @ g).T
 
 
 def _attention_pool(stacks: Tensor, params: dict[str, Tensor], strategy: PoolStrategy,
@@ -185,9 +174,9 @@ def _attention_pool(stacks: Tensor, params: dict[str, Tensor], strategy: PoolStr
             g = g * (1.0 - out * out)
             if bias.requires_grad:
                 bias._accum(_unbroadcast(g, bias.data.shape))
-            if w_m.requires_grad:
-                w_m._accum(_weight_grad(h_cl, g))
-            g_cl = _input_grad(g, w_m.data)
+            g_cl, g_m = matmul_grads(h_cl, w_m.data.T, g, True, w_m.requires_grad)
+            if g_m is not None:
+                w_m._accum(g_m.T)
             g = g_cl[..., d:]
         # the mean's gradient, with query layers innermost as in the chain's
         # copy of a broadcast over them
@@ -202,16 +191,17 @@ def _attention_pool(stacks: Tensor, params: dict[str, Tensor], strategy: PoolStr
             g_scores += _unbroadcast(-g_ratio * scores / den**2, den.shape)
         g_q = g_scores @ k
         g_k = (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)
-        streams = ((query, w_q, g_q), (key, w_k, g_k), (value, w_v, g_v))
-        for s, w, g_s in streams:
-            if w.requires_grad:
-                w._accum(_weight_grad(x[..., s, :], g_s))
-        if stacks.requires_grad:
-            g_x = np.zeros_like(x)
-            if concat:
-                g_x[..., -1, 0, :] += g_cl[..., :d]
-            for s, w, g_s in streams:
-                g_x[..., s, :] += _input_grad(g_s, w.data)
+        g_x = np.zeros_like(x) if stacks.requires_grad else None
+        if g_x is not None and concat:
+            g_x[..., -1, 0, :] += g_cl[..., :d]
+        for s, w, g_s in ((query, w_q, g_q), (key, w_k, g_k), (value, w_v, g_v)):
+            g_in, g_w = matmul_grads(x[..., s, :], w.data.T, g_s, g_x is not None,
+                                     w.requires_grad)
+            if g_w is not None:
+                w._accum(g_w.T)
+            if g_in is not None:
+                g_x[..., s, :] += g_in
+        if g_x is not None:
             stacks._accum(g_x)
 
     return Tensor(out, parents=parents, bw=bw)

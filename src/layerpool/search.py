@@ -116,9 +116,10 @@ def _kmeans_pp(x: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
 def kmeans_fit(x: np.ndarray, k: int, rng: Rng, max_iters: int = 25) -> np.ndarray:
     """k-means++ seeding followed by Lloyd iterations to a fixpoint.
 
-    Empty clusters are re-seeded from the point farthest from its centroid.
-    Beside the float64 rows, the fit holds one (m, k) distance buffer, which
-    every Lloyd pass reuses; the seeding's buffers are freed before it.
+    Before any mean is taken, each empty cluster is re-seeded with the row
+    farthest from its centroid in a cluster that keeps another row. Beside the
+    float64 rows, the fit holds one (m, k) distance buffer, which every Lloyd
+    pass reuses; the seeding's buffers are freed before it.
     """
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0]
@@ -135,17 +136,15 @@ def kmeans_fit(x: np.ndarray, k: int, rng: Rng, max_iters: int = 25) -> np.ndarr
         _sq_dists(x, centroids, xx, out=dists)
         new_assign = dists.argmin(axis=1)
         order, offsets = _group(new_assign, k)
+        empty = np.flatnonzero(np.diff(offsets) == 0)
+        for c in empty:
+            shared = np.bincount(new_assign, minlength=k)[new_assign] > 1
+            new_assign[np.where(shared, dists[np.arange(m), new_assign], -np.inf).argmax()] = c
+        if len(empty):
+            order, offsets = _group(new_assign, k)
         for c in range(k):
             # x[rows] holds the rows a boolean mask would pick, in the same order
-            rows = order[offsets[c]:offsets[c + 1]]
-            if len(rows):
-                centroids[c] = x[rows].mean(axis=0)
-            else:
-                farthest = dists[np.arange(m), new_assign].argmax()
-                centroids[c] = x[farthest]
-                new_assign[farthest] = c
-                # the later clusters no longer hold the moved row
-                order, offsets = _group(new_assign, k)
+            centroids[c] = x[order[offsets[c]:offsets[c + 1]]].mean(axis=0)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

@@ -182,6 +182,27 @@ class TestRng:
 
 
 class TestTape:
+    def test_constructor_keeps_float64_arrays_and_converts_the_rest(self):
+        # a float64 array is the node's data, not a copy: a parameter Tensor
+        # and the array a checkpoint holds are one buffer
+        x = np.arange(6.0).reshape(2, 3)
+        for a in (x, x[:, 1:], x.T):
+            assert Tensor(a).data is a
+        for data in (np.arange(3, dtype=np.float32), [1, 2, 3], 2, 2.5, np.int64(4)):
+            t = Tensor(data)
+            assert t.data.dtype == np.float64
+            assert np.array_equal(t.data, np.asarray(data, dtype=np.float64))
+
+    def test_requires_grad_when_any_parent_does(self):
+        const, param = Tensor(np.ones(2)), Tensor(np.ones(2), requires_grad=True)
+        for parents, expected in [((), False), ((const,), False), ((const, param), True),
+                                  ((param, const), True)]:
+            t = Tensor(np.ones(2), parents=parents, bw=lambda g: None)
+            assert t.requires_grad is expected
+            assert t._parents == (parents if expected else ())
+            assert (t._bw is not None) is expected
+        assert Tensor(np.ones(2), requires_grad=True, parents=(const,)).requires_grad
+
     def test_quadratic_gradient(self):
         x = Tensor(np.array(3.0), requires_grad=True)
         (x * x).backward()

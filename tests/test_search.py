@@ -104,9 +104,11 @@ class TestEmbeddingMatrix:
 
 
 def reference_kmeans(x, k, rng, max_iters=25):
-    """k-means as first written, one boolean mask per cluster and a fresh
-    distance array per term: `kmeans_fit` must give its centroids bit for bit.
-    Also returns the most clusters found empty in one Lloyd pass."""
+    """k-means with one boolean mask per cluster and a fresh distance array
+    per term: `kmeans_fit` must give its centroids bit for bit. Each pass
+    first re-seeds every empty cluster with the farthest row of a cluster
+    that keeps another row, then takes every mean. Also returns the most
+    clusters found empty in one Lloyd pass."""
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0]
     gen = rng.child("kmeans").generator()
@@ -126,17 +128,15 @@ def reference_kmeans(x, k, rng, max_iters=25):
         dists = ((x * x).sum(1)[:, None] - 2.0 * (x @ centroids.T)
                  + (centroids * centroids).sum(1))
         new_assign = dists.argmin(axis=1)
-        empty = 0
+        err = dists[np.arange(m), new_assign]
+        empty = [c for c in range(k) if not (new_assign == c).any()]
+        for c in empty:
+            shared = np.array([(new_assign == new_assign[i]).sum() > 1 for i in range(m)])
+            farthest = np.flatnonzero(shared)[err[shared].argmax()]
+            new_assign[farthest] = c
         for c in range(k):
-            members = new_assign == c
-            if members.any():
-                centroids[c] = x[members].mean(axis=0)
-            else:
-                empty += 1
-                farthest = dists[np.arange(m), new_assign].argmax()
-                centroids[c] = x[farthest]
-                new_assign[farthest] = c
-        most_empty = max(most_empty, empty)
+            centroids[c] = x[new_assign == c].mean(axis=0)
+        most_empty = max(most_empty, len(empty))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -158,8 +158,8 @@ class TestKmeans:
         # 0 while the total is positive, so after 3 picks the total is 0, the
         # duplicated centroids tie and the first Lloyd pass finds 9 clusters empty
         (12, 2, 12, 3, 25),
-        # one row three times: the second pass finds cluster 0 empty and
-        # re-seeds it with a row of cluster 1, whose mean must then leave it out
+        # one row three times: every pass finds two clusters empty and
+        # re-seeds them from the one cluster that holds all three rows
         (3, 2, 3, 1, 6),
         (300, 2, 260, None, 25),  # k > 255: the sort key is uint16
     ], ids=["k=1", "k=m", "duplicate-rows", "equal-rows", "k>255"])
@@ -204,6 +204,23 @@ class TestKmeans:
         order = np.argsort(assign, kind="stable")
         assert np.array_equal(index.ids, order)
         assert index.offsets.tolist() == [0, *np.cumsum(np.bincount(assign, minlength=32))]
+
+    def test_equal_rows_reach_the_fixpoint(self, monkeypatch):
+        # three copies of one row: the mean of the copies need not be the row
+        # bit for bit, so a re-seed after some mean was taken could cycle
+        # through all 25 passes; re-seeding first stops on the second pass
+        x = oracle_rows(6, 3, 2, 1)
+        passes = []
+        sq_dists = search._sq_dists
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return sq_dists(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_sq_dists", counting)
+        centroids = kmeans_fit(x, 3, Rng(7))
+        assert len(passes) == 2
+        assert centroids.tobytes() == np.repeat(x[:1], 3, axis=0).tobytes()
 
     def test_max_iters_below_one(self):
         with pytest.raises(ValueError, match="max_iters"):
